@@ -5,7 +5,7 @@ Modules
 mlf          two-parameter Mittag-Leffler function E_{alpha,beta}
 fracops      discrete fractional integral/derivative operators (RL, L1)
 spectral     1-D elliptic eigendecomposition (Neumann/Robin)
-linsolve     linear mild-solution solvers (spectral and implicit L1)
+linsolve     linear mild-solution solvers, the shared Volterra fixed-point engine
 semilinear   Picard contraction, monotone iteration, comparison, barriers
 systems      multi-order cooperative systems and semilinear pairs
 expressions  small expression grammar for scenario files

@@ -29,6 +29,7 @@ from .harness import (
     OUTPUT_DIR_ENV,
     Scenario,
     ScenarioError,
+    _output_dir,
     convergence_study,
     run_bundle,
     run_scenario,
@@ -129,8 +130,7 @@ def _cmd_monotone(args) -> int:
         k_max=int(mono.get("k_max", 200)),
         gap_tol=float(mono.get("gap_tol", 1e-6)),
     )
-    outdir = args.outdir or os.environ.get(OUTPUT_DIR_ENV) or os.getcwd()
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _output_dir(args.outdir)
     out["u_star"].to_csv(os.path.join(outdir, f"{scn.name}.traj.csv"))
     sys.stdout.write(
         f"scenario: {scn.name}\n"
@@ -149,8 +149,7 @@ def _cmd_steady(args) -> int:
     basis = scn.basis()
     prob = scn.build_problem(basis)
     u = steady_state_solve(basis, prob.term, prob.a)
-    outdir = args.outdir or os.environ.get(OUTPUT_DIR_ENV) or os.getcwd()
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _output_dir(args.outdir)
     path = os.path.join(outdir, f"{scn.name}.steady.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,u\n")

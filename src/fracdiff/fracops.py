@@ -86,10 +86,6 @@ class SampledSignal:
         self.grid = grid
         self.values = values
 
-    @classmethod
-    def from_callable(cls, grid, fn):
-        return cls(grid, np.asarray([fn(t) for t in grid.nodes], dtype=float))
-
     def __repr__(self):
         return f"SampledSignal(grid={self.grid!r}, shape={self.values.shape})"
 

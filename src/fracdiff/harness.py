@@ -45,7 +45,7 @@ import numpy as np
 
 from .expressions import ExpressionError, expression_parse
 from .fracops import TimeGrid
-from .linsolve import LinearProblem, solve_linear
+from .linsolve import LinearProblem, sample_history, solve_linear
 from .semilinear import (
     SemilinearProblem,
     SemilinearTerm,
@@ -365,13 +365,9 @@ def _check_nonneg(scn, basis, prob, grid, traj, extras, params):
     x = basis.grid
     if float(np.min(prob.a)) < -1e-12:
         return "NOT-APPLICABLE", "reason=initial data takes negative values"
-    if prob.forcing is not None:
-        fmin = min(
-            float(np.min(np.asarray(prob.forcing(x, t)) * np.ones_like(x)))
-            for t in grid.nodes
-        )
-        if fmin < -1e-12:
-            return "NOT-APPLICABLE", "reason=forcing takes negative values"
+    F = sample_history(prob.forcing, x, grid.nodes)
+    if F is not None and float(np.min(F)) < -1e-12:
+        return "NOT-APPLICABLE", "reason=forcing takes negative values"
     if scn.kind == "semilinear":
         z = np.zeros_like(x)
         if float(np.min(prob.term(x, z))) < -1e-12:
@@ -389,7 +385,7 @@ def _check_bracket(scn, basis, prob, grid, traj, extras, params):
     tol = float(params.get("tol", 1e-8))
     x, t = basis.grid, grid.nodes
     lower_ev = expression_parse(params.get("lower", "0"))
-    lower = np.stack([lower_ev(x=x, t=ti) for ti in t])
+    lower = sample_history(lambda xx, ti: lower_ev(x=xx, t=ti), x, t)
     detail = []
     if params.get("upper_mode", "") == "power_barrier":
         rho = power_barrier_rho(prob, grid)
@@ -397,7 +393,7 @@ def _check_bracket(scn, basis, prob, grid, traj, extras, params):
         detail.append(f"rho={_fmt(rho)}")
     else:
         upper_ev = expression_parse(params["upper"])
-        upper = np.stack([upper_ev(x=x, t=ti) for ti in t])
+        upper = sample_history(lambda xx, ti: upper_ev(x=xx, t=ti), x, t)
     fields = traj.fields()
     lo_gap = float(np.min(fields - lower))
     hi_gap = float(np.min(upper - fields))
@@ -561,8 +557,9 @@ def run_bundle(directory, outdir=None):
 
 def convergence_study(scenario, levels):
     """Solve the scenario on ``levels`` nested time grids (N, 2N, 4N, ...),
-    measure sup errors against the next-finer reference run, and report
-    observed orders.  Returns rows (N, error, order-or-None)."""
+    measure each level's sup error at its nodes against one reference solve
+    on the grid with N * 2**levels steps, and report the observed orders
+    log2(e_{k-1} / e_k).  Returns rows (N, error, order-or-None)."""
     if isinstance(scenario, (str, os.PathLike)):
         scenario = Scenario.load(scenario)
     if int(levels) < 3:

@@ -1,4 +1,5 @@
-"""Solution operators S(t), K(t) and mild-solution solvers for
+"""Solution operators S(t), K(t), the Volterra fixed-point engine, and
+mild-solution solvers for
 
     d_t^alpha (u - a) + A_0 u = Q u + F,   Q u = b(x,t) u_x + q(x,t) u,
 
@@ -12,23 +13,31 @@ d_t^alpha (u - a) + (A_0 + s) u = (Q + s) u + F.  The shifted kernel
 weights are nonnegative, so whenever the effective forcing is monotone in
 u the discrete time-march preserves ordering exactly; the monotone and
 comparison machinery in higher modules relies on this.
+
+Every whole-window iteration of the mild-solution map
+u = S(t) a + K * R(u) in the package (Picard, multi-order systems,
+semilinear pairs, the monotone sandwich) runs through volterra_sweep and
+fixed_point here, on field histories stacked along a component axis;
+coefficients given as callables of (x, t) are sampled once per grid by
+sample_history.
 """
 
 import math
 
 import numpy as np
 
-from .fracops import TimeGrid
-from .mlf import e1_bound_constant, ml_neg_vec
-from .spectral import project, synthesize
+from .mlf import ml_neg_vec
+from .spectral import project
 
 __all__ = [
     "ModalPropagator",
     "LinearProblem",
     "Trajectory",
     "apply_S",
-    "s_norm_bound",
     "convolve_K",
+    "sample_history",
+    "volterra_sweep",
+    "fixed_point",
     "solve_linear",
     "solve_linear_l1",
 ]
@@ -65,8 +74,9 @@ class ModalPropagator:
     def tables(self, grid):
         """(E, W) for a TimeGrid: E is (N+1, M); W is the lag-indexed weight
         table (N, M) for uniform grids, or None (nonuniform grids use
-        per-row weights via row_weights)."""
-        key = id(grid)
+        per-row weights via row_weights).  Keyed by the node values, so
+        equal grids share an entry and a new grid never gets another's."""
+        key = (grid.kind, grid.nodes.tobytes())
         if key not in self._tables:
             E = self.e_values(grid.nodes)
             W = None
@@ -123,13 +133,6 @@ def apply_S(prop, t, coeffs):
     return e * coeffs
 
 
-def s_norm_bound(prop, t):
-    """C/(1 + lam_1 t^alpha) envelope for ||S(t)|| from the calibrated
-    Mittag-Leffler bound (modal sup: the slowest mode dominates)."""
-    c = e1_bound_constant(prop.alpha)
-    return c / (1.0 + float(prop.lambdas[0]) * float(t) ** prop.alpha)
-
-
 def convolve_K(prop, grid, forcing, reconstruction="constant"):
     """Discrete (K * forcing)(t_i) for a modal forcing history (N+1, M).
 
@@ -162,6 +165,100 @@ def convolve_K(prop, grid, forcing, reconstruction="constant"):
     return out
 
 
+def sample_history(f, x, tnodes):
+    """Samples of a coefficient on the spatial grid x at every time node,
+    shape (len(tnodes), x.size), or None for None.
+
+    f is None, a constant, or a callable f(x, t), called once per node with
+    the 1-D grid x and a scalar t."""
+    if f is None:
+        return None
+    if callable(f):
+        return np.array([
+            np.asarray(f(x, t), dtype=float) * np.ones_like(x) for t in tnodes
+        ])
+    return np.full((len(tnodes), x.size), float(f))
+
+
+def volterra_sweep(props, a_modal, R, grid):
+    """One application of the mild-solution map to C stacked components:
+    E_c a_c + K_c * (P R_c), with one propagator per component.
+
+    a_modal is (C, M); R holds the right-hand-side field histories
+    (C, N+1, n_grid), projected in one product.  Returns the modal
+    histories (C, N+1, M)."""
+    basis = props[0].basis
+    G = (R * basis.weights) @ basis.modes
+    out = np.empty_like(G)
+    for c, prop in enumerate(props):
+        E, _ = prop.tables(grid)
+        out[c] = E * a_modal[c] + convolve_K(prop, grid, G[c])
+    return out
+
+
+def fixed_point(props, a, rhs, grid, tol, max_sweeps, m=None):
+    """Whole-window Picard iteration of u_c = S_c(t) a_c + K_c * R_c(u)
+    from u_c = a_c, for C components with one propagator each.
+
+    a holds the initial fields (C, n_grid); rhs maps the field histories
+    (C, N+1, n_grid) to right-hand sides of the same shape.  The increment
+    of sweep n is U_n(t) = sum_c sup_x |u_c^n - u_c^(n-1)|(t); the
+    iteration stops once sup_t U_n < tol max(1, sup|u|).  ArithmeticError
+    is raised at the first sweep with a non-finite value, on divergence,
+    and when max_sweeps sweeps do not converge.  Divergence is amplitude
+    escape sup|u| > m when a box m is given, and otherwise 5 consecutive
+    growing increments: a boxed iteration can grow for many sweeps before
+    it contracts, so there growth alone does not name the cause.
+
+    Returns the modal histories (C, N+1, M) and the diagnostics: sweeps,
+    increments (the U_n), rhos (ratios of consecutive sup increments),
+    max_rho and contraction_flag (some ratio >= 1).
+    """
+    basis = props[0].basis
+    a = np.asarray(a, dtype=float)
+    # one 1-D projection per component keeps row 0 equal to project(basis, a)
+    a_modal = np.array([project(basis, ac) for ac in a])
+    U = np.repeat(a[:, None, :], len(grid), axis=1)
+    increments, sups, rhos = [], [], []
+    growing = 0
+    for sweep in range(1, max_sweeps + 1):
+        modal = volterra_sweep(props, a_modal, rhs(U), grid)
+        new = modal @ basis.modes.T
+        if not np.isfinite(new).all():
+            raise ArithmeticError(f"non-finite value at sweep {sweep}")
+        peak = float(np.max(np.abs(new)))
+        if m is not None and peak > m:
+            raise ArithmeticError(
+                f"amplitude escape at sweep {sweep}: sup|u| = {peak} > m = {m}"
+            )
+        increments.append(np.max(np.abs(new - U), axis=-1).sum(axis=0))
+        U = new
+        sups.append(float(np.max(increments[-1])))
+        if len(sups) >= 2 and sups[-2] > 0.0:
+            rhos.append(sups[-1] / sups[-2])
+        if sups[-1] < tol * max(1.0, peak):
+            break
+        growing = growing + 1 if len(sups) >= 2 and sups[-1] > sups[-2] else 0
+        if m is None and growing >= 5:
+            raise ArithmeticError(
+                f"divergence: increments grew over 5 consecutive sweeps "
+                f"(last {sups[-1]})"
+            )
+    else:
+        raise ArithmeticError(
+            f"fixed-point iteration did not converge in {max_sweeps} sweeps "
+            f"(last increment {sups[-1]})"
+        )
+    diag = {
+        "sweeps": sweep,
+        "increments": increments,
+        "rhos": rhos,
+        "max_rho": max(rhos) if rhos else 0.0,
+        "contraction_flag": bool(rhos and max(rhos) >= 1.0),
+    }
+    return modal, diag
+
+
 class LinearProblem:
     """Mild-solution data: initial a (field samples), drift b(x,t),
     reaction q(x,t), forcing F(x,t) (callables of (x, t) arrays, constants,
@@ -182,31 +279,26 @@ class LinearProblem:
         self.shift = float(shift)
         self.propagator = ModalPropagator(basis, alpha, shift=self.shift)
 
-    def _coef(self, f, t):
+    def coefficients(self, tnodes):
+        """(q, b, F) sampled on the spatial grid at every node (each a
+        (len(tnodes), n_grid) history, or None)."""
         x = self.basis.grid
-        if f is None:
-            return None
-        if callable(f):
-            return np.asarray(f(x, t), dtype=float) * np.ones_like(x)
-        return float(f) * np.ones_like(x)
+        return tuple(
+            sample_history(f, x, tnodes)
+            for f in (self.reaction, self.drift, self.forcing)
+        )
 
-    def q_apply(self, field, t):
-        """Q u = b u_x + q u evaluated on the spatial grid at time t."""
-        x = self.basis.grid
-        out = np.zeros_like(field)
-        q = self._coef(self.reaction, t)
+    def rhs(self, U, coeffs):
+        """(Q + shift) u + F in physical space, for fields U whose last axis
+        is the spatial grid and coefficients (q, b, F) that broadcast
+        against them."""
+        q, b, F = coeffs
+        out = np.zeros_like(U)
         if q is not None:
-            out += q * field
-        b = self._coef(self.drift, t)
+            out += q * U
         if b is not None:
-            du = np.gradient(field, x)
-            out += b * du
-        return out
-
-    def rhs_field(self, field, t):
-        """(Q + shift) u + F at time t, in physical space."""
-        out = self.q_apply(field, t) + self.shift * field
-        F = self._coef(self.forcing, t)
+            out += b * np.gradient(U, self.basis.grid, axis=-1)
+        out = out + self.shift * U
         if F is not None:
             out = out + F
         return out
@@ -250,7 +342,6 @@ def solve_linear(
     reconstruction="constant",
     inner_tol=1e-12,
     max_inner=100,
-    rhs_hook=None,
 ):
     """Forward-substitution solve of the discrete Volterra equation.
 
@@ -258,9 +349,6 @@ def solve_linear(
     reconstruction each node is explicit; with 'linear' the current node
     enters through the endpoint average and is resolved by an inner fixed
     point (modal-norm increment < inner_tol, at most max_inner iterations).
-
-    rhs_hook(field, t), when given, replaces the problem's rhs_field; the
-    semilinear layer uses it to inject f(u).
     """
     if reconstruction not in ("constant", "linear"):
         raise ValueError(f"unknown reconstruction {reconstruction!r}")
@@ -270,12 +358,17 @@ def solve_linear(
     M = basis.n_modes
     E, W = prop.tables(grid)
     a_modal = project(basis, prob.a)
-    rhs = rhs_hook if rhs_hook is not None else prob.rhs_field
+    coeffs = prob.coefficients(grid.nodes)
+
+    def rhs(field, i):
+        """Modal (Q + s) u + F at node i."""
+        at = tuple(None if c is None else c[i] for c in coeffs)
+        return project(basis, prob.rhs(field, at))
 
     modal = np.zeros((n, M))
     modal[0] = a_modal
     G = np.zeros((n, M))  # modal rhs history at nodes
-    G[0] = project(basis, rhs(prob.a, grid.nodes[0]))
+    G[0] = rhs(prob.a, 0)
     inner_counts = []
     for i in range(1, n):
         if W is not None:
@@ -285,14 +378,14 @@ def solve_linear(
         base = E[i] * a_modal
         if reconstruction == "constant":
             modal[i] = base + np.einsum("jm,jm->m", w, G[:i])
-            G[i] = project(basis, rhs(basis.modes @ modal[i], grid.nodes[i]))
+            G[i] = rhs(basis.modes @ modal[i], i)
             inner_counts.append(0)
         else:
             past = np.einsum("jm,jm->m", w[:-1], 0.5 * (G[: i - 1] + G[1:i]))
             past += w[-1] * 0.5 * G[i - 1]
             u = modal[i - 1].copy()
             for it in range(max_inner):
-                g_i = project(basis, rhs(basis.modes @ u, grid.nodes[i]))
+                g_i = rhs(basis.modes @ u, i)
                 u_new = base + past + w[-1] * 0.5 * g_i
                 delta = float(np.max(np.abs(u_new - u)))
                 u = u_new
@@ -304,7 +397,7 @@ def solve_linear(
                     f"residual {delta}"
                 )
             modal[i] = u
-            G[i] = project(basis, rhs(basis.modes @ u, grid.nodes[i]))
+            G[i] = rhs(basis.modes @ u, i)
             inner_counts.append(it + 1)
     diag = {
         "reconstruction": reconstruction,
@@ -339,15 +432,14 @@ def solve_linear_l1(prob, grid):
     a = fields[0]
 
     static = not (callable(prob.drift) or callable(prob.reaction))
+    coeffs = prob.coefficients(grid.nodes)
     lu = None
     for i in range(1, n):
-        t = grid.nodes[i]
         r = D[i, i]
         Q = np.zeros((x.size, x.size))
-        q = prob._coef(prob.reaction, t)
+        q, b, F = (None if c is None else c[i] for c in coeffs)
         if q is not None:
             Q += np.diag(q)
-        b = prob._coef(prob.drift, t)
         if b is not None:
             Dx = np.zeros((x.size, x.size))
             h = x[1] - x[0]
@@ -358,7 +450,6 @@ def solve_linear_l1(prob, grid):
             Q += np.diag(b) @ Dx
         # restrict Q to the span so both solvers share one spatial operator
         Qs = span @ Q @ span
-        F = prob._coef(prob.forcing, t)
         rhs = (span @ F) if F is not None else np.zeros(x.size)
         rhs = rhs + r * a - span @ (D[i, :i] @ (fields[:i] - a[None, :]))
         mat = r * np.eye(x.size) + A0 - Qs
@@ -368,5 +459,4 @@ def solve_linear_l1(prob, grid):
             fields[i] = lu_solve(lu, rhs)
         else:
             fields[i] = np.linalg.solve(mat, rhs)
-    modal = np.array([project(basis, f) for f in fields])
-    return Trajectory(grid, basis, modal, {"scheme": "implicit-L1"})
+    return Trajectory(grid, basis, project(basis, fields.T).T, {"scheme": "implicit-L1"})

@@ -73,7 +73,6 @@ class MLParams:
 
 def _taylor_double(alpha, beta, z):
     s = 0.0
-    term_log_args = None  # unused, kept simple
     k = 0
     zk = 1.0
     while k < _MAX_TERMS:
@@ -139,73 +138,35 @@ def _taylor_pos(alpha, beta, z):
     return math.exp(m) * s
 
 
-def _asymptotic_terms(alpha, beta, x, k_max=170):
-    """Signed asymptotic terms (-1)^(k+1) x^(-k) / Gamma(beta - alpha k)."""
-    k = np.arange(1, k_max + 1)
-    rg = rgamma(beta - alpha * k)
-    with np.errstate(over="ignore"):
-        mag = np.exp(-k * math.log(x)) * np.abs(rg)
-    sign = np.where(k % 2 == 1, 1.0, -1.0) * np.sign(rg)
-    return mag, sign
-
-
-def _asym_stop(mag):
-    """Optimal truncation index for one column of term magnitudes.
-
-    Terms whose Gamma argument sits near a pole dip far below the decay
-    envelope; a plain smallest-term rule would truncate at such a dip.
-    Smoothing with a forward 3-term max removes the dips before locating
-    the genuine minimum of the envelope.
-    """
-    n = mag.shape[0]
-    env = np.maximum(mag, np.maximum(np.roll(mag, -1), np.roll(mag, -2)))
-    env[-2:] = mag[-2:]
-    return int(np.argmin(env)) + 1 if n else 0
-
-
-def _asymptotic(alpha, beta, x):
-    mag, sign = _asymptotic_terms(alpha, beta, x)
-    stop = _asym_stop(mag)
-    return float(np.sum(mag[:stop] * sign[:stop]))
-
-
 def ml(params, z, beta=None):
     """Evaluate E_{alpha,beta}(z) for real z.
 
-    Accepts either ml(MLParams(a, b), z) or ml(a, z, beta=b).
+    Accepts either ml(MLParams(a, b), z) or ml(a, z, beta=b).  Beyond the
+    Taylor cut on the negative axis it evaluates through ml_neg_vec.
     """
-    if isinstance(params, MLParams):
-        alpha, b = params.alpha, params.beta
-    else:
-        alpha, b = MLParams(params, 1.0 if beta is None else beta).alpha, (
-            1.0 if beta is None else float(beta)
-        )
+    if not isinstance(params, MLParams):
+        params = MLParams(params, 1.0 if beta is None else beta)
+    alpha, b = params.alpha, params.beta
     z = float(z)
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
-    if z >= 0.0:
-        if z > 0.0 and z ** (1.0 / alpha) > 700.0:
-            raise OverflowError(
-                f"E_({alpha},{b})({z}) exceeds double range (z^(1/alpha) > 700)"
-            )
-        if z > 1.0:
-            return _taylor_pos(alpha, b, z)
+    if z > 0.0 and z ** (1.0 / alpha) > 700.0:
+        raise OverflowError(
+            f"E_({alpha},{b})({z}) exceeds double range (z^(1/alpha) > 700)"
+        )
+    if z > 1.0:
+        return _taylor_pos(alpha, b, z)
+    if z >= -TAYLOR_CUT:
         return _taylor_double(alpha, b, z)
-    x = -z
-    if x <= TAYLOR_CUT:
-        return _taylor_double(alpha, b, z)
-    if alpha == 1.0 and b == 1.0:
-        return math.exp(z)
-    if x >= deep_cut(alpha):
-        return _asymptotic(alpha, b, x)
-    return float(_contour(alpha, b, np.array(x)))
+    return float(ml_neg_vec(alpha, np.array([-z]), b)[0])
 
 
 def ml_neg_vec(alpha, x, beta=1.0):
     """Vectorized E_{alpha,beta}(-x) for an array of x >= 0.
 
-    Dispatches each entry to the same regime ml() would use; the Taylor
-    and asymptotic regimes are evaluated in batched numpy arithmetic.
+    Splits the entries into the Taylor, contour and asymptotic regimes and
+    evaluates each in batched numpy arithmetic; ml() uses the same path
+    beyond the Taylor cut.
     """
     p = MLParams(alpha, beta)
     alpha, beta = p.alpha, p.beta
@@ -249,7 +210,9 @@ def ml_neg_vec(alpha, x, beta=1.0):
         )[:, None]
         mag = np.where((rg != 0)[:, None], np.exp(logmag), 0.0)
         sign = (np.where(k % 2 == 1, 1.0, -1.0) * np.sign(rg))[:, None]
-        # per-column truncation at the minimum of the pole-smoothed envelope
+        # truncate each column at the minimum of its pole-smoothed envelope:
+        # terms whose Gamma argument sits near a pole dip far below the
+        # envelope and would stop a plain smallest-term rule too early
         env = np.maximum(mag, np.maximum(np.roll(mag, -1, axis=0), np.roll(mag, -2, axis=0)))
         env[-2:] = mag[-2:]
         stop = np.argmin(env, axis=0) + 1

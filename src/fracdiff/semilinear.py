@@ -10,8 +10,10 @@ Two routes to the mild solution of
   pair of lower/upper solutions, each sweep a linear solve with the
   reaction shifted by M + 1.
 
-Both absorb an optional spectral shift s into the eigenvalues.  With the
-full discrete eigenbasis (n_modes = n_grid) the projection is an exact
+Both run on the shared Volterra engine of linsolve (fixed_point and
+volterra_sweep), with the coefficients sampled once per grid, and absorb
+an optional spectral shift s into the eigenvalues.  With the full
+discrete eigenbasis (n_modes = n_grid) the projection is an exact
 orthogonal transform and the propagator matrices are entrywise nonnegative
 (E_{alpha,beta}(-x) is completely monotone and the stiffness matrix is an
 M-matrix), so the shifted sweep map preserves node-wise ordering exactly:
@@ -28,8 +30,14 @@ import math
 
 import numpy as np
 
-from .fracops import l1_weights
-from .linsolve import LinearProblem, Trajectory, convolve_K
+from .fracops import TimeGrid, l1_weights
+from .linsolve import (
+    LinearProblem,
+    Trajectory,
+    fixed_point,
+    sample_history,
+    volterra_sweep,
+)
 from .mlf import ml_neg_vec
 from .spectral import project, synthesize
 
@@ -63,6 +71,10 @@ def enzyme_kinetics(eta):
 class SemilinearTerm:
     """Reaction term: pointwise f(x, u) or gradient-dependent f(x, u, u_x).
 
+    The evaluator must act elementwise: the solvers call it once per sweep
+    on a whole field history (leading time or component axes before the
+    spatial one), with x the 1-D spatial grid.
+
     The Lipschitz/C1 bound on the working box [-m, m] is estimated from
     sampled difference quotients on a 201-point amplitude lattice crossed
     with the spatial grid, inflated by 10%.
@@ -82,7 +94,7 @@ class SemilinearTerm:
     def __call__(self, x, u, du=None):
         if self.kind == "gradient":
             if du is None:
-                du = np.gradient(u, x)
+                du = np.gradient(u, x, axis=-1)
             return np.asarray(self.evaluator(x, u, du), dtype=float) * np.ones_like(u)
         return np.asarray(self.evaluator(x, u), dtype=float) * np.ones_like(u)
 
@@ -91,10 +103,8 @@ class SemilinearTerm:
         if self._given_M is not None:
             return float(self._given_M)
         levels = np.linspace(-m, m, 201)
-        vals = np.empty((201, x.size))
-        for i, c in enumerate(levels):
-            u = np.full_like(x, c)
-            vals[i] = self(x, u, du=np.zeros_like(x))
+        U = np.repeat(levels[:, None], x.size, axis=1)
+        vals = self(x, U, du=np.zeros_like(U))
         slopes = np.abs(np.diff(vals, axis=0)) / (levels[1] - levels[0])
         return 1.1 * float(np.max(slopes))
 
@@ -130,9 +140,10 @@ class SemilinearProblem:
             shift=shift,
         )
 
-    def rhs(self, lp, field, t):
-        """(Q + shift) u + F + f(u) in physical space."""
-        return lp.rhs_field(field, t) + self.term(self.basis.grid, field)
+    def rhs(self, lp, U, coeffs):
+        """(Q + shift) u + F + f(u) in physical space, for field histories
+        U and the coefficients sampled by lp.coefficients."""
+        return lp.rhs(U, coeffs) + self.term(self.basis.grid, U)
 
     def require_pointwise(self, op):
         if self.term.kind == "gradient":
@@ -142,70 +153,27 @@ class SemilinearProblem:
             )
 
 
-def _sweep(prob, lp, grid, fields):
-    """One application of the contraction map L to a field history."""
-    basis = prob.basis
-    t = grid.nodes
-    G = np.array([
-        project(basis, prob.rhs(lp, fields[j], t[j])) for j in range(len(grid))
-    ])
-    prop = lp.propagator
-    E, _ = prop.tables(grid)
-    a_modal = project(basis, prob.a)
-    modal = E * a_modal[None, :] + convolve_K(prop, grid, G)
-    return modal
-
-
 def picard_solve(prob, grid, tol=1e-10, max_sweeps=200, shift=0.0):
-    """Fixed point of the discrete map L by whole-window Picard sweeps.
-
-    Stops when the sup-modal increment drops below tol; raises after
-    max_sweeps sweeps, or on amplitude escape |u| > m.  Diagnostics carry
-    the per-sweep contraction ratios rho_k and a flag if any ratio >= 1.
-    """
-    basis = prob.basis
-    n = len(grid)
+    """Fixed point of the discrete map L by the whole-window Picard sweeps
+    of linsolve.fixed_point in the working box m, which sets the stopping
+    and failure policy.  Diagnostics carry the per-sweep contraction
+    ratios rho_k and a flag if any ratio >= 1."""
     lp = prob.linear_part(shift)
-    modal = np.tile(project(basis, prob.a), (n, 1))
-    increments, rhos = [], []
-    for k in range(max_sweeps):
-        fields = modal @ basis.modes.T
-        peak = float(np.max(np.abs(fields)))
-        if peak > prob.m:
-            raise ArithmeticError(
-                f"amplitude escape at sweep {k}: sup|u| = {peak} > m = {prob.m}"
-            )
-        new = _sweep(prob, lp, grid, fields)
-        d = float(np.max(np.abs(new - modal)))
-        modal = new
-        increments.append(d)
-        if len(increments) >= 2 and increments[-2] > 0:
-            rhos.append(increments[-1] / increments[-2])
-        if d < tol * max(1.0, float(np.max(np.abs(modal)))):
-            break
-    else:
-        raise ArithmeticError(
-            f"picard iteration did not converge in {max_sweeps} sweeps "
-            f"(last increment {increments[-1]})"
-        )
-    diag = {
-        "sweeps": k + 1,
-        "rhos": rhos,
-        "max_rho": max(rhos) if rhos else 0.0,
-        "contraction_flag": bool(rhos and max(rhos) >= 1.0),
-        "shift": shift,
-    }
-    return Trajectory(grid, basis, modal, diag)
+    coeffs = lp.coefficients(grid.nodes)
+    modal, diag = fixed_point(
+        [lp.propagator], prob.a[None], lambda U: prob.rhs(lp, U, coeffs),
+        grid, tol, max_sweeps, m=prob.m,
+    )
+    del diag["increments"]
+    diag["shift"] = shift
+    return Trajectory(grid, prob.basis, modal[0], diag)
 
 
 def _as_field_history(state, basis, grid):
     if isinstance(state, Trajectory):
         return state.fields()
     if callable(state):
-        return np.array([
-            np.asarray(state(basis.grid, t), dtype=float) * np.ones_like(basis.grid)
-            for t in grid.nodes
-        ])
+        return sample_history(state, basis.grid, grid.nodes)
     arr = np.asarray(state, dtype=float)
     if arr.shape != (len(grid), basis.grid.size):
         raise ValueError(
@@ -213,6 +181,27 @@ def _as_field_history(state, basis, grid):
             f"{(len(grid), basis.grid.size)}"
         )
     return arr
+
+
+def _monotone_map(prob, M, grid):
+    """The checked shift M (default: the sampled Lipschitz bound) and the
+    monotone map, which sends stacked field histories (C, N+1, n_grid) to
+    their modal images (C, N+1, n_modes) through one shifted propagator."""
+    needed = prob.term.lipschitz(prob.basis.grid, prob.m)
+    M = needed if M is None else float(M)
+    if M < needed - 1e-12:
+        raise ValueError(
+            f"monotone shift M = {M} is below the sampled Lipschitz bound {needed}"
+        )
+    lp = prob.linear_part(shift=M + 1.0)
+    coeffs = lp.coefficients(grid.nodes)
+    a_modal = project(prob.basis, prob.a)
+
+    def sweep(U):
+        return volterra_sweep([lp.propagator] * len(U), [a_modal] * len(U),
+                              prob.rhs(lp, U, coeffs), grid)
+
+    return M, sweep
 
 
 def monotone_step(state, prob, M, grid):
@@ -224,16 +213,9 @@ def monotone_step(state, prob, M, grid):
     Order-preserving on the grid whenever M >= the sampled Lipschitz bound.
     """
     prob.require_pointwise("monotone_step")
-    M = float(M)
-    needed = prob.term.lipschitz(prob.basis.grid, prob.m)
-    if M < needed - 1e-12:
-        raise ValueError(
-            f"monotone shift M = {M} is below the sampled Lipschitz bound {needed}"
-        )
-    fields = _as_field_history(state, prob.basis, grid)
-    lp = prob.linear_part(shift=M + 1.0)
-    modal = _sweep(prob, lp, grid, fields)
-    return Trajectory(grid, prob.basis, modal, {"shift": M + 1.0})
+    M, sweep = _monotone_map(prob, M, grid)
+    U = _as_field_history(state, prob.basis, grid)
+    return Trajectory(grid, prob.basis, sweep(U[None])[0], {"shift": M + 1.0})
 
 
 class BracketPair:
@@ -263,15 +245,15 @@ def monotone_iterate(pair, prob, grid, k_max=200, M=None, mono_tol=1e-12,
                      gap_tol=1e-6):
     """Monotone sandwich between an ordered bracket.
 
-    Each sweep applies monotone_step to both ends; the lower sequence must
-    ascend and the upper descend (within mono_tol), else an
+    Each sweep applies the monotone map of monotone_step to both ends at
+    once (one shifted propagator, the two histories stacked); the lower
+    sequence must ascend and the upper descend (within mono_tol), else an
     ArithmeticError reports the worst node (M too small or a bad bracket).
     Declares convergence when sup|upper - lower| < gap_tol.
     """
     prob.require_pointwise("monotone_iterate")
     basis = prob.basis
-    if M is None:
-        M = prob.term.lipschitz(basis.grid, prob.m)
+    M, sweep = _monotone_map(prob, M, grid)
     lo, hi = pair.histories(basis, grid)
     scale = max(1.0, float(np.max(np.abs(hi))), float(np.max(np.abs(lo))))
     lower_seq, upper_seq = [lo], [hi]
@@ -279,8 +261,8 @@ def monotone_iterate(pair, prob, grid, k_max=200, M=None, mono_tol=1e-12,
     converged = gap_history[0] < gap_tol
     sweeps = 0
     while not converged and sweeps < k_max:
-        new_lo = monotone_step(lo, prob, M, grid).fields()
-        new_hi = monotone_step(hi, prob, M, grid).fields()
+        modal = sweep(np.stack([lo, hi]))
+        new_lo, new_hi = modal @ basis.modes.T
         for name, bad in (
             ("lower sequence decreased", lo - new_lo),
             ("upper sequence increased", new_hi - hi),
@@ -302,10 +284,10 @@ def monotone_iterate(pair, prob, grid, k_max=200, M=None, mono_tol=1e-12,
         sweeps += 1
     u_star = None
     if converged:
+        mid = (0.5 * (modal[0] + modal[1]) if sweeps
+               else project(basis, (0.5 * (lo + hi)).T).T)
         u_star = Trajectory(
-            grid, basis,
-            np.array([project(basis, f) for f in 0.5 * (lo + hi)]),
-            {"sweeps": sweeps, "gap": gap_history[-1], "M": M},
+            grid, basis, mid, {"sweeps": sweeps, "gap": gap_history[-1], "M": M}
         )
     return {
         "lower_seq": lower_seq,
@@ -319,7 +301,8 @@ def monotone_iterate(pair, prob, grid, k_max=200, M=None, mono_tol=1e-12,
 
 
 def _a0_apply(basis, field):
-    return synthesize(basis, basis.lambdas * project(basis, field))
+    """A_0 applied to a field, or to each column of an (n_grid, k) array."""
+    return synthesize(basis, (basis.lambdas * project(basis, field).T).T)
 
 
 def _residual_history(candidate, prob, grid, initial=None):
@@ -329,16 +312,12 @@ def _residual_history(candidate, prob, grid, initial=None):
     D = l1_weights(prob.alpha, grid)
     dcap = D @ (U - a_bar[None, :])
     lp = prob.linear_part(0.0)
-    r = np.empty_like(U)
-    for i, t in enumerate(grid.nodes):
-        F = lp._coef(prob.forcing, t)
-        r[i] = (
-            dcap[i]
-            + _a0_apply(basis, U[i])
-            - lp.q_apply(U[i], t)
-            - prob.term(basis.grid, U[i])
-            - (F if F is not None else 0.0)
-        )
+    r = (
+        dcap
+        + _a0_apply(basis, U.T).T
+        - lp.rhs(U, lp.coefficients(grid.nodes))
+        - prob.term(basis.grid, U)
+    )
     return U, a_bar, r
 
 
@@ -346,8 +325,6 @@ def _two_grid_tolerance(candidate, prob, grid, initial, r_fine):
     """10x the observed grid-consistency error of the residual (coarse vs
     fine grid at shared nodes); the analytic inequalities are exact, the
     discrete ones only grid-exact."""
-    from .fracops import TimeGrid
-
     if grid.N % 2 or grid.N < 4:
         return 1e-8
     coarse = TimeGrid(grid.nodes[::2], kind=grid.kind)
@@ -404,13 +381,13 @@ def compare_solutions(prob1, prob2, grid, tol=1e-8, n_samples=101):
     if float(np.min(prob1.a - prob2.a)) < -1e-12:
         return {"verdict": "NOT-APPLICABLE", "reason": "a_1 >= a_2 fails"}
     levels = np.linspace(-m, m, n_samples)
-    for c in levels:
-        u = np.full_like(x, c)
-        if float(np.min(prob1.term(x, u) - prob2.term(x, u))) < -1e-12:
-            return {
-                "verdict": "NOT-APPLICABLE",
-                "reason": f"f_1 >= f_2 fails at u = {c}",
-            }
+    U = np.repeat(levels[:, None], x.size, axis=1)
+    bad = np.min(prob1.term(x, U) - prob2.term(x, U), axis=1) < -1e-12
+    if bad.any():
+        return {
+            "verdict": "NOT-APPLICABLE",
+            "reason": f"f_1 >= f_2 fails at u = {levels[np.argmax(bad)]}",
+        }
     shift = 1.0 + max(
         prob1.term.lipschitz(x, m), prob2.term.lipschitz(x, m)
     )
@@ -534,6 +511,23 @@ def _bisect_smallest(feasible, lo, hi, iters=60):
     return hi
 
 
+def _bisect_largest_time(ok, t_hi, failure):
+    """Largest T <= t_hi with ok(T), by geometric bisection down to 1e-14;
+    raises ArithmeticError(failure) when even 1e-14 is infeasible."""
+    if ok(t_hi):
+        return t_hi
+    lo, hi = 1e-14, t_hi
+    if not ok(lo):
+        raise ArithmeticError(failure)
+    for _ in range(80):
+        mid = math.sqrt(lo * hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def power_barrier_rho(prob, grid):
     """Smallest rho (by bisection) making a + rho t^alpha an upper barrier:
 
@@ -545,11 +539,8 @@ def power_barrier_rho(prob, grid):
     t_alpha = grid.nodes**prob.alpha
 
     def feasible(rho):
-        for ta in t_alpha:
-            bar = prob.a + rho * ta
-            if float(np.max(prob.term(x, bar) + lap)) > ga * rho:
-                return False
-        return True
+        bar = prob.a[None, :] + rho * t_alpha[:, None]
+        return not float(np.max(prob.term(x, bar) + lap)) > ga * rho
 
     return _bisect_smallest(feasible, 0.0, 1.0) * (1.0 + 1e-9)
 
@@ -572,18 +563,7 @@ def algebraic_barrier_time(prob, eps, t_hi=1.0):
         rhs = float(np.max(prob.term(x, np.full_like(x, T ** (alpha - eps) + a_max))))
         return coef * T ** (-eps) >= rhs + lap_max
 
-    if ok(t_hi):
-        return t_hi
-    lo, hi = 1e-14, t_hi
-    if not ok(lo):
-        raise ArithmeticError("no feasible barrier time above 1e-14")
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect_largest_time(ok, t_hi, "no feasible barrier time above 1e-14")
 
 
 def lower_barrier_constants(prob):
@@ -618,15 +598,6 @@ def power_barrier_constants(prob, t_hi=1.0):
     def ok(T):
         return f_at(M3 * T**prob.alpha + a_norm) <= 0.5 * M3 * ga
 
-    if ok(t_hi):
-        return M3, t_hi
-    lo, hi = 1e-14, t_hi
-    if not ok(lo):
-        raise ArithmeticError("no feasible T_3 above 1e-14; increase M_3")
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return M3, lo
+    return M3, _bisect_largest_time(
+        ok, t_hi, "no feasible T_3 above 1e-14; increase M_3"
+    )

@@ -7,11 +7,15 @@ picard_system_solve iterates the coupled mild formulation
 
 with per-component propagators S_l, K_l shifted by M_1 (so the diagonal
 coupling p_ll + M_1 is positive and the sweep map preserves ordering and
-nonnegativity on the grid).  Nonnegativity verdicts are gated on the
-sampled hypotheses (off-diagonal couplings, forcings, and initial data
-all nonnegative); cooperative_classify decides which disjuncts of the
-pair conditions hold and hence which of the four cooperative cases (or
-none) applies.
+nonnegativity on the grid).  Both picard_system_solve and
+semilinear_pair_solve run on the shared Volterra engine
+linsolve.fixed_point, with the components stacked along its component
+axis and the couplings and forcings sampled once per grid.
+
+Nonnegativity verdicts are gated on the sampled hypotheses (off-diagonal
+couplings, forcings, and initial data all nonnegative);
+cooperative_classify decides which disjuncts of the pair conditions hold
+and hence which of the four cooperative cases (or none) applies.
 """
 
 import math
@@ -19,8 +23,7 @@ import math
 import numpy as np
 
 from .fracops import SampledSignal, rl_integral
-from .linsolve import ModalPropagator, Trajectory, convolve_K
-from .spectral import project
+from .linsolve import ModalPropagator, Trajectory, fixed_point, sample_history
 
 __all__ = [
     "MultiOrderSystem",
@@ -33,14 +36,6 @@ __all__ = [
     "cooperative_classify",
     "pair_nonneg_verify",
 ]
-
-
-def _coef_field(f, x, t):
-    if f is None:
-        return None
-    if callable(f):
-        return np.asarray(f(x, t), dtype=float) * np.ones_like(x)
-    return float(f) * np.ones_like(x)
 
 
 class MultiOrderSystem:
@@ -80,101 +75,64 @@ class MultiOrderSystem:
         self.couplings = couplings
         self.forcings = forcings
 
-    def coupling_field(self, j, k, t):
-        return _coef_field(self.couplings[j][k], self.basis.grid, t)
+    def coefficients(self, tnodes):
+        """(P, F): the couplings as an N x N table and the forcings as a
+        list, each entry a (len(tnodes), n_grid) history or None."""
+        x = self.basis.grid
+        P = [[sample_history(p, x, tnodes) for p in row] for row in self.couplings]
+        return P, [sample_history(f, x, tnodes) for f in self.forcings]
 
-    def diagonal_sup(self, tnodes):
-        """max over components of sup |p_jj| sampled on the grids."""
-        worst = 0.0
-        for j in range(self.N):
-            for t in tnodes:
-                p = self.coupling_field(j, j, t)
-                if p is not None:
-                    worst = max(worst, float(np.max(np.abs(p))))
-        return worst
+
+def _sup(history):
+    return 0.0 if history is None else float(np.max(np.abs(history)))
 
 
 def picard_system_solve(sys, grid, M1=None, tol=1e-10, max_sweeps=200):
     """Coupled Picard sweeps from U^0 = (a_1, ..., a_N).
 
     Returns trajectories, the increment histories U_n(t) = sum_l
-    sup_x |u_l^{n+1} - u_l^n|(t), and the shift M_1 used.  Raises on
-    divergence (sup increment growing over 5 consecutive sweeps) or
-    non-convergence within max_sweeps.
+    sup_x |u_l^{n+1} - u_l^n|(t), and the shift M_1 used.  Raises as
+    linsolve.fixed_point does: on a non-finite value, on divergence (sup
+    increment growing over 5 consecutive sweeps), or on non-convergence
+    within max_sweeps.
     """
     basis = sys.basis
-    x = basis.grid
-    t = grid.nodes
-    n_t = len(grid)
-    coupled = any(p is not None for row in sys.couplings for p in row)
+    P, F = sys.coefficients(grid.nodes)
+    coupled = any(p is not None for row in P for p in row)
+    diagonal_sup = max(_sup(P[l][l]) for l in range(sys.N))
     if M1 is None:
         # decoupled systems run unshifted, so one sweep reproduces S_l a_l
-        M1 = 1.0 + sys.diagonal_sup(t) if coupled else 0.0
+        M1 = 1.0 + diagonal_sup if coupled else 0.0
     M1 = float(M1)
-    if coupled and M1 <= sys.diagonal_sup(t):
+    if coupled and M1 <= diagonal_sup:
         raise ValueError(
-            f"M1 = {M1} must exceed the diagonal coupling bound "
-            f"{sys.diagonal_sup(t)}"
+            f"M1 = {M1} must exceed the diagonal coupling bound {diagonal_sup}"
         )
     if M1 < 0.0:
         raise ValueError(f"M1 must be nonnegative, got {M1}")
     props = [ModalPropagator(basis, a, shift=M1) for a in sys.alphas]
-    a_modal = [project(basis, a) for a in sys.initials]
-    e_tables = [p.tables(grid)[0] for p in props]
 
-    fields = [np.tile(a, (n_t, 1)) for a in sys.initials]
-    increments, sup_increments = [], []
-    grow_streak = 0
-    for sweep in range(max_sweeps):
-        new_fields = []
+    def rhs(U):
+        R = M1 * U
         for l in range(sys.N):
-            G = np.empty((n_t, basis.n_modes))
-            for i in range(n_t):
-                rhs = M1 * fields[l][i]
-                for j in range(sys.N):
-                    p = sys.coupling_field(l, j, t[i])
-                    if p is not None:
-                        rhs = rhs + p * fields[j][i]
-                F = _coef_field(sys.forcings[l], x, t[i])
-                if F is not None:
-                    rhs = rhs + F
-                G[i] = project(basis, rhs)
-            modal = e_tables[l] * a_modal[l][None, :] + convolve_K(
-                props[l], grid, G
-            )
-            new_fields.append(modal @ basis.modes.T)
-        U_n = sum(
-            np.max(np.abs(new_fields[l] - fields[l]), axis=1) for l in range(sys.N)
-        )
-        increments.append(U_n)
-        sup_increments.append(float(np.max(U_n)))
-        fields = new_fields
-        if len(sup_increments) >= 2 and sup_increments[-1] > sup_increments[-2]:
-            grow_streak += 1
-            if grow_streak >= 5:
-                raise ArithmeticError(
-                    f"divergence: increments grew over 5 consecutive sweeps "
-                    f"(last {sup_increments[-1]})"
-                )
-        else:
-            grow_streak = 0
-        scale = max(1.0, max(float(np.max(np.abs(f))) for f in fields))
-        if sup_increments[-1] < tol * scale:
-            break
-    else:
-        raise ArithmeticError(
-            f"system Picard iteration did not converge in {max_sweeps} sweeps"
-        )
+            for j in range(sys.N):
+                if P[l][j] is not None:
+                    R[l] = R[l] + P[l][j] * U[j]
+            if F[l] is not None:
+                R[l] = R[l] + F[l]
+        return R
+
+    modal, diag = fixed_point(props, sys.initials, rhs, grid, tol, max_sweeps)
+    increments = diag.pop("increments")
     trajs = [
-        Trajectory(grid, basis, np.array([project(basis, f) for f in comp]),
-                   {"component": l, "M1": M1, "sweeps": sweep + 1})
-        for l, comp in enumerate(fields)
+        Trajectory(grid, basis, modal[l], {"component": l, "M1": M1, **diag})
+        for l in range(sys.N)
     ]
     return {
         "trajectories": trajs,
         "increments": increments,
         "M1": M1,
-        "sweeps": sweep + 1,
+        "sweeps": diag["sweeps"],
     }
 
 
@@ -184,24 +142,19 @@ def nonneg_verify(sys, trajectories, grid, tol=1e-8):
     Hypotheses: off-diagonal p_jk >= 0, F_k >= 0, a_k >= 0 (all sampled);
     if any fails the verdict is NOT-APPLICABLE and the minimum is still
     reported (but not asserted)."""
-    x = sys.basis.grid
+    P, F = sys.coefficients(grid.nodes)
     reason = None
     for k, a in enumerate(sys.initials):
         if float(np.min(a)) < -1e-12:
             reason = f"a_{k + 1} takes negative values"
-    for k, F in enumerate(sys.forcings):
-        for t in grid.nodes:
-            f = _coef_field(F, x, t)
-            if f is not None and float(np.min(f)) < -1e-12:
-                reason = f"F_{k + 1} takes negative values"
+    for k, f in enumerate(F):
+        if f is not None and float(np.min(f)) < -1e-12:
+            reason = f"F_{k + 1} takes negative values"
     for j in range(sys.N):
         for k in range(sys.N):
-            if j == k:
-                continue
-            for t in grid.nodes:
-                p = sys.coupling_field(j, k, t)
-                if p is not None and float(np.min(p)) < -1e-12:
-                    reason = f"p_{j + 1}{k + 1} takes negative values"
+            p = P[j][k]
+            if j != k and p is not None and float(np.min(p)) < -1e-12:
+                reason = f"p_{j + 1}{k + 1} takes negative values"
     min_value = min(float(np.min(tr.fields())) for tr in trajectories)
     if reason is not None:
         return {"verdict": "NOT-APPLICABLE", "reason": reason, "min_value": min_value}
@@ -218,18 +171,8 @@ def increment_recursion_check(result, sys, grid):
     Gamma(a_1)/Gamma(a_l); returns the worst ratio against that bound."""
     alpha1 = sys.alphas[0]
     T = grid.T
-    x = sys.basis.grid
-    coup = 0.0
-    for l in range(sys.N):
-        row = 0.0
-        for j in range(sys.N):
-            worst = 0.0
-            for t in grid.nodes:
-                p = sys.coupling_field(l, j, t)
-                if p is not None:
-                    worst = max(worst, float(np.max(np.abs(p))))
-            row += worst
-        coup = max(coup, row)
+    P, _ = sys.coefficients(grid.nodes)
+    coup = max(sum(_sup(p) for p in row) for row in P)
     kernel = max(
         T ** (a - alpha1) * math.gamma(alpha1) / math.gamma(a) for a in sys.alphas
     )
@@ -299,50 +242,29 @@ class SemilinearPair:
 
 
 def semilinear_pair_solve(pair, grid, tol=1e-10, max_sweeps=200, shift=0.0):
-    """Coupled Picard iteration for the pair, to sup increment < tol.
+    """Coupled Picard iteration for the pair, to sup increment < tol, by
+    linsolve.fixed_point with the working box m.
 
     The optional spectral shift s rewrites the reactions as
     s u + f(u, v) and s v + g(u, v); with s >= the sampled Lipschitz bound
     and cooperative couplings the discrete sweep map preserves
     nonnegativity exactly (full-basis grids)."""
     basis = pair.basis
-    x = basis.grid
-    n_t = len(grid)
     prop = ModalPropagator(basis, pair.alpha, shift=shift)
-    E, _ = prop.tables(grid)
-    am, bm = project(basis, pair.a), project(basis, pair.b)
-    u = np.tile(pair.a, (n_t, 1))
-    v = np.tile(pair.b, (n_t, 1))
-    for sweep in range(max_sweeps):
-        peak = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))))
-        if peak > pair.m:
-            raise ArithmeticError(
-                f"amplitude escape at sweep {sweep}: sup = {peak} > m = {pair.m}"
-            )
-        Gu = np.array([
-            project(basis, shift * u[i] + np.asarray(pair.f(u[i], v[i]), float)
-                    * np.ones_like(x))
-            for i in range(n_t)
+
+    def rhs(U):
+        u, v = U
+        return np.stack([
+            shift * u + np.asarray(pair.f(u, v), float) * np.ones_like(u),
+            shift * v + np.asarray(pair.g(u, v), float) * np.ones_like(v),
         ])
-        Gv = np.array([
-            project(basis, shift * v[i] + np.asarray(pair.g(u[i], v[i]), float)
-                    * np.ones_like(x))
-            for i in range(n_t)
-        ])
-        new_u = (E * am[None, :] + convolve_K(prop, grid, Gu)) @ basis.modes.T
-        new_v = (E * bm[None, :] + convolve_K(prop, grid, Gv)) @ basis.modes.T
-        d = max(float(np.max(np.abs(new_u - u))), float(np.max(np.abs(new_v - v))))
-        u, v = new_u, new_v
-        if d < tol * max(1.0, peak):
-            break
-    else:
-        raise ArithmeticError(
-            f"pair Picard iteration did not converge in {max_sweeps} sweeps"
-        )
-    diag = {"sweeps": sweep + 1, "shift": shift}
-    u_traj = Trajectory(grid, basis, np.array([project(basis, f) for f in u]), diag)
-    v_traj = Trajectory(grid, basis, np.array([project(basis, f) for f in v]), diag)
-    return u_traj, v_traj
+
+    modal, diag = fixed_point(
+        [prop, prop], [pair.a, pair.b], rhs, grid, tol, max_sweeps, m=pair.m
+    )
+    del diag["increments"]
+    diag["shift"] = shift
+    return tuple(Trajectory(grid, basis, c, diag) for c in modal)
 
 
 def cooperative_classify(pair, box, n=101, tol=1e-9):

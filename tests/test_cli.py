@@ -82,6 +82,36 @@ def test_converge_table(tmp_path, capsys):
     assert len(out) == 4
 
 
+LINEAR = """
+    [scenario]
+    name = lindemo
+    kind = linear
+
+    [space]
+    length = 3.141592653589793
+    n_grid = 17
+
+    [time]
+    T = 1.0
+    N = 16
+
+    [problem]
+    alpha = 0.6
+    initial = 1 + 0.5*cos(x)
+    reaction = -0.3*(1 + 0.5*cos(x))
+    forcing = 0.2*(1 + cos(x))*exp(-t)
+"""
+
+
+def test_converge_linear_with_reaction_and_forcing(tmp_path, capsys):
+    path = write(tmp_path, LINEAR)
+    assert main(["converge", path, "--levels", "3"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    errors = [float(r[1]) for r in rows]
+    assert len(errors) == 3
+    assert errors[0] > errors[1] > errors[2] > 0.0
+
+
 def test_ml_eval(capsys):
     assert main(["ml-eval", "--alpha", "1.0", "--beta", "1.0", "--z", "1.0"]) == 0
     value = float(capsys.readouterr().out)

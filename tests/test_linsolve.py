@@ -278,6 +278,26 @@ def test_trajectory_csv_and_report(tmp_path):
     assert "reconstruction" in traj.report()
 
 
+def test_tables_survive_grid_address_reuse():
+    """A grid allocated at the address of a freed grid gets its own tables,
+    not the freed grid's (the cache is keyed by node values)."""
+    b = neumann_basis(9, 9)
+    prob = LinearProblem(b, 0.6, np.ones(b.grid.size))
+    coarse = TimeGrid.uniform(1.0, 8)
+    solve_linear(prob, coarse)
+    freed = id(coarse)
+    del coarse
+    kept = []  # live grids hold other addresses, so each try is a new one
+    for _ in range(1000):
+        grid = TimeGrid.uniform(1.0, 16)
+        if id(grid) == freed:
+            break
+        kept.append(grid)
+    got = solve_linear(prob, grid).modal
+    want = solve_linear(LinearProblem(b, 0.6, np.ones(b.grid.size)), grid).modal
+    np.testing.assert_array_equal(got, want)
+
+
 def test_problem_validation():
     b = neumann_basis(3, 33)
     with pytest.raises(ValueError):

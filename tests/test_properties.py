@@ -1,0 +1,74 @@
+"""Property tests (hypothesis) for invariants the solvers rely on."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fracdiff.fracops import TimeGrid
+from fracdiff.linsolve import ModalPropagator
+from fracdiff.mlf import ml_neg_vec
+from fracdiff.semilinear import SemilinearProblem, SemilinearTerm, monotone_step
+from fracdiff.spectral import EllipticOperator, eigendecompose
+
+SETTINGS = settings(max_examples=15, deadline=None, database=None)
+
+
+def full_basis(n_grid):
+    return eigendecompose(EllipticOperator(math.pi, c0=0.0), n_grid, n_grid)
+
+
+@SETTINGS
+@given(
+    alpha=st.floats(0.3, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(0.0, 1.0),
+)
+def test_monotone_step_preserves_order(alpha, seed, spread):
+    """On a full basis the shifted sweep map is order-preserving: lower <=
+    upper node-wise gives L lower <= L upper to rounding, for arbitrary
+    (even non-smooth) histories inside the working box."""
+    b = full_basis(17)
+    prob = SemilinearProblem(b, alpha, 1.0 + 0.1 * np.cos(b.grid),
+                             SemilinearTerm.enzyme())
+    grid = TimeGrid.uniform(1.0, 12)
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(-1.0, 1.0, (len(grid), b.grid.size))
+    upper = lower + spread * rng.uniform(0.0, 1.0, lower.shape)
+    M = prob.term.lipschitz(b.grid, prob.m)
+    gap = (monotone_step(upper, prob, M, grid).fields()
+           - monotone_step(lower, prob, M, grid).fields())
+    assert float(np.min(gap)) >= -1e-12
+
+
+@SETTINGS
+@given(
+    alpha=st.floats(0.05, 1.0),
+    xs=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=40),
+)
+def test_ml_neg_vec_non_increasing(alpha, xs):
+    """E_{alpha,1}(-x) is completely monotone, hence non-increasing in x;
+    the regimes agree to ~1e-11 relative at their seams."""
+    x = np.sort(np.array(xs))
+    e = ml_neg_vec(alpha, x)
+    assert np.all(np.diff(e) <= 1e-11 * np.abs(e[:-1]))
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 24),
+    T=st.floats(0.1, 10.0),
+    r=st.floats(1.0, 3.0),
+    other_T=st.floats(0.1, 10.0),
+)
+def test_table_cache_keyed_by_nodes(n, T, r, other_T):
+    """Distinct grid objects with equal nodes share one table entry; a grid
+    with other nodes gets its own, correct tables."""
+    prop = ModalPropagator(full_basis(9), 0.6)
+    E, _ = prop.tables(TimeGrid.graded(T, n, r))
+    assert prop.tables(TimeGrid.graded(T, n, r))[0] is E
+    other = TimeGrid.graded(other_T, n + 1, r)
+    E_other, _ = prop.tables(other)
+    assert E_other is not E
+    np.testing.assert_array_equal(E_other, prop.e_values(other.nodes))

@@ -119,6 +119,16 @@ def test_amplitude_escape():
         picard_solve(prob, TimeGrid.uniform(2.0, 128))
 
 
+def test_non_finite_reaction_stops_at_first_sweep():
+    b = full_neumann_basis(21)
+    a = 0.5 + 0.1 * np.cos(b.grid)
+    prob = SemilinearProblem(b, 0.5, a, SemilinearTerm(lambda x, u: np.sqrt(u - 0.55)))
+    with np.errstate(invalid="ignore"), pytest.raises(
+        ArithmeticError, match="non-finite value at sweep 1"
+    ):
+        picard_solve(prob, TimeGrid.uniform(1.0, 16))
+
+
 def test_contraction_ratios_shrink_with_T():
     b = full_neumann_basis(21)
     a = 0.5 + 0.2 * np.cos(b.grid)

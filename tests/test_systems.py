@@ -211,6 +211,32 @@ def test_pair_amplitude_escape():
         semilinear_pair_solve(pair, TimeGrid.uniform(2.0, 64))
 
 
+def test_pair_non_finite_reaction_stops_at_first_sweep():
+    b = full_neumann_basis()
+    a = 0.5 + 0.1 * np.cos(b.grid)
+    pair = SemilinearPair(b, 0.5, lambda u, v: np.sqrt(u - 0.55),
+                          lambda u, v: 0.0 * v, a, a.copy())
+    with np.errstate(invalid="ignore"), pytest.raises(
+        ArithmeticError, match="non-finite value at sweep 1"
+    ):
+        semilinear_pair_solve(pair, TimeGrid.uniform(1.0, 16))
+
+
+def test_pair_growth_phase_inside_box_converges():
+    """Picard increments of a Volterra equation can grow for many sweeps
+    before their super-geometric decay sets in; inside a working box that
+    holds the solution, that growth is not divergence."""
+    b = full_neumann_basis()
+    x = b.grid
+    pair = SemilinearPair(b, 0.4, lambda u, v: 1.5 * v * (1.0 + u**2),
+                          lambda u, v: 1.5 * u * (1.0 + v**2),
+                          0.35 + 0.1 * np.cos(x), 0.25 + 0.1 * np.cos(2 * x), m=10.0)
+    u, v = semilinear_pair_solve(pair, TimeGrid.uniform(0.5, 32), shift=2.0)
+    growing = [r > 1.0 for r in u.diagnostics["rhos"]]
+    assert any(all(growing[k:k + 5]) for k in range(len(growing) - 4))
+    assert pair_nonneg_verify(pair, (u, v))["verdict"] == "PASS"
+
+
 def test_cooperative_classify_cases():
     b = full_neumann_basis(17)
     z = np.zeros_like(b.grid)
