@@ -48,13 +48,32 @@ def _add_outdir(p):
     )
 
 
-def _report_exit(report) -> int:
+def _load(args, kind):
+    """The scenario of a command that needs the given kind."""
+    scn = Scenario.load(args.scenario)
+    if scn.kind != kind:
+        raise ScenarioError(f"{scn.path}: {args.command} needs kind = {kind}")
+    return scn
+
+
+# report commands: the property types they check (None: all) and the
+# scenario kind they need (None: any)
+_REPORT_COMMANDS = {
+    "run": (None, None),
+    "solve": ((), None),
+    "compare": (("comparison",), None),
+    "envelope": (("envelope",), None),
+    "system": (None, "system"),
+}
+
+
+def _cmd_report(args) -> int:
+    types, kind = _REPORT_COMMANDS[args.command]
+    if kind is not None:
+        _load(args, kind)
+    report = run_scenario(args.scenario, outdir=args.outdir, property_types=types)
     sys.stdout.write(report.render())
     return 0 if report.ok else 1
-
-
-def _cmd_run(args) -> int:
-    return _report_exit(run_scenario(args.scenario, outdir=args.outdir))
 
 
 def _cmd_bundle(args) -> int:
@@ -85,45 +104,18 @@ def _cmd_ml_eval(args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
-    return _report_exit(
-        run_scenario(args.scenario, outdir=args.outdir, property_types=())
-    )
-
-
-def _cmd_compare(args) -> int:
-    return _report_exit(
-        run_scenario(
-            args.scenario, outdir=args.outdir, property_types=("comparison",)
-        )
-    )
-
-
-def _cmd_envelope(args) -> int:
-    return _report_exit(
-        run_scenario(
-            args.scenario, outdir=args.outdir, property_types=("envelope",)
-        )
-    )
-
-
 def _cmd_monotone(args) -> int:
-    from .expressions import expression_parse
     from .semilinear import BracketPair, monotone_iterate
 
-    scn = Scenario.load(args.scenario)
-    if scn.kind != "semilinear":
-        raise ScenarioError(f"{scn.path}: monotone needs kind = semilinear")
-    if not scn._cp.has_section("monotone"):
+    scn = _load(args, "semilinear")
+    mono = scn.monotone
+    if mono is None:
         raise ScenarioError(f"{scn.path}: missing [monotone] section")
-    mono = scn._cp["monotone"]
     basis = scn.basis()
     grid = scn.grid()
     prob = scn.build_problem(basis)
-    lower_ev = expression_parse(mono.get("lower", "0"))
-    upper_ev = expression_parse(mono["upper"])
     pair = BracketPair(
-        lambda x, t: lower_ev(x=x, t=t), lambda x, t: upper_ev(x=x, t=t)
+        lambda x, t: mono["lower"](x=x, t=t), lambda x, t: mono["upper"](x=x, t=t)
     )
     out = monotone_iterate(
         pair, prob, grid,
@@ -143,9 +135,7 @@ def _cmd_monotone(args) -> int:
 def _cmd_steady(args) -> int:
     from .semilinear import steady_state_solve
 
-    scn = Scenario.load(args.scenario)
-    if scn.kind != "semilinear":
-        raise ScenarioError(f"{scn.path}: steady needs kind = semilinear")
+    scn = _load(args, "semilinear")
     basis = scn.basis()
     prob = scn.build_problem(basis)
     u = steady_state_solve(basis, prob.term, prob.a)
@@ -162,13 +152,6 @@ def _cmd_steady(args) -> int:
     return 0
 
 
-def _cmd_system(args) -> int:
-    scn = Scenario.load(args.scenario)
-    if scn.kind != "system":
-        raise ScenarioError(f"{scn.path}: system needs kind = system")
-    return _report_exit(run_scenario(args.scenario, outdir=args.outdir))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracdiff",
@@ -176,20 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, needs_scenario in (
-        ("run", _cmd_run, True),
-        ("solve", _cmd_solve, True),
-        ("compare", _cmd_compare, True),
-        ("envelope", _cmd_envelope, True),
-        ("monotone", _cmd_monotone, True),
-        ("steady", _cmd_steady, True),
-        ("system", _cmd_system, True),
-    ):
+    own = {"monotone": _cmd_monotone, "steady": _cmd_steady}
+    for name in ("run", "solve", "compare", "envelope", "monotone", "steady", "system"):
         p = sub.add_parser(name)
-        if needs_scenario:
-            p.add_argument("scenario", help="scenario .ini file")
+        p.add_argument("scenario", help="scenario .ini file")
         _add_outdir(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=own.get(name, _cmd_report))
 
     p = sub.add_parser("bundle")
     p.add_argument(

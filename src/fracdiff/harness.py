@@ -30,6 +30,11 @@ Scenario files are flat INI text (configparser).  Layout::
     upper_mode = power_barrier
     tol = 1e-8
 
+Loading validates the whole file: every required key and every expression
+of [problem], of the property sections and of an optional [monotone]
+section (lower, upper in x, t) is checked up front, and a fault raises
+ScenarioError naming the file, the section and the key.
+
 Reports are deterministic: for a fixed scenario file and seed the report
 body is byte-identical across runs (runtime lives outside the body).
 """
@@ -79,6 +84,14 @@ OUTPUT_DIR_ENV = "FRACDIFF_OUTPUT_DIR"
 
 _KINDS = ("linear", "semilinear", "system", "pair")
 _PROPERTY_TYPES = ("comparison", "nonneg", "envelope", "bracket", "convergence")
+# property types that need particular kinds; the others apply to every kind
+_PROPERTY_KINDS = {
+    "bracket": ("linear", "semilinear"),
+    "envelope": ("linear", "semilinear"),
+    "comparison": ("semilinear",),
+    "convergence": ("linear", "semilinear"),
+}
+_XT = {"x", "t"}
 
 
 def _fmt(v) -> str:
@@ -110,18 +123,18 @@ class Scenario:
         self.space = dict(self._section("space"))
         self.time = dict(self._section("time"))
         self.problem = dict(self._section("problem"))
-        self.properties = []
-        for section in parser.sections():
-            if section.startswith("property:"):
-                params = dict(parser[section])
-                ptype = params.pop("type", None)
-                if ptype not in _PROPERTY_TYPES:
-                    raise ScenarioError(
-                        f"{self.path}: [{section}] has type {ptype!r}, "
-                        f"expected one of {_PROPERTY_TYPES}"
-                    )
-                self.properties.append((section.split(":", 1)[1], ptype, params))
         self._validate()
+        self.properties = [
+            self._property(section, dict(parser[section]))
+            for section in parser.sections()
+            if section.startswith("property:")
+        ]
+        self.monotone = None  # the [monotone] bracket, expressions parsed
+        if parser.has_section("monotone"):
+            self.monotone = self._parse_exprs(
+                "monotone", dict(parser["monotone"]),
+                {"lower": ("0", _XT), "upper": (None, _XT)},
+            )
 
     @classmethod
     def load(cls, path):
@@ -157,6 +170,49 @@ class Scenario:
             )
         return ev
 
+    def _need(self, section, key):
+        """The text of a required key, or a ScenarioError naming the file,
+        the section and the key."""
+        if key not in self._cp[section]:
+            raise ScenarioError(f"{self.path}: [{section}] needs {key}")
+        return self._cp[section][key]
+
+    def _parse_exprs(self, section, params, specs):
+        """Replace the text of each key in specs, {key: (default, allowed
+        names)} with default None for a required key, by its evaluator."""
+        for key, (default, allowed) in specs.items():
+            text = params.get(key, default) or self._need(section, key)
+            params[key] = self._expr(text, f"[{section}] {key}", allowed)
+        return params
+
+    def _property(self, section, params):
+        """(name, type, params) of a property section, checked against the
+        scenario kind, with its expressions parsed."""
+        ptype = params.pop("type", None)
+        if ptype not in _PROPERTY_TYPES:
+            raise ScenarioError(
+                f"{self.path}: [{section}] has type {ptype!r}, "
+                f"expected one of {_PROPERTY_TYPES}"
+            )
+        kinds = _PROPERTY_KINDS.get(ptype, _KINDS)
+        if self.kind not in kinds:
+            raise ScenarioError(
+                f"{self.path}: [{section}] {ptype} properties need kind "
+                + " or ".join(kinds)
+            )
+        specs = {}
+        if ptype == "bracket":
+            specs["lower"] = ("0", _XT)
+            if params.get("upper_mode", "") != "power_barrier":
+                specs["upper"] = (None, _XT)
+        elif ptype == "envelope" and params.get("u_inf_mode", "") != "steady":
+            specs["u_inf"] = ("0", {"x"})
+        elif ptype == "comparison":
+            specs["initial2"] = (self.problem["initial"], {"x"})
+            specs["term2"] = (self.problem["term"], {"x", "u"})
+        self._parse_exprs(section, params, specs)
+        return section.split(":", 1)[1], ptype, params
+
     def _exprs(self, text, where, allowed):
         return [
             self._expr(part.strip(), where, allowed)
@@ -164,16 +220,11 @@ class Scenario:
         ]
 
     def _validate(self):
-        for key in ("length", "n_grid"):
-            if key not in self.space:
-                raise ScenarioError(f"{self.path}: [space] needs {key}")
-        for key in ("t", "n"):
-            if key not in self.time:
-                raise ScenarioError(f"{self.path}: [time] needs {key.upper()}")
-        float(self.space["length"])
-        if int(self.space["n_grid"]) < 3:
+        float(self._need("space", "length"))
+        if int(self._need("space", "n_grid")) < 3:
             raise ScenarioError(f"{self.path}: n_grid must be at least 3")
-        if float(self.time["t"]) <= 0 or int(self.time["n"]) < 1:
+        T, N = self._need("time", "t"), self._need("time", "n")
+        if float(T) <= 0 or int(N) < 1:
             raise ScenarioError(f"{self.path}: invalid time grid")
         self.build_problem(self.basis())  # parse all expressions eagerly
 
@@ -213,14 +264,17 @@ class Scenario:
         ev = self._expr(text, f"[problem] {key}", {"x", "t"})
         return lambda x, t: ev(x=x, t=t)
 
+    def _problem_expr(self, key, allowed):
+        """A required [problem] expression, parsed."""
+        text = self._need("problem", key)
+        return self._expr(text, f"[problem] {key}", allowed)
+
     def build_problem(self, basis):
         x = basis.grid
         kind = self.kind
         if kind in ("linear", "semilinear"):
-            alpha = float(self.problem["alpha"])
-            a = self._expr(
-                self.problem["initial"], "[problem] initial", {"x"}
-            )(x=x)
+            alpha = float(self._need("problem", "alpha"))
+            a = self._problem_expr("initial", {"x"})(x=x)
             drift = self._xt("drift")
             reaction = self._xt("reaction")
             forcing = self._xt("forcing")
@@ -230,9 +284,7 @@ class Scenario:
                     drift=drift, reaction=reaction, forcing=forcing,
                     shift=float(self.problem.get("shift", 0.0)),
                 )
-            term_ev = self._expr(
-                self.problem["term"], "[problem] term", {"x", "u"}
-            )
+            term_ev = self._problem_expr("term", {"x", "u"})
             term = SemilinearTerm(lambda xx, u: term_ev(x=xx, u=u))
             m = self.problem.get("m")
             return SemilinearProblem(
@@ -241,11 +293,11 @@ class Scenario:
                 m=(float(m) if m is not None else None),
             )
         if kind == "system":
-            alphas = [float(s) for s in self.problem["alphas"].split(",")]
+            alphas = [float(s) for s in self._need("problem", "alphas").split(",")]
             initials = [
                 ev(x=x)
                 for ev in self._exprs(
-                    self.problem["initials"], "[problem] initials", {"x"}
+                    self._need("problem", "initials"), "[problem] initials", {"x"}
                 )
             ]
             n = len(alphas)
@@ -282,15 +334,11 @@ class Scenario:
                 basis, alphas, initials, couplings=couplings, forcings=forcings
             )
         # pair
-        alpha = float(self.problem["alpha"])
-        f_ev = self._expr(self.problem["f"], "[problem] f", {"u", "v"})
-        g_ev = self._expr(self.problem["g"], "[problem] g", {"u", "v"})
-        a = self._expr(
-            self.problem["initial_u"], "[problem] initial_u", {"x"}
-        )(x=x)
-        b = self._expr(
-            self.problem["initial_v"], "[problem] initial_v", {"x"}
-        )(x=x)
+        alpha = float(self._need("problem", "alpha"))
+        f_ev = self._problem_expr("f", {"u", "v"})
+        g_ev = self._problem_expr("g", {"u", "v"})
+        a = self._problem_expr("initial_u", {"x"})(x=x)
+        b = self._problem_expr("initial_v", {"x"})(x=x)
         m = self.problem.get("m")
         return SemilinearPair(
             basis, alpha,
@@ -378,22 +426,16 @@ def _check_nonneg(scn, basis, prob, grid, traj, extras, params):
 
 
 def _check_bracket(scn, basis, prob, grid, traj, extras, params):
-    if scn.kind not in ("linear", "semilinear"):
-        raise ScenarioError(
-            f"{scn.path}: bracket properties need a scalar problem"
-        )
     tol = float(params.get("tol", 1e-8))
     x, t = basis.grid, grid.nodes
-    lower_ev = expression_parse(params.get("lower", "0"))
-    lower = sample_history(lambda xx, ti: lower_ev(x=xx, t=ti), x, t)
+    lower = sample_history(lambda xx, ti: params["lower"](x=xx, t=ti), x, t)
     detail = []
     if params.get("upper_mode", "") == "power_barrier":
         rho = power_barrier_rho(prob, grid)
         upper = prob.a[None, :] + rho * (t**prob.alpha)[:, None]
         detail.append(f"rho={_fmt(rho)}")
     else:
-        upper_ev = expression_parse(params["upper"])
-        upper = sample_history(lambda xx, ti: upper_ev(x=xx, t=ti), x, t)
+        upper = sample_history(lambda xx, ti: params["upper"](x=xx, t=ti), x, t)
     fields = traj.fields()
     lo_gap = float(np.min(fields - lower))
     hi_gap = float(np.min(upper - fields))
@@ -403,17 +445,13 @@ def _check_bracket(scn, basis, prob, grid, traj, extras, params):
 
 
 def _check_envelope(scn, basis, prob, grid, traj, extras, params):
-    if scn.kind not in ("linear", "semilinear"):
-        raise ScenarioError(
-            f"{scn.path}: envelope properties need a scalar problem"
-        )
     tol = float(params.get("tol", 1e-8))
     slope_tol = float(params.get("slope_tol", 0.15))
     if params.get("u_inf_mode", "") == "steady":
         term = prob.term if scn.kind == "semilinear" else (lambda x, u: 0.0 * u)
         u_inf = steady_state_solve(basis, term, prob.a)
     else:
-        u_inf = expression_parse(params.get("u_inf", "0"))(x=basis.grid)
+        u_inf = params["u_inf"](x=basis.grid)
         u_inf = np.asarray(u_inf, dtype=float) * np.ones_like(basis.grid)
     out = decay_envelope_check(traj, u_inf, basis, prob.alpha, tol=tol)
     slope_ok = abs(out["fitted_slope"] + prob.alpha) <= slope_tol
@@ -431,16 +469,10 @@ def _check_envelope(scn, basis, prob, grid, traj, extras, params):
 
 
 def _check_comparison(scn, basis, prob, grid, traj, extras, params):
-    if scn.kind != "semilinear":
-        raise ScenarioError(
-            f"{scn.path}: comparison properties need kind = semilinear"
-        )
     tol = float(params.get("tol", 1e-8))
     x = basis.grid
-    a2 = expression_parse(params.get("initial2", scn.problem["initial"]))(x=x)
-    a2 = np.asarray(a2, dtype=float) * np.ones_like(x)
-    term2_text = params.get("term2", scn.problem["term"])
-    ev2 = expression_parse(term2_text)
+    a2 = np.asarray(params["initial2"](x=x), dtype=float) * np.ones_like(x)
+    ev2 = params["term2"]
     prob2 = SemilinearProblem(
         basis, prob.alpha, a2,
         SemilinearTerm(lambda xx, u: ev2(x=xx, u=u)),

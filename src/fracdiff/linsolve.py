@@ -4,7 +4,8 @@ mild-solution solvers for
     d_t^alpha (u - a) + A_0 u = Q u + F,   Q u = b(x,t) u_x + q(x,t) u,
 
 on an eigenbasis of A_0.  The Volterra convolution uses exact kernel
-moments (mlf.kernel_weight), which absorb the t^(alpha-1) singularity; the
+moments (mlf.kernel_weights_from_e, fed with the E tables of
+ModalPropagator), which absorb the t^(alpha-1) singularity; the
 forcing is reconstructed piecewise-constant per step (left endpoint) by
 default, or by endpoint averages ('linear') behind a flag.
 
@@ -22,11 +23,9 @@ coefficients given as callables of (x, t) are sampled once per grid by
 sample_history.
 """
 
-import math
-
 import numpy as np
 
-from .mlf import ml_neg_vec
+from .mlf import kernel_weights_from_e, ml_neg_vec
 from .spectral import project
 
 __all__ = [
@@ -81,56 +80,35 @@ class ModalPropagator:
             E = self.e_values(grid.nodes)
             W = None
             if grid.kind == "uniform":
-                W = self._weights_from_e(E, grid.nodes)
+                W = kernel_weights_from_e(self.alpha, self.lambdas, grid.nodes, E)
             self._tables[key] = (E, W)
         return self._tables[key]
-
-    def _weights_from_e(self, E, taus):
-        """Weights over consecutive lag intervals from an E-value table."""
-        lam = self.lambdas
-        ga = math.gamma(self.alpha + 1.0)
-        small = lam < 1e-12
-        w = np.empty((len(taus) - 1, lam.size))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w[:, :] = -np.diff(E, axis=0) / lam[None, :]
-        if small.any():
-            m = np.asarray(taus, dtype=float) ** self.alpha / ga
-            w[:, small] = np.diff(m)[:, None]
-        return np.maximum(w, 0.0)
 
     def row_weights(self, t_i, earlier_nodes):
         """Weights w_n over [t_i - t_{j+1}, t_i - t_j] for each interval of
         earlier_nodes (ending at t_i): shape (len-1, M)."""
         taus = t_i - np.asarray(earlier_nodes, dtype=float)[::-1]
         E = self.e_values(taus)
-        return self._weights_from_e(E, taus)[::-1]
+        return kernel_weights_from_e(self.alpha, self.lambdas, taus, E)[::-1]
 
     def weight_sum_check(self, grid):
-        """Invariant: cumulative weights equal (1 - E(-lam t^alpha))/lam."""
+        """Invariant: cumulative weights equal the moments over [0, t_i]."""
         E, W = self.tables(grid)
         if W is None:
             raise ValueError("weight_sum_check needs a uniform grid")
-        total = np.cumsum(W, axis=0)
-        lam = self.lambdas
-        ga = math.gamma(self.alpha + 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            want = (1.0 - E[1:]) / lam[None, :]
-        small = lam < 1e-12
-        if small.any():
-            want[:, small] = (grid.nodes[1:] ** self.alpha / ga)[:, None]
-        return float(np.max(np.abs(total - want)))
+        t = grid.nodes[1:]
+        want = kernel_weights_from_e(
+            self.alpha, self.lambdas,
+            np.stack([np.zeros_like(t), t]), np.stack([np.ones_like(E[1:]), E[1:]]),
+        )[0]
+        return float(np.max(np.abs(np.cumsum(W, axis=0) - want)))
 
 
 def apply_S(prop, t, coeffs):
     """Modal action of S(t): multiply mode n by E_{alpha,1}(-lam_n t^alpha)."""
-    t = float(t)
     if t < 0.0:
         raise ValueError(f"apply_S needs t >= 0, got {t}")
-    coeffs = np.asarray(coeffs, dtype=float)
-    if t == 0.0:
-        return coeffs.copy()
-    e = ml_neg_vec(prop.alpha, prop.lambdas * t**prop.alpha)
-    return e * coeffs
+    return prop.e_values([t])[0] * np.asarray(coeffs, dtype=float)
 
 
 def convolve_K(prop, grid, forcing, reconstruction="constant"):

@@ -4,9 +4,12 @@ E_{a,b}(z) = sum_k z^k / Gamma(a*k + b) is the scalar kernel of every
 solution operator in this package: E_{a,1}(-lam*t^a) is the fractional
 decay profile and t^(a-1)*E_{a,a}(-lam*t^a) the convolution kernel.
 
-Evaluation strategy (negative axis, x = -z >= 0):
+There is one evaluator per regime.  ml(params, z) dispatches: z > 0 goes
+to the all-positive Taylor sum in log space (_taylor_pos), and z <= 0 to
+ml_neg_vec, the only evaluator on the negative axis.  ml_neg_vec splits
+x = -z >= 0 into three regimes and evaluates each in batched numpy:
 
-* x <= 1: plain double-precision Taylor summation (no cancellation issue).
+* x <= 1: double-precision Taylor summation (no cancellation issue).
 * x >= deep_cut(alpha): asymptotic series
   -sum_{k>=1} (-x)^(-k)/Gamma(b - a*k), truncated at the smallest term of
   its (pole-smoothed) magnitude envelope.
@@ -16,10 +19,13 @@ Evaluation strategy (negative axis, x = -z >= 0):
   cancellation that limits Talbot-type contours in double precision.
 
 The deep cut is calibrated against extended-precision references so that
-both regimes agree to ~1e-11 relative at the seam.  alpha = 1 reduces to
-exp(z).  For z > 0 the Taylor series has positive terms and is summed
-directly; arguments whose value would exceed double range raise
-OverflowError.
+both regimes agree to ~1e-11 relative at the seam.  On the negative axis
+alpha = beta = 1 reduces to exp(z).  Arguments whose value would exceed
+double range raise OverflowError.
+
+Every kernel moment int tau^(a-1) E_{a,a}(-lam tau^a) dtau in the package
+comes from one formula, kernel_weights_from_e, applied to a table of
+E_{a,1} values.
 """
 
 import math
@@ -34,9 +40,10 @@ __all__ = [
     "ml_e1_bound_check",
     "kernel_weight",
     "kernel_weight_vec",
+    "kernel_weights_from_e",
 ]
 
-# seam between double Taylor and the contour method (in x = -z)
+# seam between the Taylor and the contour regimes (in x = -z)
 TAYLOR_CUT = 1.0
 
 _EPS = 2.2e-16
@@ -71,27 +78,6 @@ class MLParams:
         return f"MLParams(alpha={self.alpha}, beta={self.beta})"
 
 
-def _taylor_double(alpha, beta, z):
-    s = 0.0
-    k = 0
-    zk = 1.0
-    while k < _MAX_TERMS:
-        term = zk * rgamma(alpha * k + beta)
-        s += term
-        if abs(term) <= _EPS * abs(s) and k > 2:
-            # two consecutive negligible terms end the sum
-            nxt = zk * z * rgamma(alpha * (k + 1) + beta)
-            if abs(nxt) <= _EPS * abs(s):
-                return s
-        zk *= z
-        if not math.isfinite(zk):
-            raise OverflowError(
-                f"Mittag-Leffler series overflow for alpha={alpha}, beta={beta}, z={z}"
-            )
-        k += 1
-    return s
-
-
 def _contour_nodes():
     u = np.arange(0.0, _CONTOUR_A + _CONTOUR_H, _CONTOUR_H)
     s = _CONTOUR_MU * (1.0 + 1j * u) ** 2
@@ -119,7 +105,7 @@ def _contour(alpha, beta, x):
 
 
 def _taylor_pos(alpha, beta, z):
-    """E_{alpha,beta}(z) for z > 1: all-positive Taylor sum in log space,
+    """E_{alpha,beta}(z) for z > 0: all-positive Taylor sum in log space,
     so the running power z^k cannot overflow before the terms decay."""
     k_star = z ** (1.0 / alpha) / alpha
     n = 1.5 * k_star + 100.0
@@ -138,26 +124,21 @@ def _taylor_pos(alpha, beta, z):
     return math.exp(m) * s
 
 
-def ml(params, z, beta=None):
-    """Evaluate E_{alpha,beta}(z) for real z.
-
-    Accepts either ml(MLParams(a, b), z) or ml(a, z, beta=b).  Beyond the
-    Taylor cut on the negative axis it evaluates through ml_neg_vec.
-    """
+def ml(params, z):
+    """Evaluate E_{alpha,beta}(z) for real z, params = MLParams(alpha, beta):
+    _taylor_pos for z > 0, ml_neg_vec for z <= 0."""
     if not isinstance(params, MLParams):
-        params = MLParams(params, 1.0 if beta is None else beta)
+        raise TypeError(f"ml expects MLParams(alpha, beta), got {params!r}")
     alpha, b = params.alpha, params.beta
     z = float(z)
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
-    if z > 0.0 and z ** (1.0 / alpha) > 700.0:
-        raise OverflowError(
-            f"E_({alpha},{b})({z}) exceeds double range (z^(1/alpha) > 700)"
-        )
-    if z > 1.0:
+    if z > 0.0:
+        if z ** (1.0 / alpha) > 700.0:
+            raise OverflowError(
+                f"E_({alpha},{b})({z}) exceeds double range (z^(1/alpha) > 700)"
+            )
         return _taylor_pos(alpha, b, z)
-    if z >= -TAYLOR_CUT:
-        return _taylor_double(alpha, b, z)
     return float(ml_neg_vec(alpha, np.array([-z]), b)[0])
 
 
@@ -165,14 +146,13 @@ def ml_neg_vec(alpha, x, beta=1.0):
     """Vectorized E_{alpha,beta}(-x) for an array of x >= 0.
 
     Splits the entries into the Taylor, contour and asymptotic regimes and
-    evaluates each in batched numpy arithmetic; ml() uses the same path
-    beyond the Taylor cut.
+    evaluates each in batched numpy arithmetic.
     """
     p = MLParams(alpha, beta)
     alpha, beta = p.alpha, p.beta
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
-        return np.float64(ml(p, -float(x)))
+        return ml_neg_vec(alpha, x.reshape(1), beta)[0]
     if (x < 0).any():
         raise ValueError("ml_neg_vec expects x >= 0")
     out = np.empty_like(x)
@@ -225,17 +205,10 @@ def ml_neg_vec(alpha, x, beta=1.0):
     return out
 
 
-_BOUND_C_CACHE = {}
-
-
 def e1_bound_constant(alpha):
     """Calibrated C(alpha) with E_{alpha,1}(-x) <= C/(1+x) on x >= 0."""
-    key = round(float(alpha), 12)
-    if key not in _BOUND_C_CACHE:
-        xs = np.concatenate([[0.0], np.logspace(-3, 7, 400)])
-        vals = ml_neg_vec(alpha, xs)
-        _BOUND_C_CACHE[key] = float(np.max(vals * (1.0 + xs))) * 1.01
-    return _BOUND_C_CACHE[key]
+    xs = np.concatenate([[0.0], np.logspace(-3, 7, 400)])
+    return float(np.max(ml_neg_vec(alpha, xs) * (1.0 + xs))) * 1.01
 
 
 def ml_e1_bound_check(alpha, x):
@@ -254,36 +227,43 @@ def ml_e1_bound_check(alpha, x):
     return {"value": value, "bound": bound, "C": c, "ok": value <= bound}
 
 
-# below this lambda the closed-form weight is replaced by its lambda->0
-# limit to avoid cancellation in (E(a) - E(b))/lambda
+# below this lambda the telescoped moment is replaced by its lambda -> 0
+# limit to avoid cancellation in (E(lo) - E(hi))/lambda
 _LAM_FLOOR = 1e-12
 
 
-def kernel_weight(alpha, lam, tau_lo, tau_hi):
-    """Exact moment int_{tau_lo}^{tau_hi} tau^(a-1) E_{a,a}(-lam tau^a) dtau.
+def kernel_weights_from_e(alpha, lam, taus, E):
+    """Exact moments int tau^(a-1) E_{a,a}(-lam tau^a) dtau over the
+    consecutive intervals of taus along axis 0, from the table
+    E = E_{a,1}(-lam taus^a) of shape taus.shape + lam.shape.
 
-    Uses d/dtau E_{a,1}(-lam tau^a) = -lam tau^(a-1) E_{a,a}(-lam tau^a),
-    so the integral telescopes to (E(lo) - E(hi))/lam; for lam -> 0 it is
-    (tau_hi^a - tau_lo^a)/Gamma(a+1).
+    d/dtau E_{a,1}(-lam tau^a) = -lam tau^(a-1) E_{a,a}(-lam tau^a), so each
+    moment telescopes to (E(lo) - E(hi))/lam, clipped at 0; for
+    lam < _LAM_FLOOR it is the limit (tau_hi^a - tau_lo^a)/Gamma(a+1).
     """
-    p = MLParams(alpha)
+    lam = np.asarray(lam, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = -np.diff(E, axis=0) / lam
+    small = lam < _LAM_FLOOR
+    if small.any():
+        taus = np.asarray(taus, dtype=float)
+        m = np.diff(taus**alpha / math.gamma(alpha + 1.0), axis=0)
+        w = np.where(small, m.reshape(m.shape + (1,) * lam.ndim), w)
+    return np.maximum(w, 0.0)
+
+
+def kernel_weight(alpha, lam, tau_lo, tau_hi):
+    """Exact moment int_{tau_lo}^{tau_hi} tau^(a-1) E_{a,a}(-lam tau^a) dtau."""
     if tau_hi <= tau_lo:
         raise ValueError(f"need tau_hi > tau_lo, got [{tau_lo}, {tau_hi}]")
     if tau_lo < 0.0 or lam < 0.0:
         raise ValueError("tau_lo and lambda must be nonnegative")
-    if lam < _LAM_FLOOR:
-        return (tau_hi**p.alpha - tau_lo**p.alpha) / math.gamma(p.alpha + 1.0)
-    lo = ml(p, -lam * tau_lo**p.alpha)
-    hi = ml(p, -lam * tau_hi**p.alpha)
-    return max((lo - hi) / lam, 0.0)
+    return float(kernel_weight_vec(alpha, lam, [tau_lo, tau_hi])[0])
 
 
 def kernel_weight_vec(alpha, lam, taus):
     """Weights over consecutive intervals of the sorted nonneg array taus."""
-    p = MLParams(alpha)
+    alpha = MLParams(alpha).alpha
     taus = np.asarray(taus, dtype=float)
-    if lam < _LAM_FLOOR:
-        m = taus**p.alpha / math.gamma(p.alpha + 1.0)
-        return np.diff(m)
-    e = ml_neg_vec(p.alpha, lam * taus**p.alpha)
-    return np.maximum(-np.diff(e) / lam, 0.0)
+    E = ml_neg_vec(alpha, lam * taus**alpha)
+    return kernel_weights_from_e(alpha, lam, taus, E)

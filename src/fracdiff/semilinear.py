@@ -219,13 +219,11 @@ def monotone_step(state, prob, M, grid):
 
 
 class BracketPair:
-    """Ordered lower/upper candidate trajectories with their initial data."""
+    """Ordered lower/upper candidate trajectories."""
 
-    def __init__(self, lower, upper, lower_a=None, upper_a=None):
+    def __init__(self, lower, upper):
         self.lower = lower
         self.upper = upper
-        self.lower_a = lower_a
-        self.upper_a = upper_a
 
     def histories(self, basis, grid):
         lo = _as_field_history(self.lower, basis, grid)
@@ -233,12 +231,6 @@ class BracketPair:
         if (lo > hi + 1e-12).any():
             raise ValueError("bracket is not ordered: lower > upper somewhere")
         return lo, hi
-
-    def initials(self, basis, grid):
-        lo, hi = self.histories(basis, grid)
-        la = lo[0] if self.lower_a is None else np.asarray(self.lower_a, float)
-        ua = hi[0] if self.upper_a is None else np.asarray(self.upper_a, float)
-        return la, ua
 
 
 def monotone_iterate(pair, prob, grid, k_max=200, M=None, mono_tol=1e-12,

@@ -134,6 +134,77 @@ def test_steady_subcommand(tmp_path, capsys):
     assert "sup=" in capsys.readouterr().out
 
 
+def test_compare_subcommand(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        SEMI + "\n[property:order]\ntype = comparison\n"
+        "initial2 = 0.9 + 0.1*cos(x)\nterm2 = enzyme(u) - 0.1\n",
+    )
+    assert main(["compare", path, "--outdir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "property order [comparison]: PASS" in out
+    assert "[nonneg]" not in out  # compare checks comparison properties only
+
+
+def test_system_subcommand_needs_system_kind(tmp_path, capsys):
+    path = write(tmp_path, SEMI)
+    assert main(["system", path, "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: system needs kind = system\n"
+
+
+BRACKET = "\n[property:box]\ntype = bracket\nlower = 0\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, section",
+    [
+        ("run", SEMI.replace("term = enzyme(u)", ""), "[problem] needs term"),
+        ("run", SEMI + BRACKET, "[property:box] needs upper"),
+        ("monotone", SEMI.replace("upper = 1.2", ""), "[monotone] needs upper"),
+        ("run", SEMI + BRACKET + "upper = 1.1 + u\n", "[property:box] upper"),
+        ("run", SEMI + BRACKET + "upper = 1.1 +\n", "[property:box] upper"),
+        ("monotone", SEMI.replace("upper = 1.2", "upper = 1.2 + u"), "[monotone] upper"),
+        (
+            "run",
+            SEMI + "\n[property:env]\ntype = envelope\nu_inf = t\n",
+            "[property:env] u_inf",
+        ),
+        (
+            "run",
+            SEMI + "\n[property:cmp]\ntype = comparison\ninitial2 = 1 + u\n",
+            "[property:cmp] initial2",
+        ),
+        (
+            "run",
+            SEMI + "\n[property:cmp]\ntype = comparison\nterm2 = enzyme(u) + t\n",
+            "[property:cmp] term2",
+        ),
+    ],
+    ids=[
+        "problem-term-missing",
+        "bracket-upper-missing",
+        "monotone-upper-missing",
+        "bracket-upper-uses-u",
+        "bracket-upper-syntax",
+        "monotone-upper-uses-u",
+        "envelope-u_inf-uses-t",
+        "comparison-initial2-uses-u",
+        "comparison-term2-uses-t",
+    ],
+)
+def test_invalid_scenario_exits_2_at_load(tmp_path, capsys, command, text, section):
+    """Missing required keys and bad expressions are caught when the file
+    is loaded: exit 2 and one stderr line naming the file and section."""
+    path = write(tmp_path, text)
+    assert main([command, path, "--outdir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+    assert section in lines[0]
+
+
 def test_envelope_subcommand(tmp_path, capsys):
     bundled = os.path.join(SCENARIO_DIR, "decay_envelope.ini")
     assert main(["envelope", bundled, "--outdir", str(tmp_path)]) == 0

@@ -12,7 +12,7 @@ from fracdiff.linsolve import (
     solve_linear,
     solve_linear_l1,
 )
-from fracdiff.mlf import ml_neg_vec
+from fracdiff.mlf import kernel_weight_vec, ml_neg_vec
 from fracdiff.spectral import EllipticOperator, eigendecompose, project, synthesize
 
 
@@ -115,8 +115,14 @@ def test_flat_mode_forcing_power_law():
     np.testing.assert_allclose(flat, want, atol=1e-12)
 
 
-def test_duhamel_consistency():
-    """Q = 0: solve_linear equals apply_S(a) + convolve_K(F) node by node."""
+@pytest.mark.parametrize(
+    "grid",
+    [TimeGrid.uniform(1.0, 96), TimeGrid.graded(1.0, 48, 2.0)],
+    ids=["uniform", "graded"],
+)
+def test_duhamel_consistency(grid):
+    """Q = 0: solve_linear equals apply_S(a) + convolve_K(F) node by node,
+    through the lag table (uniform) and the per-row weights (graded)."""
     alpha = 0.5
     b = neumann_basis(6, 201)
     a = synthesize(b, np.array([0.3, -0.2, 0.5, 0.0, 0.1, 0.0]))
@@ -125,7 +131,6 @@ def test_duhamel_consistency():
         return (1.0 + t) * np.cos(x) + 0.5 * t * t
 
     prob = LinearProblem(b, alpha, a, forcing=F)
-    grid = TimeGrid.uniform(1.0, 96)
     traj = solve_linear(prob, grid)
     prop = prob.propagator
     G = np.array([project(b, F(b.grid, t) * np.ones_like(b.grid)) for t in grid.nodes])
@@ -133,6 +138,27 @@ def test_duhamel_consistency():
     a_modal = project(b, a)
     duhamel = np.array([apply_S(prop, t, a_modal) for t in grid.nodes]) + conv
     assert np.max(np.abs(traj.modal - duhamel)) < 1e-10
+
+
+def test_solver_weights_match_kernel_weight_vec():
+    """The uniform lag table and the graded row weights the solvers use are
+    the kernel_weight_vec moments, mode by mode, including lambda = 0."""
+    alpha = 0.6
+    prop = ModalPropagator(neumann_basis(6, 101), alpha)
+    assert prop.lambdas[0] < 1e-12 < prop.lambdas[1]
+    uniform = TimeGrid.uniform(1.0, 32)
+    _, W = prop.tables(uniform)
+    graded = TimeGrid.graded(1.0, 24, 2.0)
+    cases = [(W, uniform.nodes)]
+    for i in (1, 7, len(graded) - 1):
+        t_i, earlier = graded.nodes[i], graded.nodes[: i + 1]
+        # row weights run over earlier intervals; their lags t_i - t ascend
+        cases.append((prop.row_weights(t_i, earlier)[::-1], t_i - earlier[::-1]))
+    for got, taus in cases:
+        for m, lam in enumerate(prop.lambdas):
+            want = kernel_weight_vec(alpha, lam, taus)
+            tol = 1e-15 * np.maximum(1.0, np.abs(want))
+            assert (np.abs(got[:, m] - want) <= tol).all()
 
 
 def test_manufactured_solution_refinement():
