@@ -1,0 +1,151 @@
+"""L0 timings of the Mittag-Leffler evaluator, written to BENCH_mlf.json.
+
+    python scripts/bench_mlf.py [--label NAME] [--src DIR] [--out FILE]
+
+Measures, in CPU time with BLAS threads capped at 1:
+
+* ns per point of ``ml_neg_vec(alpha, x)`` (beta = 1) in each regime at
+  alpha in {0.3, 0.5, 0.9}, on batches of 2048 points, about the size of one
+  graded row-weight call: Taylor x in [0, 1], contour x in (1, deep_cut),
+  asymptotic x in [deep_cut, 1e4 deep_cut] (log-uniform);
+* the median CPU seconds of a graded-style ``solve_linear`` triple:
+  N = 64/88/112 on ``TimeGrid.graded(1, N, (2 - a)/a)`` with a = 0.4/0.6/0.8,
+  17 nodes and the full basis, each solve on a fresh problem (cold tables).
+
+Every measurement runs in a fresh worker process: glibc's adaptive mmap
+threshold makes the cost of a call's large temporaries depend on what the
+process freed before (a contour call ran 2-3 times faster after a call that
+had freed a larger block), so cells measured in one process depend on order.
+
+The numbers are stored under ``--label`` in ``--out``; other labels in that
+file are kept, so one script measures two checkouts on the same machine by
+running once with ``--src`` pointing at each checkout's ``src``.
+"""
+
+import argparse
+import json
+import multiprocessing
+import os
+import platform
+import sys
+import time
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ALPHAS = (0.3, 0.5, 0.9)
+REGIMES = ("taylor", "contour", "asymptotic")
+BATCH = 2048
+REPEATS = 7
+
+
+def _cpu_model():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def _median_cpu(fn, repeats):
+    times = []
+    for _ in range(repeats):
+        t0 = time.process_time()
+        fn()
+        times.append(time.process_time() - t0)
+    return float(np.median(times))
+
+
+def ns_per_point(src, alpha, regime):
+    sys.path.insert(0, src)
+    from fracdiff import mlf
+
+    rng = np.random.default_rng([ALPHAS.index(alpha), REGIMES.index(regime)])
+    cut = mlf.deep_cut(alpha)
+    x = {
+        "taylor": lambda: rng.uniform(0.0, mlf.TAYLOR_CUT, BATCH),
+        "contour": lambda: rng.uniform(np.nextafter(mlf.TAYLOR_CUT, 2.0), cut, BATCH),
+        "asymptotic": lambda: cut * np.exp(rng.uniform(0.0, np.log(1e4), BATCH)),
+    }[regime]()
+    mlf.ml_neg_vec(alpha, x)  # warm-up
+    t0 = time.process_time()
+    calls = 0
+    while time.process_time() - t0 < 0.02:
+        mlf.ml_neg_vec(alpha, x)
+        calls += 1
+
+    def batch():
+        for _ in range(calls):
+            mlf.ml_neg_vec(alpha, x)
+
+    return 1e9 * _median_cpu(batch, REPEATS) / (calls * BATCH)
+
+
+def graded_triple_s(src):
+    sys.path.insert(0, src)
+    from fracdiff.fracops import TimeGrid
+    from fracdiff.linsolve import LinearProblem, solve_linear
+    from fracdiff.spectral import EllipticOperator, eigendecompose
+
+    basis = eigendecompose(EllipticOperator(np.pi), 17, 17)
+    a = 0.75 + 0.2 * np.cos(basis.grid)
+
+    def forcing(x, t=0.0):
+        return 0.5 + 0.25 * np.cos(x)
+
+    def triple():
+        for alpha, N in ((0.4, 64), (0.6, 88), (0.8, 112)):
+            prob = LinearProblem(basis, alpha, a, forcing=forcing)
+            solve_linear(prob, TimeGrid.graded(1.0, N, (2.0 - alpha) / alpha))
+
+    triple()  # warm-up
+    return _median_cpu(triple, REPEATS)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--label", default="current", help="key of this run in the output file")
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"),
+                    help="directory holding the fracdiff package to measure")
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_mlf.json"))
+    args = ap.parse_args(argv)
+    src = os.path.abspath(args.src)
+    import scipy
+
+    result = {"ns_per_point": {}}
+    with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+        for alpha in ALPHAS:
+            row = {r: round(pool.apply(ns_per_point, (src, alpha, r)), 1) for r in REGIMES}
+            result["ns_per_point"][f"alpha={alpha}"] = row
+            print(f"alpha={alpha}: " + ", ".join(f"{r} {v:.0f} ns/pt" for r, v in row.items()))
+        result["graded_solve_linear_triple_cpu_s"] = round(pool.apply(graded_triple_s, (src,)), 4)
+    print(f"graded solve_linear triple: {result['graded_solve_linear_triple_cpu_s']:.3f} s CPU (median of {REPEATS})")
+    result["environment"] = {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": scipy.__version__, "nproc": os.cpu_count(), "cpu": _cpu_model(),
+    }
+
+    data = {}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            data = json.load(fh)
+    data.setdefault("about", (
+        "scripts/bench_mlf.py: CPU ns per point of ml_neg_vec per regime "
+        f"(beta = 1, batches of {BATCH}) and median CPU seconds of a graded "
+        f"solve_linear triple (N = 64/88/112, 17 nodes), medians of {REPEATS} repeats, "
+        "each measurement in a fresh process"
+    ))
+    data[args.label] = result
+    with open(args.out, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -5,9 +5,10 @@ mild-solution solvers for
 
 on an eigenbasis of A_0.  The Volterra convolution uses exact kernel
 moments (mlf.kernel_weights_from_e, fed with the E tables of
-ModalPropagator), which absorb the t^(alpha-1) singularity; the
-forcing is reconstructed piecewise-constant per step (left endpoint) by
-default, or by endpoint averages ('linear') behind a flag.
+ModalPropagator), which absorb the t^(alpha-1) singularity; convolve_K
+takes the forcing piecewise constant per step (left endpoint), and
+solve_linear does the same by default or uses endpoint averages with
+reconstruction='linear'.
 
 An optional spectral shift s >= 0 rewrites the equation as
 d_t^alpha (u - a) + (A_0 + s) u = (Q + s) u + F.  The shifted kernel
@@ -111,23 +112,17 @@ def apply_S(prop, t, coeffs):
     return prop.e_values([t])[0] * np.asarray(coeffs, dtype=float)
 
 
-def convolve_K(prop, grid, forcing, reconstruction="constant"):
-    """Discrete (K * forcing)(t_i) for a modal forcing history (N+1, M).
-
-    'constant' uses the left endpoint of each step; 'linear' the endpoint
-    average.  Exact kernel moments make a constant single-mode forcing g
-    reproduce (1 - E_{alpha,1}(-lam t^alpha))/lam * g to ml accuracy.
+def convolve_K(prop, grid, forcing):
+    """Discrete (K * forcing)(t_i) for a modal forcing history (N+1, M),
+    taking the forcing at the left endpoint of each step.  Exact kernel
+    moments make a constant single-mode forcing g reproduce
+    (1 - E_{alpha,1}(-lam t^alpha))/lam * g to ml accuracy.
     """
-    if reconstruction not in ("constant", "linear"):
-        raise ValueError(f"unknown reconstruction {reconstruction!r}")
     G = np.asarray(forcing, dtype=float)
     n = len(grid)
     if G.shape[0] != n:
         raise ValueError(f"forcing history has {G.shape[0]} rows, grid {n} nodes")
-    if reconstruction == "linear":
-        G = 0.5 * (G[:-1] + G[1:])  # per-interval averages, row j = [t_j, t_j+1]
-    else:
-        G = G[:-1]
+    G = G[:-1]
     out = np.zeros((n, prop.lambdas.size))
     E, W = prop.tables(grid)
     if W is not None:

@@ -9,10 +9,17 @@ to the all-positive Taylor sum in log space (_taylor_pos), and z <= 0 to
 ml_neg_vec, the only evaluator on the negative axis.  ml_neg_vec splits
 x = -z >= 0 into three regimes and evaluates each in batched numpy:
 
-* x <= 1: double-precision Taylor summation (no cancellation issue).
-* x >= deep_cut(alpha): asymptotic series
-  -sum_{k>=1} (-x)^(-k)/Gamma(b - a*k), truncated at the smallest term of
-  its (pole-smoothed) magnitude envelope.
+* x <= 1: Horner sum of sum_{k<=K} (-x)^k/Gamma(a k + b), K the first
+  k > 2 with x_max^k/Gamma(a k + b) <= _EPS at the largest x of the batch;
+  needing more than _MAX_TERMS terms (a below about 1e-3) raises ValueError.
+* x >= x0 = deep_cut(alpha): Horner sum in y = 1/x of sum_{k=1}^n c_k y^k,
+  c_k = (-1)^(k+1)/Gamma(b - a k).  Its remainder R_n, from the geometric
+  expansion of 1/(s^a + x) in the Hankel integral, bounded on the unit
+  circle (|s^a + x| >= x - 1) and on the banks of the cut (|s^a + x| >=
+  x sigma, sigma = sin(pi max(a, 1/2))), obeys for every n and x > 1
+      |R_n(x)| <= B_n(x) = x^-n (e/(x-1) + Gamma(max(1+a(n+1)-b, 1))/(pi sigma x)),
+  and B_n(x) <= B_n(x0) (x0/x)^n.  n is the first with B_n(x0) <= _EPS
+  max_k |c_k| x0^-k, at most argmin_n B_n(x0) (at a = 1, sigma ~ 1e-16).
 * in between: numerical inversion of the Laplace transform
   s^(a-b)/(s^a + x) at t=1 on a parabolic contour s = mu(1+iu)^2 with a
   small vertex mu, which keeps exp(Re s) <= e^mu and so avoids the
@@ -31,6 +38,7 @@ E_{a,1} values.
 import math
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaln, rgamma
 
 __all__ = [
@@ -143,11 +151,8 @@ def ml(params, z):
 
 
 def ml_neg_vec(alpha, x, beta=1.0):
-    """Vectorized E_{alpha,beta}(-x) for an array of x >= 0.
-
-    Splits the entries into the Taylor, contour and asymptotic regimes and
-    evaluates each in batched numpy arithmetic.
-    """
+    """Vectorized E_{alpha,beta}(-x) for an array of x >= 0, evaluated
+    regime by regime in batched numpy arithmetic."""
     p = MLParams(alpha, beta)
     alpha, beta = p.alpha, p.beta
     x = np.asarray(x, dtype=float)
@@ -169,35 +174,29 @@ def ml_neg_vec(alpha, x, beta=1.0):
 
     if tay.any():
         xs = flat[tay]
-        s = np.zeros_like(xs)
-        zk = np.ones_like(xs)
-        k = 0
-        while k < _MAX_TERMS:
-            term = zk * rgamma(alpha * k + beta)
-            s += term
-            if np.max(np.abs(term)) <= _EPS and k > 2:
-                break
-            zk *= -xs
-            k += 1
-        res[tay] = s
+        x_max = xs.max()
+        # 1/Gamma(a k + b) <= 1/Gamma(19) < _EPS once a k + b >= 19
+        k = np.arange(min(_MAX_TERMS, 4 + max(0, int((19.0 - beta) / alpha))))
+        c = rgamma(alpha * k + beta)
+        done = np.flatnonzero((x_max**k * c <= _EPS) & (k > 2))
+        if not done.size:
+            raise ValueError(f"Taylor sum of E_({alpha},{beta})(-x) at x_max={x_max} "
+                             f"needs more than {_MAX_TERMS} terms")
+        res[tay] = polyval(-xs, c[: done[0] + 1])
 
     if asym.any():
-        xs = flat[asym]
-        k = np.arange(1, 171)
-        rg = rgamma(beta - alpha * k)
-        logmag = -np.outer(k, np.log(xs)) + np.log(
-            np.abs(rg) + np.where(rg == 0, 1.0, 0.0)
-        )[:, None]
-        mag = np.where((rg != 0)[:, None], np.exp(logmag), 0.0)
-        sign = (np.where(k % 2 == 1, 1.0, -1.0) * np.sign(rg))[:, None]
-        # truncate each column at the minimum of its pole-smoothed envelope:
-        # terms whose Gamma argument sits near a pole dip far below the
-        # envelope and would stop a plain smallest-term rule too early
-        env = np.maximum(mag, np.maximum(np.roll(mag, -1, axis=0), np.roll(mag, -2, axis=0)))
-        env[-2:] = mag[-2:]
-        stop = np.argmin(env, axis=0) + 1
-        keep = k[:, None] <= stop[None, :]
-        res[asym] = np.sum(mag * sign * keep, axis=0)
+        x0, n = deep_cut(alpha), np.arange(128)  # x0 >= 4: n stays below 40
+        c = (-1.0) ** n * rgamma(beta - alpha * (n + 1))
+        log_b = -n * math.log(x0) + np.logaddexp(
+            1.0 - math.log(x0 - 1.0),
+            gammaln(np.maximum(1.0 + alpha * (n + 1) - beta, 1.0))
+            - math.log(math.pi * math.sin(math.pi * max(alpha, 0.5)) * x0),
+        )
+        n_opt = int(np.argmin(log_b))
+        scale = np.max(np.abs(c[:n_opt]) * x0 ** -(n[:n_opt] + 1.0))
+        n_eps = np.flatnonzero(log_b[:n_opt] <= math.log(_EPS * scale))
+        y = 1.0 / flat[asym]
+        res[asym] = y * polyval(y, c[: n_eps[0] if n_eps.size else n_opt])
 
     if mid.any():
         res[mid] = _contour(alpha, beta, flat[mid])

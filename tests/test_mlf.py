@@ -68,11 +68,33 @@ def test_monotone_decreasing_on_negative_axis():
 
 def test_seam_continuity():
     # values just below/above each regime switch agree to 1e-10
-    for alpha, beta in ((0.35, 1.0), (0.6, 0.7), (0.9, 1.2)):
+    for alpha, beta in ((0.35, 1.0), (0.6, 0.7), (0.9, 1.2), (0.5, 1.0), (0.25, 0.5)):
         for cut in (TAYLOR_CUT, deep_cut(alpha)):
             lo = ml(MLParams(alpha, beta), -(cut * (1.0 - 1e-12)))
             hi = ml(MLParams(alpha, beta), -(cut * (1.0 + 1e-12)))
             assert lo == pytest.approx(hi, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [(0.05, 1.0), (0.3, 1.0), (0.5, 1.0), (0.9, 1.0), (0.99, 1.0),
+     (0.3, 0.3), (0.75, 0.75), (0.5, 1.5), (0.25, 0.5), (0.5, 2.0)],
+)
+def test_asymptotic_regime_vs_oracle(alpha, beta):
+    # the Horner sum's length is fixed at deep_cut; 1/Gamma(beta - alpha k)
+    # vanishes at a pole for every pair but (0.3, 1), (0.9, 1) and (0.99, 1)
+    xs = np.array([deep_cut(alpha) * (1.0 + 1e-9), 1.5 * deep_cut(alpha), 1e3, 1e5])
+    for x, got in zip(xs, ml_neg_vec(alpha, xs, beta)):
+        assert got == pytest.approx(ml_oracle(alpha, beta, -float(x)), rel=1e-13)
+
+
+def test_taylor_term_limit():
+    # about 1.8e5 terms would be needed at alpha = 1e-4: raise instead of
+    # returning the unconverged partial sum
+    with pytest.raises(ValueError, match=r"E_\(0\.0001,1\.0\).*x_max=1\.0"):
+        ml_neg_vec(1e-4, np.array([1.0]))
+    got = ml_neg_vec(2e-3, np.array([1.0]))[0]
+    assert got == pytest.approx(ml_oracle(2e-3, 1.0, -1.0), rel=1e-12)
 
 
 def test_vec_matches_scalar():
