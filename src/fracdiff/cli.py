@@ -48,10 +48,10 @@ def _add_outdir(p):
     )
 
 
-def _load(args, kind):
-    """The scenario of a command that needs the given kind."""
+def _load(args, kind=None):
+    """The scenario of a command that needs the given kind (None: any)."""
     scn = Scenario.load(args.scenario)
-    if scn.kind != kind:
+    if kind is not None and scn.kind != kind:
         raise ScenarioError(f"{scn.path}: {args.command} needs kind = {kind}")
     return scn
 
@@ -69,9 +69,7 @@ _REPORT_COMMANDS = {
 
 def _cmd_report(args) -> int:
     types, kind = _REPORT_COMMANDS[args.command]
-    if kind is not None:
-        _load(args, kind)
-    report = run_scenario(args.scenario, outdir=args.outdir, property_types=types)
+    report = run_scenario(_load(args, kind), outdir=args.outdir, property_types=types)
     sys.stdout.write(report.render())
     return 0 if report.ok else 1
 
@@ -111,16 +109,9 @@ def _cmd_monotone(args) -> int:
     mono = scn.monotone
     if mono is None:
         raise ScenarioError(f"{scn.path}: missing [monotone] section")
-    basis = scn.basis()
-    grid = scn.grid()
-    prob = scn.build_problem(basis)
-    pair = BracketPair(
-        lambda x, t: mono["lower"](x=x, t=t), lambda x, t: mono["upper"](x=x, t=t)
-    )
     out = monotone_iterate(
-        pair, prob, grid,
-        k_max=int(mono.get("k_max", 200)),
-        gap_tol=float(mono.get("gap_tol", 1e-6)),
+        BracketPair(mono.lower, mono.upper), scn.problem, scn.grid,
+        k_max=mono.k_max, gap_tol=mono.gap_tol,
     )
     outdir = _output_dir(args.outdir)
     out["u_star"].to_csv(os.path.join(outdir, f"{scn.name}.traj.csv"))
@@ -136,14 +127,12 @@ def _cmd_steady(args) -> int:
     from .semilinear import steady_state_solve
 
     scn = _load(args, "semilinear")
-    basis = scn.basis()
-    prob = scn.build_problem(basis)
-    u = steady_state_solve(basis, prob.term, prob.a)
+    u = steady_state_solve(scn.basis, scn.problem.term, scn.problem.a)
     outdir = _output_dir(args.outdir)
     path = os.path.join(outdir, f"{scn.name}.steady.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,u\n")
-        for xi, ui in zip(basis.grid, u):
+        for xi, ui in zip(scn.basis.grid, u):
             fh.write(f"{float(xi)!r},{float(ui)!r}\n")
     sys.stdout.write(
         f"scenario: {scn.name}\nsteady: sup={np.max(np.abs(u)):.6e} "

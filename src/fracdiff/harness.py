@@ -1,39 +1,43 @@
 """Scenario ingestion, property verification, reports, convergence studies.
 
-Scenario files are flat INI text (configparser).  Layout::
+Scenario files are INI text (configparser: keys are case-insensitive,
+values literal, ``#`` starts an inline comment).  :meth:`Scenario.load`
+alone reads that text: it converts every key through the key tables below,
+and the Scenario owns the basis, the time grid and the problem, built once.
+An unknown section or key, a missing required key (``*``), a value of the
+wrong type or out of range, or an expression that does not parse or uses a
+variable the key does not allow raises ScenarioError naming the file, the
+section and the key.  Numbers are finite; defaults are in parentheses::
 
-    [scenario]
-    name = relaxation_bound
-    kind = semilinear            # linear | semilinear | system | pair
-    comment = free text
-    seed = 42                    # used by randomized scenarios
+    [scenario]  name*  kind (linear): linear|semilinear|system|pair
+                comment  seed (42): integer
+    [space]     length* > 0  n_grid*: integer >= 3  p (1) > 0
+                n_modes (n_grid): integer from 1 to n_grid
+                c: expression of x  sigma0, sigmaL (0) >= 0  c0 >= 0
+    [time]      T* > 0  N*: integer >= 1  grading (1: uniform) >= 1
+    [problem]   linear, semilinear: alpha* in (0, 1)  initial* of x
+                  drift, reaction, forcing of x, t
+                linear: shift (0) >= 0
+                semilinear: term* of x, u  m > 0  solver_shift (0) >= 0
+                system: alphas* in (0, 1), split by ','
+                  initials* of x, forcings of x, t: split by ';'
+                  couplings: random, or rows of numbers split by ';'
+                  coupling_lo (0), coupling_hi (0.5): range when random
+                pair: alpha*  f*, g* of u, v  initial_u*, initial_v* of x
+                  m > 0  solver_shift (0) >= 0
+    [property:<name>]  type*: nonneg|bracket|envelope|comparison|convergence
+                all but convergence: tol (1e-8) >= 0
+                bracket: lower (0), upper* of x, t
+                  upper_mode (expression): expression|power_barrier (no upper)
+                envelope: slope_tol (0.15) >= 0  u_inf (0) of x
+                  u_inf_mode (expression): expression|steady
+                comparison: initial2 of x, term2 of x, u (the problem's)
+                convergence: levels (3): integer >= 3  min_order (0.8)
+    [monotone]  lower (0), upper* of x, t  k_max (200): integer >= 1
+                gap_tol (1e-6) >= 0
 
-    [space]
-    length = 3.141592653589793
-    n_grid = 65
-    n_modes = 65                 # default n_grid (full basis)
-    # optional: p, c (expression of x), sigma0, sigmaL, c0
-
-    [time]
-    T = 1.0
-    N = 256
-    grading = 1.0                # 1.0 = uniform, r > 1 = graded
-
-    [problem]                    # keys depend on kind, values are expressions
-    alpha = 0.5
-    initial = 1 + 0.1*cos(x)
-    term = enzyme(u)
-
-    [property:barrier]           # any number of property:<name> sections
-    type = bracket               # comparison|nonneg|envelope|bracket|convergence
-    lower = 0
-    upper_mode = power_barrier
-    tol = 1e-8
-
-Loading validates the whole file: every required key and every expression
-of [problem], of the property sections and of an optional [monotone]
-section (lower, upper in x, t) is checked up front, and a fault raises
-ScenarioError naming the file, the section and the key.
+Bracket, envelope and convergence properties need kind linear or
+semilinear, comparison semilinear.
 
 Reports are deterministic: for a fixed scenario file and seed the report
 body is byte-identical across runs (runtime lives outside the body).
@@ -45,6 +49,7 @@ import configparser
 import math
 import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -83,15 +88,7 @@ __all__ = [
 OUTPUT_DIR_ENV = "FRACDIFF_OUTPUT_DIR"
 
 _KINDS = ("linear", "semilinear", "system", "pair")
-_PROPERTY_TYPES = ("comparison", "nonneg", "envelope", "bracket", "convergence")
-# property types that need particular kinds; the others apply to every kind
-_PROPERTY_KINDS = {
-    "bracket": ("linear", "semilinear"),
-    "envelope": ("linear", "semilinear"),
-    "comparison": ("semilinear",),
-    "convergence": ("linear", "semilinear"),
-}
-_XT = {"x", "t"}
+_SCALAR = ("linear", "semilinear")
 
 
 def _fmt(v) -> str:
@@ -102,43 +99,191 @@ class ScenarioError(ValueError):
     """Scenario file problem, annotated with file and section context."""
 
 
+# -- key tables: key -> (converter, default text) ------------------------
+# A converter turns the text of a key into its typed value or raises
+# ValueError saying what it expected.  A default of None leaves an absent
+# key None; _REQUIRED makes it an error.
+
+_REQUIRED = object()
+
+
+def _typed(what, ok, cast=str):
+    """Converter of text to cast(text), which must satisfy ok."""
+
+    def convert(text):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise ValueError(f"expected {what}, got {text!r}")
+        return value
+
+    return convert
+
+
+def _number(what, ok=lambda v: True, cast=float):
+    return _typed(what, lambda v: math.isfinite(v) and ok(v), cast)
+
+
+def _at_least(low, cast=float):
+    what = "an integer" if cast is int else "a number"
+    return _number(f"{what} >= {low}", lambda v: v >= low, cast)
+
+
+def _choice(*allowed):
+    return _typed(f"one of {', '.join(allowed)}", lambda v: v in allowed)
+
+
+def _expr(*names):
+    """Converter of text to a function of the given variables, which it
+    takes as positional arguments in that order."""
+
+    def convert(text):
+        try:
+            ev = expression_parse(text)
+        except ExpressionError as exc:
+            raise ValueError(f"cannot parse {text!r}: {exc}") from exc
+        extra = ev.names - set(names)
+        if extra:
+            raise ValueError(
+                f"{text!r} uses {sorted(extra)} but only {sorted(names)} are allowed"
+            )
+        return lambda *args: ev(**dict(zip(names, args)))
+
+    return convert
+
+
+def _split(convert, sep):
+    return lambda text: [convert(part.strip()) for part in text.split(sep)]
+
+
+_REAL = _number("a number")
+_POSITIVE = _number("a number > 0", lambda v: v > 0)
+_ORDER = _number("a number in (0, 1)", lambda v: 0 < v < 1)
+_NONNEG = _at_least(0)
+_ROWS = _split(_split(_REAL, ","), ";")
+
+_SCENARIO_KEYS = {
+    "name": (_typed("a name", bool), _REQUIRED),
+    "kind": (_choice(*_KINDS), "linear"),
+    "comment": (str, ""),
+    "seed": (_number("an integer", cast=int), "42"),
+}
+_SPACE_KEYS = {
+    "length": (_POSITIVE, _REQUIRED),
+    "n_grid": (_at_least(3, int), _REQUIRED),
+    "n_modes": (_at_least(1, int), None),
+    "p": (_POSITIVE, "1"),
+    "c": (_expr("x"), None),
+    "sigma0": (_NONNEG, "0"),
+    "sigmal": (_NONNEG, "0"),
+    "c0": (_NONNEG, None),
+}
+_TIME_KEYS = {
+    "t": (_POSITIVE, _REQUIRED),
+    "n": (_at_least(1, int), _REQUIRED),
+    "grading": (_at_least(1), "1"),
+}
+_SCALAR_KEYS = {
+    "alpha": (_ORDER, _REQUIRED),
+    "initial": (_expr("x"), _REQUIRED),
+    "drift": (_expr("x", "t"), None),
+    "reaction": (_expr("x", "t"), None),
+    "forcing": (_expr("x", "t"), None),
+}
+_PICARD = {"m": (_POSITIVE, None), "solver_shift": (_NONNEG, "0")}
+_PROBLEM_KEYS = {
+    "linear": {**_SCALAR_KEYS, "shift": (_NONNEG, "0")},
+    "semilinear": {**_SCALAR_KEYS, "term": (_expr("x", "u"), _REQUIRED), **_PICARD},
+    "system": {
+        "alphas": (_split(_ORDER, ","), _REQUIRED),
+        "initials": (_split(_expr("x"), ";"), _REQUIRED),
+        "couplings": (lambda text: text if text == "random" else _ROWS(text), None),
+        "coupling_lo": (_REAL, "0"),
+        "coupling_hi": (_REAL, "0.5"),
+        "forcings": (_split(_expr("x", "t"), ";"), None),
+    },
+    "pair": {
+        "alpha": (_ORDER, _REQUIRED),
+        "f": (_expr("u", "v"), _REQUIRED),
+        "g": (_expr("u", "v"), _REQUIRED),
+        "initial_u": (_expr("x"), _REQUIRED),
+        "initial_v": (_expr("x"), _REQUIRED),
+        **_PICARD,
+    },
+}
+_TYPE = {"type": (str, _REQUIRED)}
+_TOL = {**_TYPE, "tol": (_NONNEG, "1e-8")}
+# property type -> (scenario kinds it applies to, key table)
+_PROPERTIES = {
+    "comparison": (("semilinear",), {
+        **_TOL, "initial2": (_expr("x"), None), "term2": (_expr("x", "u"), None),
+    }),
+    "nonneg": (_KINDS, _TOL),
+    "envelope": (_SCALAR, {
+        **_TOL,
+        "slope_tol": (_NONNEG, "0.15"),
+        "u_inf": (_expr("x"), "0"),
+        "u_inf_mode": (_choice("expression", "steady"), "expression"),
+    }),
+    "bracket": (_SCALAR, {
+        **_TOL,
+        "lower": (_expr("x", "t"), "0"),
+        "upper": (_expr("x", "t"), None),
+        "upper_mode": (_choice("expression", "power_barrier"), "expression"),
+    }),
+    "convergence": (_SCALAR, {
+        **_TYPE, "levels": (_at_least(3, int), "3"), "min_order": (_REAL, "0.8"),
+    }),
+}
+_MONOTONE_KEYS = {
+    "lower": (_expr("x", "t"), "0"),
+    "upper": (_expr("x", "t"), _REQUIRED),
+    "k_max": (_at_least(1, int), "200"),
+    "gap_tol": (_NONNEG, "1e-6"),
+}
+_SECTIONS = ("scenario", "space", "time", "problem", "monotone")
+
+
+def _time_grid(T, N, grading):
+    return TimeGrid.uniform(T, N) if grading == 1.0 else TimeGrid.graded(T, N, grading)
+
+
 class Scenario:
-    """Parsed scenario file; use :meth:`load`, then :meth:`basis`/:meth:`grid`
-    and :meth:`build_problem` to materialize the solver inputs."""
+    """A scenario file read by :meth:`load`.  It owns the solver inputs
+    ``basis``, ``grid``, ``problem`` and ``solver_shift`` (the Picard
+    solvers' spectral shift), built once; ``properties`` holds (name, type,
+    fields) per property section and ``monotone`` the fields of [monotone]
+    or None, fields being namespaces of typed values named by their keys."""
 
     def __init__(self, path, parser):
         self.path = str(path)
-        self._cp = parser
-        sc = self._section("scenario")
-        self.name = sc.get("name")
-        if not self.name:
-            raise ScenarioError(f"{self.path}: [scenario] needs a name")
-        self.kind = sc.get("kind", "linear")
-        if self.kind not in _KINDS:
-            raise ScenarioError(
-                f"{self.path}: unknown kind {self.kind!r} (one of {_KINDS})"
-            )
-        self.comment = sc.get("comment", "")
-        self.seed = int(sc.get("seed", "42"))
-        self.space = dict(self._section("space"))
-        self.time = dict(self._section("time"))
-        self.problem = dict(self._section("problem"))
-        self._validate()
+        for section in parser.sections():
+            if section not in _SECTIONS and not section.startswith("property:"):
+                raise ScenarioError(f"{self.path}: unknown section [{section}]")
+        # name, kind, comment, seed
+        vars(self).update(vars(self._read(parser, "scenario", _SCENARIO_KEYS)))
+        self.basis = self._basis(self._read(parser, "space", _SPACE_KEYS))
+        tm = self._read(parser, "time", _TIME_KEYS)
+        self.grid = _time_grid(tm.t, tm.n, tm.grading)
+        pv = self._read(parser, "problem", _PROBLEM_KEYS[self.kind])
+        self.problem = self._problem(pv)
+        self.solver_shift = getattr(pv, "solver_shift", 0.0)
         self.properties = [
-            self._property(section, dict(parser[section]))
+            self._property(parser, section, pv)
             for section in parser.sections()
             if section.startswith("property:")
         ]
-        self.monotone = None  # the [monotone] bracket, expressions parsed
+        self.monotone = None
         if parser.has_section("monotone"):
-            self.monotone = self._parse_exprs(
-                "monotone", dict(parser["monotone"]),
-                {"lower": ("0", _XT), "upper": (None, _XT)},
-            )
+            self.monotone = self._read(parser, "monotone", _MONOTONE_KEYS)
 
     @classmethod
     def load(cls, path):
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser = configparser.ConfigParser(
+            inline_comment_prefixes=("#",), interpolation=None
+        )
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
@@ -148,203 +293,106 @@ class Scenario:
             raise ScenarioError(f"{path}: {exc}") from exc
         return cls(path, parser)
 
-    # -- parsing helpers ---------------------------------------------------
+    # -- reading -----------------------------------------------------------
 
-    def _section(self, name):
-        if not self._cp.has_section(name):
-            raise ScenarioError(f"{self.path}: missing [{name}] section")
-        return self._cp[name]
+    def _read(self, parser, section, table):
+        """The fields of a section: each key of the table converted from its
+        text, or from its default when the section does not give it."""
+        if not parser.has_section(section):
+            raise ScenarioError(f"{self.path}: missing [{section}] section")
+        items = parser[section]
+        for key in items:
+            if key not in table:
+                raise ScenarioError(
+                    f"{self.path}: [{section}] {key}: unknown key "
+                    f"(known: {', '.join(table)})"
+                )
+        fields = SimpleNamespace()
+        for key, (convert, default) in table.items():
+            text = items.get(key, default)
+            if text is _REQUIRED:
+                raise ScenarioError(f"{self.path}: [{section}] needs {key}")
+            try:
+                setattr(fields, key, None if text is None else convert(text))
+            except ValueError as exc:
+                raise ScenarioError(f"{self.path}: [{section}] {key}: {exc}") from exc
+        return fields
 
-    def _expr(self, text, where, allowed):
-        try:
-            ev = expression_parse(text)
-        except ExpressionError as exc:
+    def _property(self, parser, section, pv):
+        """(name, type, fields) of a property section, checked against the
+        scenario kind."""
+        ptype = parser[section].get("type")
+        if ptype not in _PROPERTIES:
             raise ScenarioError(
-                f"{self.path}: in {where}, cannot parse {text!r}: {exc}"
-            ) from exc
-        extra = ev.names - set(allowed)
-        if extra:
-            raise ScenarioError(
-                f"{self.path}: in {where}, {text!r} uses "
-                f"{sorted(extra)} but only {sorted(allowed)} are allowed"
+                f"{self.path}: [{section}] type: expected one of "
+                f"{', '.join(_PROPERTIES)}, got {ptype!r}"
             )
-        return ev
-
-    def _need(self, section, key):
-        """The text of a required key, or a ScenarioError naming the file,
-        the section and the key."""
-        if key not in self._cp[section]:
-            raise ScenarioError(f"{self.path}: [{section}] needs {key}")
-        return self._cp[section][key]
-
-    def _parse_exprs(self, section, params, specs):
-        """Replace the text of each key in specs, {key: (default, allowed
-        names)} with default None for a required key, by its evaluator."""
-        for key, (default, allowed) in specs.items():
-            text = params.get(key, default) or self._need(section, key)
-            params[key] = self._expr(text, f"[{section}] {key}", allowed)
-        return params
-
-    def _property(self, section, params):
-        """(name, type, params) of a property section, checked against the
-        scenario kind, with its expressions parsed."""
-        ptype = params.pop("type", None)
-        if ptype not in _PROPERTY_TYPES:
-            raise ScenarioError(
-                f"{self.path}: [{section}] has type {ptype!r}, "
-                f"expected one of {_PROPERTY_TYPES}"
-            )
-        kinds = _PROPERTY_KINDS.get(ptype, _KINDS)
+        kinds, table = _PROPERTIES[ptype]
         if self.kind not in kinds:
             raise ScenarioError(
                 f"{self.path}: [{section}] {ptype} properties need kind "
                 + " or ".join(kinds)
             )
-        specs = {}
-        if ptype == "bracket":
-            specs["lower"] = ("0", _XT)
-            if params.get("upper_mode", "") != "power_barrier":
-                specs["upper"] = (None, _XT)
-        elif ptype == "envelope" and params.get("u_inf_mode", "") != "steady":
-            specs["u_inf"] = ("0", {"x"})
-        elif ptype == "comparison":
-            specs["initial2"] = (self.problem["initial"], {"x"})
-            specs["term2"] = (self.problem["term"], {"x", "u"})
-        self._parse_exprs(section, params, specs)
-        return section.split(":", 1)[1], ptype, params
+        fields = self._read(parser, section, table)
+        if ptype == "bracket" and fields.upper_mode == "expression" \
+                and fields.upper is None:
+            raise ScenarioError(f"{self.path}: [{section}] needs upper")
+        if ptype == "comparison":  # the problem's initial data and term by default
+            fields.initial2 = fields.initial2 or pv.initial
+            fields.term2 = fields.term2 or pv.term
+        return section.split(":", 1)[1], ptype, fields
 
-    def _exprs(self, text, where, allowed):
-        return [
-            self._expr(part.strip(), where, allowed)
-            for part in text.split(";")
-        ]
+    # -- solver inputs -----------------------------------------------------
 
-    def _validate(self):
-        float(self._need("space", "length"))
-        if int(self._need("space", "n_grid")) < 3:
-            raise ScenarioError(f"{self.path}: n_grid must be at least 3")
-        T, N = self._need("time", "t"), self._need("time", "n")
-        if float(T) <= 0 or int(N) < 1:
-            raise ScenarioError(f"{self.path}: invalid time grid")
-        self.build_problem(self.basis())  # parse all expressions eagerly
-
-    # -- builders ----------------------------------------------------------
-
-    def basis(self):
-        n_grid = int(self.space["n_grid"])
-        n_modes = int(self.space.get("n_modes", n_grid))
-        c = self.space.get("c")
-        if c is not None:
-            c_ev = self._expr(c, "[space] c", {"x"})
-            c = lambda x: c_ev(x=x)
-        op = EllipticOperator(
-            float(self.space["length"]),
-            p=float(self.space.get("p", 1.0)),
-            c=0.0 if c is None else c,
-            sigma=(
-                float(self.space.get("sigma0", 0.0)),
-                float(self.space.get("sigmal", 0.0)),
-            ),
-            c0=(float(self.space["c0"]) if "c0" in self.space else None),
-        )
-        return eigendecompose(op, n_modes, n_grid)
-
-    def grid(self, n_override=None):
-        T = float(self.time["t"])
-        N = int(n_override if n_override is not None else self.time["n"])
-        r = float(self.time.get("grading", 1.0))
-        if r == 1.0:
-            return TimeGrid.uniform(T, N)
-        return TimeGrid.graded(T, N, r)
-
-    def _xt(self, key, default=None):
-        text = self.problem.get(key, default)
-        if text is None:
-            return None
-        ev = self._expr(text, f"[problem] {key}", {"x", "t"})
-        return lambda x, t: ev(x=x, t=t)
-
-    def _problem_expr(self, key, allowed):
-        """A required [problem] expression, parsed."""
-        text = self._need("problem", key)
-        return self._expr(text, f"[problem] {key}", allowed)
-
-    def build_problem(self, basis):
-        x = basis.grid
-        kind = self.kind
-        if kind in ("linear", "semilinear"):
-            alpha = float(self._need("problem", "alpha"))
-            a = self._problem_expr("initial", {"x"})(x=x)
-            drift = self._xt("drift")
-            reaction = self._xt("reaction")
-            forcing = self._xt("forcing")
-            if kind == "linear":
-                return LinearProblem(
-                    basis, alpha, a,
-                    drift=drift, reaction=reaction, forcing=forcing,
-                    shift=float(self.problem.get("shift", 0.0)),
-                )
-            term_ev = self._problem_expr("term", {"x", "u"})
-            term = SemilinearTerm(lambda xx, u: term_ev(x=xx, u=u))
-            m = self.problem.get("m")
-            return SemilinearProblem(
-                basis, alpha, a, term,
-                drift=drift, reaction=reaction, forcing=forcing,
-                m=(float(m) if m is not None else None),
+    def _basis(self, sp):
+        n_modes = sp.n_grid if sp.n_modes is None else sp.n_modes
+        if n_modes > sp.n_grid:
+            raise ScenarioError(
+                f"{self.path}: [space] n_modes: expected an integer from 1 "
+                f"to n_grid = {sp.n_grid}, got {n_modes}"
             )
-        if kind == "system":
-            alphas = [float(s) for s in self._need("problem", "alphas").split(",")]
-            initials = [
-                ev(x=x)
-                for ev in self._exprs(
-                    self._need("problem", "initials"), "[problem] initials", {"x"}
+        op = EllipticOperator(
+            sp.length, p=sp.p, c=0.0 if sp.c is None else sp.c,
+            sigma=(sp.sigma0, sp.sigmal), c0=sp.c0,
+        )
+        return eigendecompose(op, n_modes, sp.n_grid)
+
+    def _problem(self, pv):
+        basis, x = self.basis, self.basis.grid
+        if self.kind in _SCALAR:
+            linear = dict(drift=pv.drift, reaction=pv.reaction, forcing=pv.forcing)
+            if self.kind == "linear":
+                return LinearProblem(
+                    basis, pv.alpha, pv.initial(x), shift=pv.shift, **linear
                 )
-            ]
-            n = len(alphas)
-            couplings = self.problem.get("couplings")
-            if couplings is not None and couplings.strip() == "random":
-                lo = float(self.problem.get("coupling_lo", 0.0))
-                hi = float(self.problem.get("coupling_hi", 0.5))
+            return SemilinearProblem(
+                basis, pv.alpha, pv.initial(x), SemilinearTerm(pv.term), m=pv.m,
+                **linear,
+            )
+        if self.kind == "system":
+            n = len(pv.alphas)
+            couplings = pv.couplings
+            if couplings == "random":
                 rng = np.random.default_rng(self.seed)
                 couplings = [
                     [
-                        rng.uniform(lo, hi) if j != k else -rng.uniform(0.0, 0.1)
+                        rng.uniform(pv.coupling_lo, pv.coupling_hi)
+                        if j != k else -rng.uniform(0.0, 0.1)
                         for k in range(n)
                     ]
                     for j in range(n)
                 ]
-            elif couplings is not None:
-                rows = couplings.split(";")
-                if len(rows) != n:
-                    raise ScenarioError(
-                        f"{self.path}: couplings needs {n} rows, got {len(rows)}"
-                    )
-                couplings = [
-                    [float(v) for v in row.split(",")] for row in rows
-                ]
-            forcings = None
-            if "forcings" in self.problem:
-                evs = self._exprs(
-                    self.problem["forcings"], "[problem] forcings", {"x", "t"}
+            elif couplings is not None and len(couplings) != n:
+                raise ScenarioError(
+                    f"{self.path}: [problem] couplings: expected {n} rows, "
+                    f"got {len(couplings)}"
                 )
-                forcings = [
-                    (lambda ev: lambda xx, t: ev(x=xx, t=t))(ev) for ev in evs
-                ]
             return MultiOrderSystem(
-                basis, alphas, initials, couplings=couplings, forcings=forcings
+                basis, pv.alphas, [a(x) for a in pv.initials],
+                couplings=couplings, forcings=pv.forcings,
             )
-        # pair
-        alpha = float(self._need("problem", "alpha"))
-        f_ev = self._problem_expr("f", {"u", "v"})
-        g_ev = self._problem_expr("g", {"u", "v"})
-        a = self._problem_expr("initial_u", {"x"})(x=x)
-        b = self._problem_expr("initial_v", {"x"})(x=x)
-        m = self.problem.get("m")
         return SemilinearPair(
-            basis, alpha,
-            lambda u, v: f_ev(u=u, v=v),
-            lambda u, v: g_ev(u=u, v=v),
-            a, b, m=(float(m) if m is not None else None),
+            basis, pv.alpha, pv.f, pv.g, pv.initial_u(x), pv.initial_v(x), m=pv.m
         )
 
 
@@ -377,32 +425,28 @@ def _write_atomic(path, text):
     os.replace(tmp, path)
 
 
-def _solve(scn, basis, prob, grid):
-    """Run the kind-appropriate solver; returns (primary_traj, extras)."""
+def _solve(scn, grid):
+    """The trajectories of the kind-appropriate solve on the grid, one per
+    component; the first is the report's primary one."""
+    prob = scn.problem
     if scn.kind == "linear":
-        return solve_linear(prob, grid), {}
+        return [solve_linear(prob, grid)]
     if scn.kind == "semilinear":
-        shift = float(scn.problem.get("solver_shift", 0.0))
-        return picard_solve(prob, grid, shift=shift), {}
+        return [picard_solve(prob, grid, shift=scn.solver_shift)]
     if scn.kind == "system":
-        out = picard_system_solve(prob, grid)
-        return out["trajectories"][0], {"system_result": out}
-    shift = float(scn.problem.get("solver_shift", 0.0))
-    u, v = semilinear_pair_solve(prob, grid, shift=shift)
-    return u, {"pair_solution": (u, v)}
+        return picard_system_solve(prob, grid)["trajectories"]
+    return list(semilinear_pair_solve(prob, grid, shift=scn.solver_shift))
 
 
-def _check_nonneg(scn, basis, prob, grid, traj, extras, params):
-    tol = float(params.get("tol", 1e-8))
+def _check_nonneg(scn, trajs, params):
+    prob, tol = scn.problem, params.tol
     if scn.kind == "system":
-        out = nonneg_verify(
-            prob, extras["system_result"]["trajectories"], grid, tol=tol
-        )
+        out = nonneg_verify(prob, trajs, scn.grid, tol=tol)
         detail = f"min_value={_fmt(out['min_value'])}" \
             if "min_value" in out else f"reason={out.get('reason', '')}"
         return out["verdict"], detail
     if scn.kind == "pair":
-        out = pair_nonneg_verify(prob, extras["pair_solution"], tol=tol)
+        out = pair_nonneg_verify(prob, trajs, tol=tol)
         if out["verdict"] == "NOT-APPLICABLE":
             return out["verdict"], f"reason={out.get('reason', '')}"
         return out["verdict"], (
@@ -410,33 +454,33 @@ def _check_nonneg(scn, basis, prob, grid, traj, extras, params):
             f"case={out['classification']['case']}"
         )
     # scalar problems: gate on sampled hypotheses a >= 0, F >= 0, f(x,0) >= 0
-    x = basis.grid
+    x = scn.basis.grid
     if float(np.min(prob.a)) < -1e-12:
         return "NOT-APPLICABLE", "reason=initial data takes negative values"
-    F = sample_history(prob.forcing, x, grid.nodes)
+    F = sample_history(prob.forcing, x, scn.grid.nodes)
     if F is not None and float(np.min(F)) < -1e-12:
         return "NOT-APPLICABLE", "reason=forcing takes negative values"
     if scn.kind == "semilinear":
         z = np.zeros_like(x)
         if float(np.min(prob.term(x, z))) < -1e-12:
             return "NOT-APPLICABLE", "reason=f(x, 0) takes negative values"
-    mn = float(np.min(traj.fields()))
+    mn = float(np.min(trajs[0].fields()))
     verdict = "PASS" if mn >= -tol else "FAIL"
     return verdict, f"min_value={_fmt(mn)}"
 
 
-def _check_bracket(scn, basis, prob, grid, traj, extras, params):
-    tol = float(params.get("tol", 1e-8))
-    x, t = basis.grid, grid.nodes
-    lower = sample_history(lambda xx, ti: params["lower"](x=xx, t=ti), x, t)
+def _check_bracket(scn, trajs, params):
+    prob, tol = scn.problem, params.tol
+    x, t = scn.basis.grid, scn.grid.nodes
+    lower = sample_history(params.lower, x, t)
     detail = []
-    if params.get("upper_mode", "") == "power_barrier":
-        rho = power_barrier_rho(prob, grid)
+    if params.upper_mode == "power_barrier":
+        rho = power_barrier_rho(prob, scn.grid)
         upper = prob.a[None, :] + rho * (t**prob.alpha)[:, None]
         detail.append(f"rho={_fmt(rho)}")
     else:
-        upper = sample_history(lambda xx, ti: params["upper"](x=xx, t=ti), x, t)
-    fields = traj.fields()
+        upper = sample_history(params.upper, x, t)
+    fields = trajs[0].fields()
     lo_gap = float(np.min(fields - lower))
     hi_gap = float(np.min(upper - fields))
     verdict = "PASS" if (lo_gap >= -tol and hi_gap >= -tol) else "FAIL"
@@ -444,22 +488,18 @@ def _check_bracket(scn, basis, prob, grid, traj, extras, params):
     return verdict, " ".join(detail)
 
 
-def _check_envelope(scn, basis, prob, grid, traj, extras, params):
-    tol = float(params.get("tol", 1e-8))
-    slope_tol = float(params.get("slope_tol", 0.15))
-    if params.get("u_inf_mode", "") == "steady":
+def _check_envelope(scn, trajs, params):
+    prob, basis = scn.problem, scn.basis
+    if params.u_inf_mode == "steady":
         term = prob.term if scn.kind == "semilinear" else (lambda x, u: 0.0 * u)
         u_inf = steady_state_solve(basis, term, prob.a)
     else:
-        u_inf = params["u_inf"](x=basis.grid)
+        u_inf = params.u_inf(basis.grid)
         u_inf = np.asarray(u_inf, dtype=float) * np.ones_like(basis.grid)
-    out = decay_envelope_check(traj, u_inf, basis, prob.alpha, tol=tol)
-    slope_ok = abs(out["fitted_slope"] + prob.alpha) <= slope_tol
-    verdict = (
-        "PASS"
-        if out["envelope_violations"] == 0 and slope_ok and out["tail_ok"]
-        else "FAIL"
-    )
+    out = decay_envelope_check(trajs[0], u_inf, basis, prob.alpha, tol=params.tol)
+    slope_ok = abs(out["fitted_slope"] + prob.alpha) <= params.slope_tol
+    ok = out["envelope_violations"] == 0 and slope_ok and out["tail_ok"]
+    verdict = "PASS" if ok else "FAIL"
     detail = (
         f"fitted_slope={_fmt(out['fitted_slope'])} "
         f"violations={out['envelope_violations']} "
@@ -468,29 +508,24 @@ def _check_envelope(scn, basis, prob, grid, traj, extras, params):
     return verdict, detail
 
 
-def _check_comparison(scn, basis, prob, grid, traj, extras, params):
-    tol = float(params.get("tol", 1e-8))
-    x = basis.grid
-    a2 = np.asarray(params["initial2"](x=x), dtype=float) * np.ones_like(x)
-    ev2 = params["term2"]
+def _check_comparison(scn, trajs, params):
+    prob, x = scn.problem, scn.basis.grid
+    a2 = np.asarray(params.initial2(x), dtype=float) * np.ones_like(x)
     prob2 = SemilinearProblem(
-        basis, prob.alpha, a2,
-        SemilinearTerm(lambda xx, u: ev2(x=xx, u=u)),
+        scn.basis, prob.alpha, a2, SemilinearTerm(params.term2),
         drift=prob.drift, reaction=prob.reaction, forcing=prob.forcing,
         m=prob.m,
     )
-    out = compare_solutions(prob, prob2, grid, tol=tol)
+    out = compare_solutions(prob, prob2, scn.grid, tol=params.tol)
     if out["verdict"] == "NOT-APPLICABLE":
         return out["verdict"], f"reason={out.get('reason', '')}"
     return out["verdict"], f"min_gap={_fmt(out['min_gap'])}"
 
 
-def _check_convergence(scn, basis, prob, grid, traj, extras, params):
-    levels = int(params.get("levels", 3))
-    min_order = float(params.get("min_order", 0.8))
-    rows = convergence_study(scn, levels)
+def _check_convergence(scn, trajs, params):
+    rows = convergence_study(scn, params.levels)
     orders = [r[2] for r in rows if r[2] is not None]
-    verdict = "PASS" if orders and orders[-1] >= min_order else "FAIL"
+    verdict = "PASS" if orders and orders[-1] >= params.min_order else "FAIL"
     detail = "orders=" + ",".join(_fmt(o) for o in orders)
     return verdict, detail
 
@@ -510,18 +545,17 @@ def _output_dir(outdir=None):
     return out
 
 
-def run_scenario(path, outdir=None, write_files=True, property_types=None):
-    """Execute a scenario file: solve, verify every declared property, and
-    (by default) write <name>.traj.csv and <name>.report.txt atomically.
+def run_scenario(scenario, outdir=None, write_files=True, property_types=None):
+    """Execute a scenario (a path or a loaded Scenario): solve, verify every
+    declared property, and (by default) write <name>.traj.csv and
+    <name>.report.txt atomically.
 
     ``property_types`` restricts verification to the given property types
     (an empty tuple solves without checking anything)."""
     t0 = time.perf_counter()
-    scn = Scenario.load(path)
-    basis = scn.basis()
-    grid = scn.grid()
-    prob = scn.build_problem(basis)
-    traj, extras = _solve(scn, basis, prob, grid)
+    scn = scenario if isinstance(scenario, Scenario) else Scenario.load(scenario)
+    basis, grid = scn.basis, scn.grid
+    trajs = _solve(scn, grid)
     properties = scn.properties
     if property_types is not None:
         properties = [p for p in properties if p[1] in property_types]
@@ -529,46 +563,31 @@ def run_scenario(path, outdir=None, write_files=True, property_types=None):
     lines = [
         f"scenario: {scn.name}",
         f"kind: {scn.kind}",
-        (
-            f"space: n_grid={basis.grid.size} n_modes={basis.n_modes} "
-            f"length={_fmt(basis.operator.L)}"
-        ),
-        (
-            f"time: T={_fmt(grid.T)} N={len(grid) - 1} "
-            f"kind={grid.kind}"
-        ),
+        f"space: n_grid={basis.grid.size} n_modes={basis.n_modes} "
+        f"length={_fmt(basis.operator.L)}",
+        f"time: T={_fmt(grid.T)} N={grid.N} kind={grid.kind}",
         f"seed: {scn.seed}",
     ]
     if scn.comment:
         lines.append(f"comment: {scn.comment}")
     verdicts = []
     for pname, ptype, params in properties:
-        verdict, detail = _CHECKS[ptype](
-            scn, basis, prob, grid, traj, extras, params
-        )
+        verdict, detail = _CHECKS[ptype](scn, trajs, params)
         verdicts.append((pname, verdict))
         lines.append(f"property {pname} [{ptype}]: {verdict} {detail}".rstrip())
-    counts = {
-        v: sum(1 for _, got in verdicts if got == v)
-        for v in ("PASS", "FAIL", "NOT-APPLICABLE")
-    }
-    lines.append(
-        "summary: {PASS} PASS, {FAIL} FAIL, {n} NOT-APPLICABLE".format(
-            PASS=counts["PASS"], FAIL=counts["FAIL"], n=counts["NOT-APPLICABLE"]
-        )
-    )
+    counts = [
+        sum(got == v for _, got in verdicts) for v in ("PASS", "FAIL", "NOT-APPLICABLE")
+    ]
+    lines.append("summary: {} PASS, {} FAIL, {} NOT-APPLICABLE".format(*counts))
     report = Report(scn.name, lines, verdicts, time.perf_counter() - t0)
 
     if write_files:
         out = _output_dir(outdir)
-        if scn.kind == "system":
-            for i, tr in enumerate(extras["system_result"]["trajectories"], 1):
-                tr.to_csv(os.path.join(out, f"{scn.name}.comp{i}.traj.csv"))
-        elif scn.kind == "pair":
-            u, v = extras["pair_solution"]
-            u.to_csv(os.path.join(out, f"{scn.name}.u.traj.csv"))
-            v.to_csv(os.path.join(out, f"{scn.name}.v.traj.csv"))
-        traj.to_csv(os.path.join(out, f"{scn.name}.traj.csv"))
+        parts = {"system": [f"comp{i}" for i in range(1, len(trajs) + 1)],
+                 "pair": ["u", "v"]}
+        for part, tr in zip(parts.get(scn.kind, []), trajs):
+            tr.to_csv(os.path.join(out, f"{scn.name}.{part}.traj.csv"))
+        trajs[0].to_csv(os.path.join(out, f"{scn.name}.traj.csv"))
         _write_atomic(
             os.path.join(out, f"{scn.name}.report.txt"), report.render()
         )
@@ -588,35 +607,25 @@ def run_bundle(directory, outdir=None):
 
 
 def convergence_study(scenario, levels):
-    """Solve the scenario on ``levels`` nested time grids (N, 2N, 4N, ...),
-    measure each level's sup error at its nodes against one reference solve
-    on the grid with N * 2**levels steps, and report the observed orders
+    """Solve the scenario (a path or a loaded Scenario) on ``levels`` nested
+    time grids (N, 2N, 4N, ...) of its grid's horizon and grading, measure
+    each level's sup error at its nodes against one reference solve on the
+    grid with N * 2**levels steps, and report the observed orders
     log2(e_{k-1} / e_k).  Returns rows (N, error, order-or-None)."""
-    if isinstance(scenario, (str, os.PathLike)):
-        scenario = Scenario.load(scenario)
+    scn = scenario if isinstance(scenario, Scenario) else Scenario.load(scenario)
     if int(levels) < 3:
         raise ValueError(f"convergence_study needs at least 3 levels, got {levels}")
-    if scenario.kind not in ("linear", "semilinear"):
-        raise ScenarioError(
-            f"{scenario.path}: convergence studies need a scalar problem"
-        )
-    basis = scenario.basis()
-    prob = scenario.build_problem(basis)
-    N0 = int(scenario.time["n"])
+    if scn.kind not in ("linear", "semilinear"):
+        raise ScenarioError(f"{scn.path}: convergence studies need a scalar problem")
+    T, N0, grading = scn.grid.T, scn.grid.N, scn.grid.grading or 1.0
     Ns = [N0 * 2**k for k in range(int(levels))]
     ref_N = N0 * 2 ** int(levels)
-    ref_grid = scenario.grid(ref_N)
-    ref = _solve(scenario, basis, prob, ref_grid)[0].fields()
-    rows = []
-    errors = []
+    ref = _solve(scn, _time_grid(T, ref_N, grading))[0].fields()
+    rows, prev = [], 0.0
     for N in Ns:
-        grid = scenario.grid(N)
-        fields = _solve(scenario, basis, prob, grid)[0].fields()
-        stride = ref_N // N
-        errors.append(float(np.max(np.abs(fields - ref[::stride]))))
-    for i, (N, err) in enumerate(zip(Ns, errors)):
-        order = None
-        if i > 0 and err > 0.0 and errors[i - 1] > 0.0:
-            order = math.log2(errors[i - 1] / err)
+        fields = _solve(scn, _time_grid(T, N, grading))[0].fields()
+        err = float(np.max(np.abs(fields - ref[:: ref_N // N])))
+        order = math.log2(prev / err) if prev > 0.0 and err > 0.0 else None
         rows.append((N, err, order))
+        prev = err
     return rows

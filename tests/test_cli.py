@@ -4,6 +4,7 @@ import textwrap
 
 import pytest
 
+from fracdiff import harness
 from fracdiff.cli import main
 
 SCENARIO_DIR = os.path.join(
@@ -180,6 +181,27 @@ BRACKET = "\n[property:box]\ntype = bracket\nlower = 0\n"
             SEMI + "\n[property:cmp]\ntype = comparison\nterm2 = enzyme(u) + t\n",
             "[property:cmp] term2",
         ),
+        ("run", SEMI + "tol = abc\n", "[property:pos] tol"),
+        ("run", SEMI.replace("N = 64", "N = 2.5"), "[time] n"),
+        ("run", SEMI.replace("kind = semilinear", "kind = semilinear\n    seed = x"),
+         "[scenario] seed"),
+        ("run", SEMI.replace("N = 64", "N = 64\n    grading = abc"), "[time] grading"),
+        (
+            "run",
+            SEMI.replace("term = enzyme(u)", "term = enzyme(u)\n    solver_shift = two"),
+            "[problem] solver_shift",
+        ),
+        ("run", SEMI + "tol = -1\n", "[property:pos] tol"),
+        ("run", SEMI + "tol = nan\n", "[property:pos] tol"),
+        (
+            "run",
+            SEMI + "\n[property:conv]\ntype = convergence\nlevels = 2\n",
+            "[property:conv] levels",
+        ),
+        ("monotone", SEMI.replace("upper = 1.2", "upper = 1.2\n    k_max = 2.5"),
+         "[monotone] k_max"),
+        ("run", SEMI.replace("N = 64", "N = 64\n    grade = 3"), "[time] grade"),
+        ("run", SEMI.replace("[property:pos]", "[propery:pos]"), "[propery:pos]"),
     ],
     ids=[
         "problem-term-missing",
@@ -191,11 +213,23 @@ BRACKET = "\n[property:box]\ntype = bracket\nlower = 0\n"
         "envelope-u_inf-uses-t",
         "comparison-initial2-uses-u",
         "comparison-term2-uses-t",
+        "tol-not-a-number",
+        "time-N-not-integer",
+        "seed-not-integer",
+        "grading-not-a-number",
+        "solver_shift-not-a-number",
+        "tol-negative",
+        "tol-nan",
+        "convergence-levels-below-3",
+        "monotone-k_max-not-integer",
+        "time-unknown-key",
+        "unknown-section",
     ],
 )
 def test_invalid_scenario_exits_2_at_load(tmp_path, capsys, command, text, section):
-    """Missing required keys and bad expressions are caught when the file
-    is loaded: exit 2 and one stderr line naming the file and section."""
+    """Missing, unknown or ill-typed keys, out-of-range values and bad
+    expressions are caught when the file is loaded: exit 2 and one stderr
+    line naming the file, the section and the key."""
     path = write(tmp_path, text)
     assert main([command, path, "--outdir", str(tmp_path)]) == 2
     captured = capsys.readouterr()
@@ -222,3 +256,49 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, SEMI)
     assert main(["solve", path]) == 0
     assert (tmp_path / "outs" / "clidemo.traj.csv").exists()
+
+
+SYSTEM = """
+    [scenario]
+    name = sysdemo
+    kind = system
+
+    [space]
+    length = 3.141592653589793
+    n_grid = 17
+
+    [time]
+    T = 1.0
+    N = 16
+
+    [problem]
+    alphas = 0.5, 0.7
+    initials = 0.5 + 0.2*cos(x); 0.3
+    couplings = -0.05, 0.2; 0.3, -0.05
+
+    [property:pos]
+    type = nonneg
+"""
+
+CHECKED = SEMI.replace("N = 64", "N = 16") + (
+    "\n[property:order]\ntype = comparison\ninitial2 = 0.9 + 0.1*cos(x)\n"
+    "\n[property:conv]\ntype = convergence\nmin_order = 0.1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["run", "solve", "compare", "envelope", "system", "monotone", "steady", "converge"],
+)
+def test_one_eigendecompose_per_command(tmp_path, capsys, monkeypatch, command):
+    """The scenario owns its basis: each command decomposes the operator
+    once, including the convergence property's study."""
+    calls = []
+    real = harness.eigendecompose
+    monkeypatch.setattr(
+        harness, "eigendecompose", lambda *args: calls.append(args) or real(*args)
+    )
+    path = write(tmp_path, SYSTEM if command == "system" else CHECKED)
+    extra = ["--levels", "3"] if command == "converge" else ["--outdir", str(tmp_path)]
+    assert main([command, path, *extra]) == 0, capsys.readouterr()
+    assert len(calls) == 1

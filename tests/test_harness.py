@@ -16,6 +16,7 @@ from fracdiff.harness import (
 SCENARIO_DIR = os.path.join(
     os.path.dirname(__file__), "..", "src", "fracdiff", "scenarios"
 )
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def write_scenario(tmp_path, text, name="scn.ini"):
@@ -44,10 +45,10 @@ LINEAR = """
 
 
 def test_empty_scenario_zero_verdicts(tmp_path):
-    report = run_scenario(
-        write_scenario(tmp_path, LINEAR), outdir=str(tmp_path)
-    )
+    text = LINEAR.replace("kind = linear", "kind = linear\n    comment = 100% linear")
+    report = run_scenario(write_scenario(tmp_path, text), outdir=str(tmp_path))
     assert report.verdicts == [] and report.ok
+    assert "comment: 100% linear" in report.body  # values are literal text
     assert "summary: 0 PASS, 0 FAIL, 0 NOT-APPLICABLE" in report.body
     assert (tmp_path / "demo.traj.csv").exists()
     assert (tmp_path / "demo.report.txt").exists()
@@ -237,3 +238,7 @@ def test_bundled_scenarios_all_pass(tmp_path):
     assert names == ["decay_envelope", "enzyme_barrier"]
     for report in reports:
         assert report.ok, report.body
+        # report bodies are pinned byte for byte
+        golden = os.path.join(DATA_DIR, f"{report.name}.report.txt")
+        with open(golden, encoding="utf-8") as fh:
+            assert report.body == fh.read()
