@@ -1,4 +1,5 @@
-"""L0 timings of the Mittag-Leffler evaluator, written to BENCH_mlf.json.
+"""L0 timings of the Mittag-Leffler evaluator and the graded solvers that
+feed on it, written to BENCH_mlf.json.
 
     python scripts/bench_mlf.py [--label NAME] [--src DIR] [--out FILE]
 
@@ -10,7 +11,11 @@ Measures, in CPU time with BLAS threads capped at 1:
   asymptotic x in [deep_cut, 1e4 deep_cut] (log-uniform);
 * the median CPU seconds of a graded-style ``solve_linear`` triple:
   N = 64/88/112 on ``TimeGrid.graded(1, N, (2 - a)/a)`` with a = 0.4/0.6/0.8,
-  17 nodes and the full basis, each solve on a fresh problem (cold tables).
+  17 nodes and the full basis, each solve on a fresh problem (cold tables);
+* the median CPU seconds of a graded ``picard_solve`` (L3): enzyme term,
+  alpha = 0.5, shift 2, 65 modes, ``TimeGrid.graded(1, N, 3)`` for N = 64 and
+  128, each solve with cold tables (``picard_solve`` builds its shifted
+  propagator per call), medians of PICARD_REPEATS after one warm-up at N = 8.
 
 Every measurement runs in a fresh worker process: glibc's adaptive mmap
 threshold makes the cost of a call's large temporaries depend on what the
@@ -40,6 +45,8 @@ ALPHAS = (0.3, 0.5, 0.9)
 REGIMES = ("taylor", "contour", "asymptotic")
 BATCH = 2048
 REPEATS = 7
+PICARD_N = (64, 128)
+PICARD_REPEATS = 3
 
 
 def _cpu_model():
@@ -108,6 +115,20 @@ def graded_triple_s(src):
     return _median_cpu(triple, REPEATS)
 
 
+def graded_picard_s(src, N):
+    sys.path.insert(0, src)
+    from fracdiff.fracops import TimeGrid
+    from fracdiff.semilinear import SemilinearProblem, SemilinearTerm, picard_solve
+    from fracdiff.spectral import EllipticOperator, eigendecompose
+
+    basis = eigendecompose(EllipticOperator(np.pi), 65, 65)
+    prob = SemilinearProblem(basis, 0.5, 1.0 + 0.1 * np.cos(basis.grid),
+                             SemilinearTerm.enzyme())
+    picard_solve(prob, TimeGrid.graded(1.0, 8, 3.0), shift=2.0)  # warm-up
+    grid = TimeGrid.graded(1.0, N, 3.0)
+    return _median_cpu(lambda: picard_solve(prob, grid, shift=2.0), PICARD_REPEATS)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", default="current", help="key of this run in the output file")
@@ -125,7 +146,13 @@ def main(argv=None):
             result["ns_per_point"][f"alpha={alpha}"] = row
             print(f"alpha={alpha}: " + ", ".join(f"{r} {v:.0f} ns/pt" for r, v in row.items()))
         result["graded_solve_linear_triple_cpu_s"] = round(pool.apply(graded_triple_s, (src,)), 4)
+        result["graded_picard_cpu_s"] = {
+            f"N={N}": round(pool.apply(graded_picard_s, (src, N)), 4) for N in PICARD_N
+        }
     print(f"graded solve_linear triple: {result['graded_solve_linear_triple_cpu_s']:.3f} s CPU (median of {REPEATS})")
+    print("graded picard_solve: " + ", ".join(
+        f"{k} {v:.3f} s CPU" for k, v in result["graded_picard_cpu_s"].items()
+    ) + f" (median of {PICARD_REPEATS})")
     result["environment"] = {
         "python": platform.python_version(), "numpy": np.__version__,
         "scipy": scipy.__version__, "nproc": os.cpu_count(), "cpu": _cpu_model(),
@@ -135,12 +162,14 @@ def main(argv=None):
     if os.path.exists(args.out):
         with open(args.out) as fh:
             data = json.load(fh)
-    data.setdefault("about", (
+    data["about"] = (
         "scripts/bench_mlf.py: CPU ns per point of ml_neg_vec per regime "
         f"(beta = 1, batches of {BATCH}) and median CPU seconds of a graded "
-        f"solve_linear triple (N = 64/88/112, 17 nodes), medians of {REPEATS} repeats, "
+        f"solve_linear triple (N = 64/88/112, 17 nodes), medians of {REPEATS} repeats; "
+        "median CPU seconds of a graded enzyme picard_solve (r = 3, shift 2, 65 modes) "
+        f"at N = {'/'.join(map(str, PICARD_N))}, medians of {PICARD_REPEATS}; "
         "each measurement in a fresh process"
-    ))
+    )
     data[args.label] = result
     with open(args.out, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)

@@ -266,7 +266,7 @@ class Scenario:
         vars(self).update(vars(self._read(parser, "scenario", _SCENARIO_KEYS)))
         self.basis = self._basis(self._read(parser, "space", _SPACE_KEYS))
         tm = self._read(parser, "time", _TIME_KEYS)
-        self.grid = _time_grid(tm.t, tm.n, tm.grading)
+        self.grid = self._built("time", "grading", _time_grid, tm.t, tm.n, tm.grading)
         pv = self._read(parser, "problem", _PROBLEM_KEYS[self.kind])
         self.problem = self._problem(pv)
         self.solver_shift = getattr(pv, "solver_shift", 0.0)
@@ -312,11 +312,16 @@ class Scenario:
             text = items.get(key, default)
             if text is _REQUIRED:
                 raise ScenarioError(f"{self.path}: [{section}] needs {key}")
-            try:
-                setattr(fields, key, None if text is None else convert(text))
-            except ValueError as exc:
-                raise ScenarioError(f"{self.path}: [{section}] {key}: {exc}") from exc
+            setattr(fields, key, None if text is None
+                    else self._built(section, key, convert, text))
         return fields
+
+    def _built(self, section, key, build, *args, **kwargs):
+        """build(*args, **kwargs), its ValueError a ScenarioError naming the key."""
+        try:
+            return build(*args, **kwargs)
+        except ValueError as exc:
+            raise ScenarioError(f"{self.path}: [{section}] {key}: {exc}") from exc
 
     def _property(self, parser, section, pv):
         """(name, type, fields) of a property section, checked against the
@@ -355,7 +360,8 @@ class Scenario:
             sp.length, p=sp.p, c=0.0 if sp.c is None else sp.c,
             sigma=(sp.sigma0, sp.sigmal), c0=sp.c0,
         )
-        return eigendecompose(op, n_modes, sp.n_grid)
+        # the key table checks every other key; c is checked where it is sampled
+        return self._built("space", "c", eigendecompose, op, n_modes, sp.n_grid)
 
     def _problem(self, pv):
         basis, x = self.basis, self.basis.grid
@@ -365,9 +371,9 @@ class Scenario:
                 return LinearProblem(
                     basis, pv.alpha, pv.initial(x), shift=pv.shift, **linear
                 )
-            return SemilinearProblem(
-                basis, pv.alpha, pv.initial(x), SemilinearTerm(pv.term), m=pv.m,
-                **linear,
+            return self._built(
+                "problem", "m", SemilinearProblem, basis, pv.alpha, pv.initial(x),
+                SemilinearTerm(pv.term), m=pv.m, **linear,
             )
         if self.kind == "system":
             n = len(pv.alphas)
@@ -387,9 +393,10 @@ class Scenario:
                     f"{self.path}: [problem] couplings: expected {n} rows, "
                     f"got {len(couplings)}"
                 )
-            return MultiOrderSystem(
-                basis, pv.alphas, [a(x) for a in pv.initials],
-                couplings=couplings, forcings=pv.forcings,
+            # the orders set the number of components the other keys must match
+            return self._built(
+                "problem", "alphas", MultiOrderSystem, basis, pv.alphas,
+                [a(x) for a in pv.initials], couplings=couplings, forcings=pv.forcings,
             )
         return SemilinearPair(
             basis, pv.alpha, pv.f, pv.g, pv.initial_u(x), pv.initial_v(x), m=pv.m

@@ -4,11 +4,11 @@ mild-solution solvers for
     d_t^alpha (u - a) + A_0 u = Q u + F,   Q u = b(x,t) u_x + q(x,t) u,
 
 on an eigenbasis of A_0.  The Volterra convolution uses exact kernel
-moments (mlf.kernel_weights_from_e, fed with the E tables of
-ModalPropagator), which absorb the t^(alpha-1) singularity; convolve_K
-takes the forcing piecewise constant per step (left endpoint), and
-solve_linear does the same by default or uses endpoint averages with
-reconstruction='linear'.
+moments (mlf.kernel_weights_from_e), which absorb the t^(alpha-1)
+singularity; ModalPropagator.tables builds them once per grid for every
+solver.  convolve_K takes the forcing piecewise constant per step (left
+endpoint), and solve_linear does the same by default or uses endpoint
+averages with reconstruction='linear'.
 
 An optional spectral shift s >= 0 rewrites the equation as
 d_t^alpha (u - a) + (A_0 + s) u = (Q + s) u + F.  The shifted kernel
@@ -42,6 +42,9 @@ __all__ = [
     "solve_linear_l1",
 ]
 
+# largest row table (bytes) ModalPropagator.tables builds for a nonuniform grid
+MAX_ROW_TABLE_BYTES = 2**31
+
 
 class ModalPropagator:
     """Per-mode Mittag-Leffler propagator tables on a time grid.
@@ -72,37 +75,41 @@ class ModalPropagator:
         return ml_neg_vec(self.alpha, x)
 
     def tables(self, grid):
-        """(E, W) for a TimeGrid: E is (N+1, M); W is the lag-indexed weight
-        table (N, M) for uniform grids, or None (nonuniform grids use
-        per-row weights via row_weights).  Keyed by the node values, so
-        equal grids share an entry and a new grid never gets another's."""
+        """(E, W) for a TimeGrid, built once: E is (N+1, M).  On a uniform
+        grid W is the lag table (N, M); on any other, W[i] is the (i, M) row
+        of node i, aligned with the forcing at nodes 0..i-1.  The rows take
+        8 M N(N+1)/2 bytes; a grid needing more than MAX_ROW_TABLE_BYTES
+        raises ValueError first.  Keyed by the node values, so equal grids
+        share an entry and a new grid never gets another's."""
         key = (grid.kind, grid.nodes.tobytes())
         if key not in self._tables:
-            E = self.e_values(grid.nodes)
-            W = None
+            t, M, N = grid.nodes, self.lambdas.size, grid.N
+            size = 4 * M * N * (N + 1)  # bytes of the rows of a nonuniform grid
+            if grid.kind != "uniform" and size > MAX_ROW_TABLE_BYTES:
+                raise ValueError(f"kernel weights of a {grid.kind} grid with N = {N}, "
+                                 f"M = {M} modes take {size / 2**30:.1f} GiB, over "
+                                 f"the {MAX_ROW_TABLE_BYTES / 2**30:g} GiB limit")
+            E = self.e_values(t)
             if grid.kind == "uniform":
-                W = kernel_weights_from_e(self.alpha, self.lambdas, grid.nodes, E)
+                W = kernel_weights_from_e(self.alpha, self.lambdas, t, E)
+            else:  # row i from the lags t_i - t_j, j = i..0: one e_values call
+                lags = (t[i] - t[i::-1] for i in range(1, t.size))
+                W = [np.empty((0, M))] + [kernel_weights_from_e(
+                    self.alpha, self.lambdas, d, self.e_values(d))[::-1] for d in lags]
             self._tables[key] = (E, W)
         return self._tables[key]
 
-    def row_weights(self, t_i, earlier_nodes):
-        """Weights w_n over [t_i - t_{j+1}, t_i - t_j] for each interval of
-        earlier_nodes (ending at t_i): shape (len-1, M)."""
-        taus = t_i - np.asarray(earlier_nodes, dtype=float)[::-1]
-        E = self.e_values(taus)
-        return kernel_weights_from_e(self.alpha, self.lambdas, taus, E)[::-1]
-
     def weight_sum_check(self, grid):
-        """Invariant: cumulative weights equal the moments over [0, t_i]."""
+        """Invariant: the weights of node i sum to the moments over [0, t_i]."""
         E, W = self.tables(grid)
-        if W is None:
-            raise ValueError("weight_sum_check needs a uniform grid")
+        sums = (np.cumsum(W, axis=0) if grid.kind == "uniform"
+                else [w.sum(axis=0) for w in W[1:]])
         t = grid.nodes[1:]
         want = kernel_weights_from_e(
             self.alpha, self.lambdas,
             np.stack([np.zeros_like(t), t]), np.stack([np.ones_like(E[1:]), E[1:]]),
         )[0]
-        return float(np.max(np.abs(np.cumsum(W, axis=0) - want)))
+        return float(np.max(np.abs(sums - want)))
 
 
 def apply_S(prop, t, coeffs):
@@ -125,16 +132,15 @@ def convolve_K(prop, grid, forcing):
     G = G[:-1]
     out = np.zeros((n, prop.lambdas.size))
     E, W = prop.tables(grid)
-    if W is not None:
-        # uniform grid: causal convolution of the lag table with the forcing
+    if grid.kind == "uniform":
+        # causal convolution of the lag table with the forcing
         from scipy.signal import fftconvolve
 
         fc = fftconvolve(G, W, mode="full", axes=0)
         out[1:] = fc[: n - 1]
     else:
         for i in range(1, n):
-            w = prop.row_weights(grid.nodes[i], grid.nodes[: i + 1])
-            out[i] = np.einsum("jm,jm->m", w, G[:i])
+            out[i] = np.einsum("jm,jm->m", W[i], G[:i])
     return out
 
 
@@ -344,10 +350,7 @@ def solve_linear(
     G[0] = rhs(prob.a, 0)
     inner_counts = []
     for i in range(1, n):
-        if W is not None:
-            w = W[:i][::-1]
-        else:
-            w = prop.row_weights(grid.nodes[i], grid.nodes[: i + 1])
+        w = W[:i][::-1] if grid.kind == "uniform" else W[i]
         base = E[i] * a_modal
         if reconstruction == "constant":
             modal[i] = base + np.einsum("jm,jm->m", w, G[:i])

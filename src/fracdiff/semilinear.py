@@ -326,37 +326,29 @@ def _two_grid_tolerance(candidate, prob, grid, initial, r_fine):
     return 10.0 * est + 1e-12
 
 
-def check_upper_solution(candidate, prob, grid, tol=None):
-    """Residual r = caputo_l1(u_bar - a_bar) + A_0 u_bar - Q u_bar - f(u_bar) - F.
-
-    PASS iff min r >= -tol and a_bar >= a - tol.  tol defaults to ten
-    times a two-grid consistency estimate of the residual itself."""
+def _check_solution(candidate, prob, grid, tol, sign, extreme):
+    """Residual r of a candidate, reported as extreme = sign min(sign r), and
+    its verdict: PASS iff sign r >= -tol and sign (a_bar - a) >= -tol.  tol
+    defaults to ten times a two-grid consistency estimate of the residual."""
     U, a_bar, r = _residual_history(candidate, prob, grid)
     if tol is None:
         tol = _two_grid_tolerance(candidate, prob, grid, a_bar, r)
-    init_margin = float(np.min(a_bar - prob.a))
-    return {
-        "residual": r,
-        "min_residual": float(np.min(r)),
-        "initial_margin": init_margin,
-        "tol": tol,
-        "passes": bool(np.min(r) >= -tol and init_margin >= -tol),
-    }
+    init_margin = float(np.min(sign * (a_bar - prob.a)))
+    worst = float(np.min(sign * r))
+    return {"residual": r, extreme: sign * worst, "initial_margin": init_margin,
+            "tol": tol, "passes": bool(worst >= -tol and init_margin >= -tol)}
+
+
+def check_upper_solution(candidate, prob, grid, tol=None):
+    """Residual r = caputo_l1(u_bar - a_bar) + A_0 u_bar - Q u_bar - f(u_bar) - F.
+
+    PASS iff min r >= -tol and a_bar >= a - tol."""
+    return _check_solution(candidate, prob, grid, tol, 1.0, "min_residual")
 
 
 def check_lower_solution(candidate, prob, grid, tol=None):
     """Reversed-sign counterpart: PASS iff max r <= tol and a_low <= a + tol."""
-    U, a_bar, r = _residual_history(candidate, prob, grid)
-    if tol is None:
-        tol = _two_grid_tolerance(candidate, prob, grid, a_bar, r)
-    init_margin = float(np.min(prob.a - a_bar))
-    return {
-        "residual": r,
-        "max_residual": float(np.max(r)),
-        "initial_margin": init_margin,
-        "tol": tol,
-        "passes": bool(np.max(r) <= tol and init_margin >= -tol),
-    }
+    return _check_solution(candidate, prob, grid, tol, -1.0, "max_residual")
 
 
 def compare_solutions(prob1, prob2, grid, tol=1e-8, n_samples=101):

@@ -193,6 +193,8 @@ def kernel_envelope_check(sys, grid):
     """Per-component convolution weights obey the uniform t^(alpha_1 - 1)
     envelope: weight over [lo, hi] <= C (hi^a1 - lo^a1)/a1 with
     C = max_l T^(a_l - a_1)/Gamma(a_l)."""
+    if grid.kind != "uniform":
+        raise ValueError("kernel_envelope_check needs a uniform grid")
     alpha1 = sys.alphas[0]
     T = grid.T
     C = max(T ** (a - alpha1) / math.gamma(a) for a in sys.alphas)
@@ -200,10 +202,7 @@ def kernel_envelope_check(sys, grid):
     env = C * np.diff(t**alpha1) / alpha1
     worst = 0.0
     for a in sys.alphas:
-        prop = ModalPropagator(sys.basis, a)
-        _, W = prop.tables(grid)
-        if W is None:
-            raise ValueError("kernel_envelope_check needs a uniform grid")
+        _, W = ModalPropagator(sys.basis, a).tables(grid)
         worst = max(worst, float(np.max(W / env[:, None])))
     return {"constant": C, "worst_ratio": worst, "passes": worst <= 1.0 + 1e-9}
 
@@ -335,10 +334,9 @@ def pair_nonneg_verify(pair, solution, tol=1e-8):
             "reason": "initial data not nonnegative",
             "min_value": min_value,
         }
-    lo = min(float(np.min(uf)), float(np.min(vf)))
     hi = max(float(np.max(uf)), float(np.max(vf)))
-    span = max(hi - lo, 1e-3)
-    cls = cooperative_classify(pair, (lo - 0.25 * span, hi + 0.25 * span))
+    span = max(hi - min_value, 1e-3)
+    cls = cooperative_classify(pair, (min_value - 0.25 * span, hi + 0.25 * span))
     if cls["case"] == "none":
         return {
             "verdict": "NOT-APPLICABLE",

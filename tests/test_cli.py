@@ -157,6 +157,28 @@ def test_system_subcommand_needs_system_kind(tmp_path, capsys):
 BRACKET = "\n[property:box]\ntype = bracket\nlower = 0\n"
 
 
+SYSTEM = """
+    [scenario]
+    name = sysdemo
+    kind = system
+
+    [space]
+    length = 3.141592653589793
+    n_grid = 17
+
+    [time]
+    T = 1.0
+    N = 16
+
+    [problem]
+    alphas = 0.5, 0.7
+    initials = 0.5 + 0.2*cos(x); 0.3
+    couplings = -0.05, 0.2; 0.3, -0.05
+
+    [property:pos]
+    type = nonneg
+"""
+
 @pytest.mark.parametrize(
     "command, text, section",
     [
@@ -202,6 +224,10 @@ BRACKET = "\n[property:box]\ntype = bracket\nlower = 0\n"
          "[monotone] k_max"),
         ("run", SEMI.replace("N = 64", "N = 64\n    grade = 3"), "[time] grade"),
         ("run", SEMI.replace("[property:pos]", "[propery:pos]"), "[propery:pos]"),
+        ("run", SEMI.replace("N = 64", "N = 256\n    grading = 1000"), "[time] grading"),
+        ("run", SEMI.replace("n_grid = 33", "n_grid = 33\n    c = 1 + cos(x)"), "[space] c"),
+        ("system", SYSTEM.replace("alphas = 0.5, 0.7", "alphas = 0.7, 0.5"),
+         "[problem] alphas"),
     ],
     ids=[
         "problem-term-missing",
@@ -224,6 +250,9 @@ BRACKET = "\n[property:box]\ntype = bracket\nlower = 0\n"
         "monotone-k_max-not-integer",
         "time-unknown-key",
         "unknown-section",
+        "graded-nodes-underflow",
+        "space-c-positive",
+        "system-alphas-unordered",
     ],
 )
 def test_invalid_scenario_exits_2_at_load(tmp_path, capsys, command, text, section):
@@ -237,6 +266,17 @@ def test_invalid_scenario_exits_2_at_load(tmp_path, capsys, command, text, secti
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
     assert section in lines[0]
+
+
+def test_oversize_graded_table_exits_2(tmp_path, capsys):
+    """A graded grid whose kernel-weight rows exceed the table limit stops
+    with exit 2 and one stderr line naming N, M and the size."""
+    path = write(tmp_path, SEMI.replace("N = 64", "N = 20000\n    grading = 2"))
+    assert main(["solve", path, "--outdir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "N = 20000, M = 33 modes take" in lines[0]
 
 
 def test_envelope_subcommand(tmp_path, capsys):
@@ -257,28 +297,6 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
     assert main(["solve", path]) == 0
     assert (tmp_path / "outs" / "clidemo.traj.csv").exists()
 
-
-SYSTEM = """
-    [scenario]
-    name = sysdemo
-    kind = system
-
-    [space]
-    length = 3.141592653589793
-    n_grid = 17
-
-    [time]
-    T = 1.0
-    N = 16
-
-    [problem]
-    alphas = 0.5, 0.7
-    initials = 0.5 + 0.2*cos(x); 0.3
-    couplings = -0.05, 0.2; 0.3, -0.05
-
-    [property:pos]
-    type = nonneg
-"""
 
 CHECKED = SEMI.replace("N = 64", "N = 16") + (
     "\n[property:order]\ntype = comparison\ninitial2 = 0.9 + 0.1*cos(x)\n"

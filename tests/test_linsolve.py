@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracdiff.fracops import TimeGrid
 from fracdiff.linsolve import (
+    MAX_ROW_TABLE_BYTES,
     LinearProblem,
     ModalPropagator,
     apply_S,
@@ -42,6 +44,9 @@ def test_weight_sum_invariant(alpha):
     # lambda_1 = 0 path (Neumann)
     prop0 = ModalPropagator(neumann_basis(6, 101), alpha)
     assert prop0.weight_sum_check(TimeGrid.uniform(1.0, 64)) < 1e-10
+    # graded row table, both paths
+    for p in (prop, prop0):
+        assert p.weight_sum_check(TimeGrid.graded(1.0, 48, (2.0 - alpha) / alpha)) < 1e-10
 
 
 def test_apply_s_identity_and_decay():
@@ -141,7 +146,7 @@ def test_duhamel_consistency(grid):
 
 
 def test_solver_weights_match_kernel_weight_vec():
-    """The uniform lag table and the graded row weights the solvers use are
+    """The uniform lag table and the graded row table the solvers use are
     the kernel_weight_vec moments, mode by mode, including lambda = 0."""
     alpha = 0.6
     prop = ModalPropagator(neumann_basis(6, 101), alpha)
@@ -149,16 +154,39 @@ def test_solver_weights_match_kernel_weight_vec():
     uniform = TimeGrid.uniform(1.0, 32)
     _, W = prop.tables(uniform)
     graded = TimeGrid.graded(1.0, 24, 2.0)
+    _, rows = prop.tables(graded)
+    assert [r.shape for r in rows] == [(i, 6) for i in range(len(graded))]
     cases = [(W, uniform.nodes)]
     for i in (1, 7, len(graded) - 1):
         t_i, earlier = graded.nodes[i], graded.nodes[: i + 1]
-        # row weights run over earlier intervals; their lags t_i - t ascend
-        cases.append((prop.row_weights(t_i, earlier)[::-1], t_i - earlier[::-1]))
+        # row i runs over earlier intervals; their lags t_i - t ascend
+        cases.append((rows[i][::-1], t_i - earlier[::-1]))
     for got, taus in cases:
         for m, lam in enumerate(prop.lambdas):
             want = kernel_weight_vec(alpha, lam, taus)
             tol = 1e-15 * np.maximum(1.0, np.abs(want))
             assert (np.abs(got[:, m] - want) <= tol).all()
+
+
+def test_oversize_row_table_refused(monkeypatch):
+    """A graded grid whose rows exceed MAX_ROW_TABLE_BYTES raises a
+    ValueError naming N, M and the size before any weight is computed."""
+    prop = ModalPropagator(neumann_basis(65, 129), 0.5)
+    grid = TimeGrid.graded(1.0, 20000, 2.0)
+    assert 4 * 65 * 20000 * 20001 > MAX_ROW_TABLE_BYTES
+
+    def no_values(self, tnodes):
+        raise AssertionError("e_values called for a refused table")
+
+    monkeypatch.setattr(ModalPropagator, "e_values", no_values)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"N = 20000, M = 65 modes take 96\.9 GiB"):
+            prop.tables(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_manufactured_solution_refinement():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracdiff.fracops import TimeGrid, l1_weights
-from fracdiff.linsolve import LinearProblem, solve_linear
+from fracdiff.linsolve import LinearProblem, ModalPropagator, solve_linear
 from fracdiff.mlf import ml_neg_vec
 from fracdiff.semilinear import (
     BracketPair,
@@ -188,6 +188,59 @@ def test_monotone_iterate_enzyme_sandwich():
     assert uf.min() > -1e-8
     bar = np.array([upper(prob.basis.grid, t) for t in grid.nodes])
     assert float(np.max(uf - bar)) < 1e-8
+
+
+@pytest.mark.parametrize("shift", [0.0, 2.0])
+def test_graded_picard_linear_term_matches_solve_linear(shift):
+    """With f(u) = -k u the graded Picard fixed point is the discrete
+    solution that solve_linear marches to with reaction -k and the same
+    shift: both read one row table."""
+    k = 0.7
+    b = full_neumann_basis(33)
+    a = 1.0 + 0.2 * np.cos(b.grid)
+    grid = TimeGrid.graded(1.0, 48, 2.5)
+    prob = SemilinearProblem(b, 0.6, a, SemilinearTerm(lambda x, u: -k * u))
+    traj = picard_solve(prob, grid, shift=shift)
+    ref = solve_linear(LinearProblem(b, 0.6, a, reaction=-k, shift=shift), grid)
+    assert traj.diagnostics["sweeps"] > 2
+    assert np.max(np.abs(traj.modal - ref.modal)) <= 1e-9
+
+
+def test_monotone_iterate_graded_grid():
+    """On a graded grid the sandwich closes and its limit is the graded
+    Picard solution with the same shift."""
+    prob = enzyme_problem(n_grid=33)
+    grid = TimeGrid.graded(1.0, 48, 2.0)
+    rho = 0.1 / math.gamma(prob.alpha + 1.0)
+
+    def upper(x, t):
+        return 1.0 + 0.1 * np.cos(x) + rho * t**prob.alpha
+
+    pair = BracketPair(lambda x, t: 0.0 * x, upper)
+    out = monotone_iterate(pair, prob, grid, gap_tol=1e-9)
+    assert out["converged"] and out["gap_history"][-1] < 1e-9
+    u_pic = picard_solve(prob, grid, shift=out["M"] + 1.0)
+    assert np.max(np.abs(out["u_star"].fields() - u_pic.fields())) <= 1e-6
+
+
+def test_graded_picard_builds_row_table_once(monkeypatch):
+    """A graded Picard solve evaluates the Mittag-Leffler tables once per
+    grid (N rows and the nodes), however many sweeps it takes."""
+    calls = []
+    real = ModalPropagator.e_values
+    monkeypatch.setattr(
+        ModalPropagator, "e_values", lambda self, t: calls.append(1) or real(self, t)
+    )
+    prob = enzyme_problem(n_grid=17)
+    grid = TimeGrid.graded(1.0, 32, 3.0)
+    counts, sweeps = [], []
+    for tol in (1e-4, 1e-12):
+        calls.clear()
+        traj = picard_solve(prob, grid, tol=tol, shift=2.0)
+        counts.append(len(calls))
+        sweeps.append(traj.diagnostics["sweeps"])
+    assert sweeps[0] < sweeps[1]
+    assert counts[0] == counts[1] <= grid.N + 2
 
 
 def test_monotone_iterate_trivial_bracket():

@@ -89,6 +89,8 @@ def test_increment_ratio_test_and_recursion():
     assert rec["passes"], rec
     env = kernel_envelope_check(sys, grid)
     assert env["passes"], env
+    with pytest.raises(ValueError, match="needs a uniform grid"):
+        kernel_envelope_check(sys, TimeGrid.graded(1.0, 16, 2.0))
 
 
 def test_nonneg_verify_gate_and_pass():
