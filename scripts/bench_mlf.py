@@ -1,5 +1,5 @@
-"""L0 timings of the Mittag-Leffler evaluator and the graded solvers that
-feed on it, written to BENCH_mlf.json.
+"""L0 timings of the Mittag-Leffler evaluator, the solvers that feed on
+it, and a fresh process's set-up, written to BENCH_mlf.json.
 
     python scripts/bench_mlf.py [--label NAME] [--src DIR] [--out FILE]
 
@@ -15,7 +15,14 @@ Measures, in CPU time with BLAS threads capped at 1:
 * the median CPU seconds of a graded ``picard_solve`` (L3): enzyme term,
   alpha = 0.5, shift 2, 65 modes, ``TimeGrid.graded(1, N, 3)`` for N = 64 and
   128, each solve with cold tables (``picard_solve`` builds its shifted
-  propagator per call), medians of PICARD_REPEATS after one warm-up at N = 8.
+  propagator per call), medians of PICARD_REPEATS after one warm-up at N = 8;
+* the median CPU seconds of a uniform enzyme ``picard_solve`` (L2/L3):
+  alpha = 0.5, shift 2, 33 modes, ``TimeGrid.uniform(1, 96)``, per solve
+  (cold tables, as above) and per sweep (the solve divided by its sweeps),
+  medians of REPEATS batches of UNIFORM_BATCH solves after one warm-up;
+* L4: the CPU seconds and peak RSS (medians of REPEATS) of a fresh
+  interpreter that imports fracdiff and runs that uniform solve once, as
+  the process reports them at its end (interpreter start included).
 
 Every measurement runs in a fresh worker process: glibc's adaptive mmap
 threshold makes the cost of a call's large temporaries depend on what the
@@ -32,6 +39,7 @@ import json
 import multiprocessing
 import os
 import platform
+import subprocess
 import sys
 import time
 
@@ -47,6 +55,21 @@ BATCH = 2048
 REPEATS = 7
 PICARD_N = (64, 128)
 PICARD_REPEATS = 3
+UNIFORM_BATCH = 20
+# the uniform solve of the L3 and L4 cells, as source that a fresh
+# interpreter runs with nothing else imported
+UNIFORM_PICARD = """
+import fracdiff
+import numpy as np
+from fracdiff.fracops import TimeGrid
+from fracdiff.semilinear import SemilinearProblem, SemilinearTerm, picard_solve
+from fracdiff.spectral import EllipticOperator, eigendecompose
+
+basis = eigendecompose(EllipticOperator(np.pi), 33, 33)
+prob = SemilinearProblem(basis, 0.5, 1.0 + 0.1 * np.cos(basis.grid), SemilinearTerm.enzyme())
+grid = TimeGrid.uniform(1.0, 96)
+traj = picard_solve(prob, grid, shift=2.0)
+"""
 
 
 def _cpu_model():
@@ -129,6 +152,30 @@ def graded_picard_s(src, N):
     return _median_cpu(lambda: picard_solve(prob, grid, shift=2.0), PICARD_REPEATS)
 
 
+def uniform_picard_s(src):
+    sys.path.insert(0, src)
+    ns = {}
+    exec(UNIFORM_PICARD, ns)  # warm-up
+
+    def batch():
+        for _ in range(UNIFORM_BATCH):
+            ns["picard_solve"](ns["prob"], ns["grid"], shift=2.0)
+
+    solve = _median_cpu(batch, REPEATS) / UNIFORM_BATCH
+    return solve, solve / ns["traj"].diagnostics["sweeps"]
+
+
+def fresh_process(src):
+    """(CPU s, peak RSS MB) of a fresh interpreter running UNIFORM_PICARD."""
+    code = (f"import sys\nsys.path.insert(0, {src!r})\n{UNIFORM_PICARD}"
+            "import resource\nr = resource.getrusage(resource.RUSAGE_SELF)\n"
+            "print(r.ru_utime + r.ru_stime, r.ru_maxrss)\n")
+    runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True).stdout.split() for _ in range(REPEATS)]
+    cpu, kb = np.median(np.array(runs, dtype=float), axis=0)
+    return float(cpu), float(kb) / 1024
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", default="current", help="key of this run in the output file")
@@ -149,10 +196,18 @@ def main(argv=None):
         result["graded_picard_cpu_s"] = {
             f"N={N}": round(pool.apply(graded_picard_s, (src, N)), 4) for N in PICARD_N
         }
+        solve, sweep = pool.apply(uniform_picard_s, (src,))
+    result["uniform_picard_cpu_s"] = {"solve": round(solve, 4), "sweep": round(sweep, 5)}
+    cpu, rss = fresh_process(src)
+    result["fresh_process"] = {"cpu_s": round(cpu, 3), "peak_rss_mb": round(rss, 1)}
     print(f"graded solve_linear triple: {result['graded_solve_linear_triple_cpu_s']:.3f} s CPU (median of {REPEATS})")
     print("graded picard_solve: " + ", ".join(
         f"{k} {v:.3f} s CPU" for k, v in result["graded_picard_cpu_s"].items()
     ) + f" (median of {PICARD_REPEATS})")
+    print(f"uniform picard_solve: {solve:.4f} s CPU per solve, {sweep:.5f} s per sweep "
+          f"(median of {REPEATS} batches of {UNIFORM_BATCH})")
+    print(f"fresh process (import + uniform solve): {cpu:.3f} s CPU (median of {REPEATS}), "
+          f"peak RSS {rss:.1f} MB")
     result["environment"] = {
         "python": platform.python_version(), "numpy": np.__version__,
         "scipy": scipy.__version__, "nproc": os.cpu_count(), "cpu": _cpu_model(),
@@ -168,7 +223,10 @@ def main(argv=None):
         f"solve_linear triple (N = 64/88/112, 17 nodes), medians of {REPEATS} repeats; "
         "median CPU seconds of a graded enzyme picard_solve (r = 3, shift 2, 65 modes) "
         f"at N = {'/'.join(map(str, PICARD_N))}, medians of {PICARD_REPEATS}; "
-        "each measurement in a fresh process"
+        "median CPU seconds of a uniform enzyme picard_solve (N = 96, shift 2, 33 modes) "
+        f"per solve and per sweep, medians of {REPEATS} batches of {UNIFORM_BATCH}; "
+        "median CPU seconds and peak RSS of a fresh process that imports fracdiff and "
+        "runs that solve once; each measurement in a fresh process"
     )
     data[args.label] = result
     with open(args.out, "w") as fh:

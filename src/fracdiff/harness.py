@@ -46,6 +46,7 @@ body is byte-identical across runs (runtime lives outside the body).
 from __future__ import annotations
 
 import configparser
+import copy
 import math
 import os
 import time
@@ -55,7 +56,7 @@ import numpy as np
 
 from .expressions import ExpressionError, expression_parse
 from .fracops import TimeGrid
-from .linsolve import LinearProblem, sample_history, solve_linear
+from .linsolve import LinearProblem, ModalPropagator, sample_history, solve_linear
 from .semilinear import (
     SemilinearProblem,
     SemilinearTerm,
@@ -627,11 +628,18 @@ def convergence_study(scenario, levels):
     T, N0, grading = scn.grid.T, scn.grid.N, scn.grid.grading or 1.0
     Ns = [N0 * 2**k for k in range(int(levels))]
     ref_N = N0 * 2 ** int(levels)
-    ref = _solve(scn, _time_grid(T, ref_N, grading))[0].fields()
+
+    def fields(N):  # a fresh propagator per grid: no level keeps its tables
+        lvl = copy.copy(scn)
+        if scn.kind == "linear":
+            lvl.problem = p = copy.copy(scn.problem)
+            p.propagator = ModalPropagator(p.basis, p.alpha, p.shift)
+        return _solve(lvl, _time_grid(T, N, grading))[0].fields()
+
+    ref = fields(ref_N)
     rows, prev = [], 0.0
     for N in Ns:
-        fields = _solve(scn, _time_grid(T, N, grading))[0].fields()
-        err = float(np.max(np.abs(fields - ref[:: ref_N // N])))
+        err = float(np.max(np.abs(fields(N) - ref[:: ref_N // N])))
         order = math.log2(prev / err) if prev > 0.0 and err > 0.0 else None
         rows.append((N, err, order))
         prev = err

@@ -6,9 +6,9 @@ mild-solution solvers for
 on an eigenbasis of A_0.  The Volterra convolution uses exact kernel
 moments (mlf.kernel_weights_from_e), which absorb the t^(alpha-1)
 singularity; ModalPropagator.tables builds them once per grid for every
-solver.  convolve_K takes the forcing piecewise constant per step (left
-endpoint), and solve_linear does the same by default or uses endpoint
-averages with reconstruction='linear'.
+solver, a uniform lag table with its real FFT spectrum.  convolve_K takes
+the forcing piecewise constant per step (left endpoint), and solve_linear
+does the same by default or uses endpoint averages (reconstruction='linear').
 
 An optional spectral shift s >= 0 rewrites the equation as
 d_t^alpha (u - a) + (A_0 + s) u = (Q + s) u + F.  The shifted kernel
@@ -25,6 +25,7 @@ sample_history.
 """
 
 import numpy as np
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .mlf import kernel_weights_from_e, ml_neg_vec
 from .spectral import project
@@ -75,12 +76,16 @@ class ModalPropagator:
         return ml_neg_vec(self.alpha, x)
 
     def tables(self, grid):
-        """(E, W) for a TimeGrid, built once: E is (N+1, M).  On a uniform
-        grid W is the lag table (N, M); on any other, W[i] is the (i, M) row
-        of node i, aligned with the forcing at nodes 0..i-1.  The rows take
-        8 M N(N+1)/2 bytes; a grid needing more than MAX_ROW_TABLE_BYTES
-        raises ValueError first.  Keyed by the node values, so equal grids
-        share an entry and a new grid never gets another's."""
+        """(E, W) for a TimeGrid, built once: E is (N+1, M).  On a uniform grid
+        W is the lag table (N, M); on others W[i] is the (i, M) row of node i,
+        aligned with the forcing at nodes 0..i-1.  The rows take 8 M N(N+1)/2
+        bytes; a grid needing more than MAX_ROW_TABLE_BYTES raises ValueError
+        first.  Keyed by node values: equal grids share one entry, a new grid
+        never gets another's."""
+        return self._entry(grid)[:2]
+
+    def _entry(self, grid):
+        """(E, W, Wf): the tables and the spectrum of a uniform W, or None."""
         key = (grid.kind, grid.nodes.tobytes())
         if key not in self._tables:
             t, M, N = grid.nodes, self.lambdas.size, grid.N
@@ -92,11 +97,13 @@ class ModalPropagator:
             E = self.e_values(t)
             if grid.kind == "uniform":
                 W = kernel_weights_from_e(self.alpha, self.lambdas, t, E)
+                Wf = rfftn(W, [next_fast_len(2 * N - 1, True)], axes=[0])
             else:  # row i from the lags t_i - t_j, j = i..0: one e_values call
                 lags = (t[i] - t[i::-1] for i in range(1, t.size))
                 W = [np.empty((0, M))] + [kernel_weights_from_e(
                     self.alpha, self.lambdas, d, self.e_values(d))[::-1] for d in lags]
-            self._tables[key] = (E, W)
+                Wf = None
+            self._tables[key] = (E, W, Wf)
         return self._tables[key]
 
     def weight_sum_check(self, grid):
@@ -119,11 +126,12 @@ def apply_S(prop, t, coeffs):
     return prop.e_values([t])[0] * np.asarray(coeffs, dtype=float)
 
 
-def convolve_K(prop, grid, forcing):
+def convolve_K(prop, grid, forcing, entry=None):
     """Discrete (K * forcing)(t_i) for a modal forcing history (N+1, M),
     taking the forcing at the left endpoint of each step.  Exact kernel
     moments make a constant single-mode forcing g reproduce
-    (1 - E_{alpha,1}(-lam t^alpha))/lam * g to ml accuracy.
+    (1 - E_{alpha,1}(-lam t^alpha))/lam * g to ml accuracy.  entry is
+    prop's table entry for the grid, when the caller holds it already.
     """
     G = np.asarray(forcing, dtype=float)
     n = len(grid)
@@ -131,13 +139,10 @@ def convolve_K(prop, grid, forcing):
         raise ValueError(f"forcing history has {G.shape[0]} rows, grid {n} nodes")
     G = G[:-1]
     out = np.zeros((n, prop.lambdas.size))
-    E, W = prop.tables(grid)
-    if grid.kind == "uniform":
-        # causal convolution of the lag table with the forcing
-        from scipy.signal import fftconvolve
-
-        fc = fftconvolve(G, W, mode="full", axes=0)
-        out[1:] = fc[: n - 1]
+    _, W, Wf = entry or prop._entry(grid)
+    if Wf is not None:
+        L = [next_fast_len(2 * grid.N - 1, True)]  # the length of Wf
+        out[1:] = irfftn(rfftn(G, L, axes=[0]) * Wf, L, axes=[0])[: n - 1]
     else:
         for i in range(1, n):
             out[i] = np.einsum("jm,jm->m", W[i], G[:i])
@@ -170,8 +175,8 @@ def volterra_sweep(props, a_modal, R, grid):
     G = (R * basis.weights) @ basis.modes
     out = np.empty_like(G)
     for c, prop in enumerate(props):
-        E, _ = prop.tables(grid)
-        out[c] = E * a_modal[c] + convolve_K(prop, grid, G[c])
+        entry = prop._entry(grid)
+        out[c] = entry[0] * a_modal[c] + convolve_K(prop, grid, G[c], entry)
     return out
 
 

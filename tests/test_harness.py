@@ -205,6 +205,17 @@ def test_convergence_study_linear(tmp_path):
         convergence_study(path, 2)
 
 
+def test_convergence_study_releases_level_tables(tmp_path):
+    """The level and reference solves leave no tables in the scenario's
+    propagator: only an entry for the scenario's own grid may stay."""
+    scn = Scenario.load(write_scenario(tmp_path, LINEAR.replace(
+        "N = 64", "N = 16\n    grading = 2") + "    reaction = -0.5\n"))
+    run_scenario(scn, write_files=False)
+    convergence_study(scn, 3)
+    own = (scn.grid.kind, scn.grid.nodes.tobytes())
+    assert list(scn.problem.propagator._tables) == [own]
+
+
 def test_convergence_property(tmp_path):
     text = LINEAR + """
     reaction = -0.5

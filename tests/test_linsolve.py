@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
+import fracdiff
 from fracdiff.fracops import TimeGrid
 from fracdiff.linsolve import (
     MAX_ROW_TABLE_BYTES,
@@ -143,6 +149,49 @@ def test_duhamel_consistency(grid):
     a_modal = project(b, a)
     duhamel = np.array([apply_S(prop, t, a_modal) for t in grid.nodes]) + conv
     assert np.max(np.abs(traj.modal - duhamel)) < 1e-10
+
+
+@pytest.mark.parametrize("M", [1, 17])
+@pytest.mark.parametrize("N", [1, 2, 7, 96, 257])
+def test_uniform_convolution_matches_fftconvolve_and_direct_sum(N, M):
+    """The uniform convolve_K (one real FFT pair against the lag table's
+    stored spectrum) equals fftconvolve bit for bit, including N where
+    2N - 1 is not a fast FFT length, and the direct causal sum
+    sum_j W[i-1-j] G[j] to round-off."""
+    prop = ModalPropagator(neumann_basis(M, 33), 0.6, shift=2.0)
+    grid = TimeGrid.uniform(1.0, N)
+    G = np.random.default_rng([N, M]).standard_normal((N + 1, M))
+    out = convolve_K(prop, grid, G)
+    _, W = prop.tables(grid)
+    assert not out[0].any()
+    np.testing.assert_array_equal(out[1:], fftconvolve(G[:-1], W, mode="full", axes=0)[:N])
+    direct = np.array([np.einsum("jm,jm->m", W[:i][::-1], G[:i]) for i in range(1, N + 1)])
+    assert np.max(np.abs(out[1:] - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_package_does_not_import_scipy_signal():
+    """A uniform Picard solve and the CLI parser leave scipy.signal unloaded:
+    its import would cost a fresh process about 0.8 s of CPU and 40 MB."""
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import fracdiff
+        from fracdiff import cli
+        from fracdiff.fracops import TimeGrid
+        from fracdiff.semilinear import SemilinearProblem, SemilinearTerm, picard_solve
+        from fracdiff.spectral import EllipticOperator, eigendecompose
+
+        basis = eigendecompose(EllipticOperator(3.0), 5, 5)
+        prob = SemilinearProblem(basis, 0.5, np.ones(5), SemilinearTerm.enzyme())
+        picard_solve(prob, TimeGrid.uniform(1.0, 4), shift=2.0)
+        cli.build_parser()
+        assert "scipy.signal" not in sys.modules, "scipy.signal was imported"
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracdiff.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_solver_weights_match_kernel_weight_vec():
