@@ -11,15 +11,18 @@ Measures, in CPU time with BLAS threads capped at 1:
   asymptotic x in [deep_cut, 1e4 deep_cut] (log-uniform);
 * the median CPU seconds of a graded-style ``solve_linear`` triple:
   N = 64/88/112 on ``TimeGrid.graded(1, N, (2 - a)/a)`` with a = 0.4/0.6/0.8,
-  17 nodes and the full basis, each solve on a fresh problem (cold tables);
+  17 nodes and the full basis, each solve on a fresh problem (every solve
+  builds its propagator's tables);
 * the median CPU seconds of a graded ``picard_solve`` (L3): enzyme term,
   alpha = 0.5, shift 2, 65 modes, ``TimeGrid.graded(1, N, 3)`` for N = 64 and
-  128, each solve with cold tables (``picard_solve`` builds its shifted
-  propagator per call), medians of PICARD_REPEATS after one warm-up at N = 8;
+  128, each solve building its own tables (every solver makes its shifted
+  propagator, tables included, once per call), medians of PICARD_REPEATS
+  after one warm-up at N = 8;
 * the median CPU seconds of a uniform enzyme ``picard_solve`` (L2/L3):
   alpha = 0.5, shift 2, 33 modes, ``TimeGrid.uniform(1, 96)``, per solve
-  (cold tables, as above) and per sweep (the solve divided by its sweeps),
-  medians of REPEATS batches of UNIFORM_BATCH solves after one warm-up;
+  (tables built in the solve, as above) and per sweep (the solve divided
+  by its sweeps), medians of REPEATS batches of UNIFORM_BATCH solves after
+  one warm-up;
 * L4: the CPU seconds and peak RSS (medians of REPEATS) of a fresh
   interpreter that imports fracdiff and runs that uniform solve once, as
   the process reports them at its end (interpreter start included).

@@ -60,9 +60,6 @@ class TimeGrid:
     def __len__(self):
         return self.nodes.size
 
-    def __eq__(self, other):
-        return isinstance(other, TimeGrid) and np.array_equal(self.nodes, other.nodes)
-
     def trapezoid_weights(self):
         w = np.zeros_like(self.nodes)
         d = np.diff(self.nodes)

@@ -46,7 +46,6 @@ body is byte-identical across runs (runtime lives outside the body).
 from __future__ import annotations
 
 import configparser
-import copy
 import math
 import os
 import time
@@ -56,7 +55,7 @@ import numpy as np
 
 from .expressions import ExpressionError, expression_parse
 from .fracops import TimeGrid
-from .linsolve import LinearProblem, ModalPropagator, sample_history, solve_linear
+from .linsolve import LinearProblem, sample_history, solve_linear
 from .semilinear import (
     SemilinearProblem,
     SemilinearTerm,
@@ -629,12 +628,8 @@ def convergence_study(scenario, levels):
     Ns = [N0 * 2**k for k in range(int(levels))]
     ref_N = N0 * 2 ** int(levels)
 
-    def fields(N):  # a fresh propagator per grid: no level keeps its tables
-        lvl = copy.copy(scn)
-        if scn.kind == "linear":
-            lvl.problem = p = copy.copy(scn.problem)
-            p.propagator = ModalPropagator(p.basis, p.alpha, p.shift)
-        return _solve(lvl, _time_grid(T, N, grading))[0].fields()
+    def fields(N):
+        return _solve(scn, _time_grid(T, N, grading))[0].fields()
 
     ref = fields(ref_N)
     rows, prev = [], 0.0

@@ -5,10 +5,13 @@ mild-solution solvers for
 
 on an eigenbasis of A_0.  The Volterra convolution uses exact kernel
 moments (mlf.kernel_weights_from_e), which absorb the t^(alpha-1)
-singularity; ModalPropagator.tables builds them once per grid for every
-solver, a uniform lag table with its real FFT spectrum.  convolve_K takes
-the forcing piecewise constant per step (left endpoint), and solve_linear
-does the same by default or uses endpoint averages (reconstruction='linear').
+singularity.  A ModalPropagator belongs to one time grid and builds its
+tables once, when it is made: a uniform grid's lag table with its real FFT
+spectrum, or one row per node of any other grid.  Each solver makes the
+propagators it needs once per call, so no table outlives its solve.
+convolve_K takes the forcing piecewise constant per step (left endpoint),
+and solve_linear does the same by default or uses endpoint averages
+(reconstruction='linear').
 
 An optional spectral shift s >= 0 rewrites the equation as
 d_t^alpha (u - a) + (A_0 + s) u = (Q + s) u + F.  The shifted kernel
@@ -43,19 +46,26 @@ __all__ = [
     "solve_linear_l1",
 ]
 
-# largest row table (bytes) ModalPropagator.tables builds for a nonuniform grid
+# largest row table (bytes) ModalPropagator builds for a nonuniform grid
 MAX_ROW_TABLE_BYTES = 2**31
 
 
 class ModalPropagator:
-    """Per-mode Mittag-Leffler propagator tables on a time grid.
+    """Per-mode Mittag-Leffler propagator tables on one time grid, built
+    once when the propagator is made.
 
-    S(t): multiply mode n by E_{alpha,1}(-lam_n t^alpha).
+    S(t): multiply mode n by E_{alpha,1}(-lam_n t^alpha); E (N+1, M) holds
+          it at every node.
     K*g:  discrete convolution with exact kernel moments
           w_n(lo, hi) = int_lo^hi tau^(alpha-1) E_{alpha,alpha}(-lam_n tau^alpha) dtau.
+          On a uniform grid W is the lag table (N, M) and Wf its real FFT
+          spectrum; on others W[i] is the (i, M) row of node i, aligned with
+          the forcing at nodes 0..i-1, and Wf is None.  The rows take
+          8 M N(N+1)/2 bytes; a grid needing more than MAX_ROW_TABLE_BYTES
+          raises ValueError before any weight is computed.
     """
 
-    def __init__(self, basis, alpha, shift=0.0):
+    def __init__(self, basis, alpha, grid, shift=0.0):
         if not (0.0 < alpha < 1.0):
             raise ValueError(f"propagator needs alpha in (0, 1), got {alpha}")
         lam = basis.lambdas + float(shift)
@@ -65,9 +75,24 @@ class ModalPropagator:
             )
         self.basis = basis
         self.alpha = float(alpha)
+        self.grid = grid
         self.shift = float(shift)
         self.lambdas = np.maximum(lam, 0.0)
-        self._tables = {}
+        t, M, N = grid.nodes, self.lambdas.size, grid.N
+        size = 4 * M * N * (N + 1)  # bytes of the rows of a nonuniform grid
+        if grid.kind != "uniform" and size > MAX_ROW_TABLE_BYTES:
+            raise ValueError(f"kernel weights of a {grid.kind} grid with N = {N}, "
+                             f"M = {M} modes take {size / 2**30:.1f} GiB, over "
+                             f"the {MAX_ROW_TABLE_BYTES / 2**30:g} GiB limit")
+        self.E = self.e_values(t)
+        if grid.kind == "uniform":
+            self.W = kernel_weights_from_e(self.alpha, self.lambdas, t, self.E)
+            self.Wf = rfftn(self.W, [next_fast_len(2 * N - 1, True)], axes=[0])
+        else:  # row i from the lags t_i - t_j, j = i..0: one e_values call
+            lags = (t[i] - t[i::-1] for i in range(1, t.size))
+            self.W = [np.empty((0, M))] + [kernel_weights_from_e(
+                self.alpha, self.lambdas, d, self.e_values(d))[::-1] for d in lags]
+            self.Wf = None
 
     def e_values(self, tnodes):
         """E_{alpha,1}(-lam_n t^alpha) for every node/mode: (n_t, M)."""
@@ -75,46 +100,14 @@ class ModalPropagator:
         x = np.outer(tnodes**self.alpha, self.lambdas)
         return ml_neg_vec(self.alpha, x)
 
-    def tables(self, grid):
-        """(E, W) for a TimeGrid, built once: E is (N+1, M).  On a uniform grid
-        W is the lag table (N, M); on others W[i] is the (i, M) row of node i,
-        aligned with the forcing at nodes 0..i-1.  The rows take 8 M N(N+1)/2
-        bytes; a grid needing more than MAX_ROW_TABLE_BYTES raises ValueError
-        first.  Keyed by node values: equal grids share one entry, a new grid
-        never gets another's."""
-        return self._entry(grid)[:2]
-
-    def _entry(self, grid):
-        """(E, W, Wf): the tables and the spectrum of a uniform W, or None."""
-        key = (grid.kind, grid.nodes.tobytes())
-        if key not in self._tables:
-            t, M, N = grid.nodes, self.lambdas.size, grid.N
-            size = 4 * M * N * (N + 1)  # bytes of the rows of a nonuniform grid
-            if grid.kind != "uniform" and size > MAX_ROW_TABLE_BYTES:
-                raise ValueError(f"kernel weights of a {grid.kind} grid with N = {N}, "
-                                 f"M = {M} modes take {size / 2**30:.1f} GiB, over "
-                                 f"the {MAX_ROW_TABLE_BYTES / 2**30:g} GiB limit")
-            E = self.e_values(t)
-            if grid.kind == "uniform":
-                W = kernel_weights_from_e(self.alpha, self.lambdas, t, E)
-                Wf = rfftn(W, [next_fast_len(2 * N - 1, True)], axes=[0])
-            else:  # row i from the lags t_i - t_j, j = i..0: one e_values call
-                lags = (t[i] - t[i::-1] for i in range(1, t.size))
-                W = [np.empty((0, M))] + [kernel_weights_from_e(
-                    self.alpha, self.lambdas, d, self.e_values(d))[::-1] for d in lags]
-                Wf = None
-            self._tables[key] = (E, W, Wf)
-        return self._tables[key]
-
-    def weight_sum_check(self, grid):
+    def weight_sum_check(self):
         """Invariant: the weights of node i sum to the moments over [0, t_i]."""
-        E, W = self.tables(grid)
-        sums = (np.cumsum(W, axis=0) if grid.kind == "uniform"
-                else [w.sum(axis=0) for w in W[1:]])
-        t = grid.nodes[1:]
+        sums = (np.cumsum(self.W, axis=0) if self.grid.kind == "uniform"
+                else [w.sum(axis=0) for w in self.W[1:]])
+        t, E = self.grid.nodes[1:], self.E[1:]
         want = kernel_weights_from_e(
             self.alpha, self.lambdas,
-            np.stack([np.zeros_like(t), t]), np.stack([np.ones_like(E[1:]), E[1:]]),
+            np.stack([np.zeros_like(t), t]), np.stack([np.ones_like(E), E]),
         )[0]
         return float(np.max(np.abs(sums - want)))
 
@@ -126,26 +119,24 @@ def apply_S(prop, t, coeffs):
     return prop.e_values([t])[0] * np.asarray(coeffs, dtype=float)
 
 
-def convolve_K(prop, grid, forcing, entry=None):
-    """Discrete (K * forcing)(t_i) for a modal forcing history (N+1, M),
-    taking the forcing at the left endpoint of each step.  Exact kernel
-    moments make a constant single-mode forcing g reproduce
-    (1 - E_{alpha,1}(-lam t^alpha))/lam * g to ml accuracy.  entry is
-    prop's table entry for the grid, when the caller holds it already.
+def convolve_K(prop, forcing):
+    """Discrete (K * forcing)(t_i) on prop's grid for a modal forcing
+    history (N+1, M), taking the forcing at the left endpoint of each step.
+    Exact kernel moments make a constant single-mode forcing g reproduce
+    (1 - E_{alpha,1}(-lam t^alpha))/lam * g to ml accuracy.
     """
     G = np.asarray(forcing, dtype=float)
-    n = len(grid)
+    n = len(prop.grid)
     if G.shape[0] != n:
         raise ValueError(f"forcing history has {G.shape[0]} rows, grid {n} nodes")
     G = G[:-1]
     out = np.zeros((n, prop.lambdas.size))
-    _, W, Wf = entry or prop._entry(grid)
-    if Wf is not None:
-        L = [next_fast_len(2 * grid.N - 1, True)]  # the length of Wf
-        out[1:] = irfftn(rfftn(G, L, axes=[0]) * Wf, L, axes=[0])[: n - 1]
+    if prop.Wf is not None:
+        L = [next_fast_len(2 * prop.grid.N - 1, True)]  # the length of Wf
+        out[1:] = irfftn(rfftn(G, L, axes=[0]) * prop.Wf, L, axes=[0])[: n - 1]
     else:
         for i in range(1, n):
-            out[i] = np.einsum("jm,jm->m", W[i], G[:i])
+            out[i] = np.einsum("jm,jm->m", prop.W[i], G[:i])
     return out
 
 
@@ -164,9 +155,10 @@ def sample_history(f, x, tnodes):
     return np.full((len(tnodes), x.size), float(f))
 
 
-def volterra_sweep(props, a_modal, R, grid):
+def volterra_sweep(props, a_modal, R):
     """One application of the mild-solution map to C stacked components:
-    E_c a_c + K_c * (P R_c), with one propagator per component.
+    E_c a_c + K_c * (P R_c), with one propagator per component, all on
+    one grid.
 
     a_modal is (C, M); R holds the right-hand-side field histories
     (C, N+1, n_grid), projected in one product.  Returns the modal
@@ -175,38 +167,41 @@ def volterra_sweep(props, a_modal, R, grid):
     G = (R * basis.weights) @ basis.modes
     out = np.empty_like(G)
     for c, prop in enumerate(props):
-        entry = prop._entry(grid)
-        out[c] = entry[0] * a_modal[c] + convolve_K(prop, grid, G[c], entry)
+        out[c] = prop.E * a_modal[c] + convolve_K(prop, G[c])
     return out
 
 
-def fixed_point(props, a, rhs, grid, tol, max_sweeps, m=None):
+def fixed_point(props, a, rhs, tol, max_sweeps, m=None):
     """Whole-window Picard iteration of u_c = S_c(t) a_c + K_c * R_c(u)
-    from u_c = a_c, for C components with one propagator each.
+    from u_c = a_c, for C components with one propagator each, all on
+    one grid.
 
     a holds the initial fields (C, n_grid); rhs maps the field histories
     (C, N+1, n_grid) to right-hand sides of the same shape.  The increment
     of sweep n is U_n(t) = sum_c sup_x |u_c^n - u_c^(n-1)|(t); the
     iteration stops once sup_t U_n < tol max(1, sup|u|).  ArithmeticError
     is raised at the first sweep with a non-finite value, on divergence,
-    and when max_sweeps sweeps do not converge.  Divergence is amplitude
-    escape sup|u| > m when a box m is given, and otherwise 5 consecutive
-    growing increments: a boxed iteration can grow for many sweeps before
-    it contracts, so there growth alone does not name the cause.
+    and when max_sweeps sweeps do not converge; max_sweeps < 1 is a
+    ValueError.  Divergence is amplitude escape sup|u| > m when a box m is
+    given, and otherwise 5 consecutive growing increments: a boxed
+    iteration can grow for many sweeps before it contracts, so there growth
+    alone does not name the cause.
 
     Returns the modal histories (C, N+1, M) and the diagnostics: sweeps,
     increments (the U_n), rhos (ratios of consecutive sup increments),
     max_rho and contraction_flag (some ratio >= 1).
     """
+    if max_sweeps < 1:
+        raise ValueError(f"fixed_point needs max_sweeps >= 1, got {max_sweeps}")
     basis = props[0].basis
     a = np.asarray(a, dtype=float)
     # one 1-D projection per component keeps row 0 equal to project(basis, a)
     a_modal = np.array([project(basis, ac) for ac in a])
-    U = np.repeat(a[:, None, :], len(grid), axis=1)
+    U = np.repeat(a[:, None, :], len(props[0].grid), axis=1)
     increments, sups, rhos = [], [], []
     growing = 0
     for sweep in range(1, max_sweeps + 1):
-        modal = volterra_sweep(props, a_modal, rhs(U), grid)
+        modal = volterra_sweep(props, a_modal, rhs(U))
         new = modal @ basis.modes.T
         if not np.isfinite(new).all():
             raise ArithmeticError(f"non-finite value at sweep {sweep}")
@@ -261,7 +256,6 @@ class LinearProblem:
         self.reaction = reaction
         self.forcing = forcing
         self.shift = float(shift)
-        self.propagator = ModalPropagator(basis, alpha, shift=self.shift)
 
     def coefficients(self, tnodes):
         """(q, b, F) sampled on the spatial grid at every node (each a
@@ -336,11 +330,11 @@ def solve_linear(
     """
     if reconstruction not in ("constant", "linear"):
         raise ValueError(f"unknown reconstruction {reconstruction!r}")
-    prop = prob.propagator
     basis = prob.basis
     n = len(grid)
     M = basis.n_modes
-    E, W = prop.tables(grid)
+    prop = ModalPropagator(basis, prob.alpha, grid, prob.shift)
+    E, W = prop.E, prop.W
     a_modal = project(basis, prob.a)
     coeffs = prob.coefficients(grid.nodes)
 

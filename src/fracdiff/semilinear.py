@@ -11,14 +11,15 @@ Two routes to the mild solution of
   reaction shifted by M + 1.
 
 Both run on the shared Volterra engine of linsolve (fixed_point and
-volterra_sweep), with the coefficients sampled once per grid, and absorb
-an optional spectral shift s into the eigenvalues.  With the full
-discrete eigenbasis (n_modes = n_grid) the projection is an exact
-orthogonal transform and the propagator matrices are entrywise nonnegative
-(E_{alpha,beta}(-x) is completely monotone and the stiffness matrix is an
-M-matrix), so the shifted sweep map preserves node-wise ordering exactly:
-the monotone sandwich and the comparison principle hold on the grid to
-rounding, not just up to truncation.
+volterra_sweep), with the coefficients sampled and one shifted propagator
+(its tables) built once per solve, and absorb an optional spectral shift s
+into the eigenvalues.  With the full discrete eigenbasis (n_modes =
+n_grid) the projection is an exact orthogonal transform and the
+propagator matrices are entrywise nonnegative (E_{alpha,beta}(-x) is
+completely monotone and the stiffness matrix is an M-matrix), so the
+shifted sweep map preserves node-wise ordering exactly: the monotone
+sandwich and the comparison principle hold on the grid to rounding, not
+just up to truncation.
 
 Also here: residual checks for upper/lower solutions, the comparison
 principle, steady states by damped Newton, decay envelopes, and the
@@ -33,6 +34,7 @@ import numpy as np
 from .fracops import TimeGrid, l1_weights
 from .linsolve import (
     LinearProblem,
+    ModalPropagator,
     Trajectory,
     fixed_point,
     sample_history,
@@ -121,6 +123,10 @@ class SemilinearProblem:
             term = SemilinearTerm(term)
         self.term = term
         a = np.asarray(a, dtype=float)
+        if a.shape != basis.grid.shape:
+            raise ValueError(
+                f"initial field has shape {a.shape}, spatial grid {basis.grid.shape}"
+            )
         if m is None:
             m = 2.0 * (1.0 + float(np.max(np.abs(a))))
         if float(np.max(np.abs(a))) > m:
@@ -160,9 +166,10 @@ def picard_solve(prob, grid, tol=1e-10, max_sweeps=200, shift=0.0):
     ratios rho_k and a flag if any ratio >= 1."""
     lp = prob.linear_part(shift)
     coeffs = lp.coefficients(grid.nodes)
+    prop = ModalPropagator(prob.basis, prob.alpha, grid, shift)
     modal, diag = fixed_point(
-        [lp.propagator], prob.a[None], lambda U: prob.rhs(lp, U, coeffs),
-        grid, tol, max_sweeps, m=prob.m,
+        [prop], prob.a[None], lambda U: prob.rhs(lp, U, coeffs),
+        tol, max_sweeps, m=prob.m,
     )
     del diag["increments"]
     diag["shift"] = shift
@@ -196,10 +203,11 @@ def _monotone_map(prob, M, grid):
     lp = prob.linear_part(shift=M + 1.0)
     coeffs = lp.coefficients(grid.nodes)
     a_modal = project(prob.basis, prob.a)
+    prop = ModalPropagator(prob.basis, prob.alpha, grid, lp.shift)
 
     def sweep(U):
-        return volterra_sweep([lp.propagator] * len(U), [a_modal] * len(U),
-                              prob.rhs(lp, U, coeffs), grid)
+        return volterra_sweep([prop] * len(U), [a_modal] * len(U),
+                              prob.rhs(lp, U, coeffs))
 
     return M, sweep
 

@@ -110,7 +110,7 @@ def picard_system_solve(sys, grid, M1=None, tol=1e-10, max_sweeps=200):
         )
     if M1 < 0.0:
         raise ValueError(f"M1 must be nonnegative, got {M1}")
-    props = [ModalPropagator(basis, a, shift=M1) for a in sys.alphas]
+    props = [ModalPropagator(basis, a, grid, shift=M1) for a in sys.alphas]
 
     def rhs(U):
         R = M1 * U
@@ -122,7 +122,7 @@ def picard_system_solve(sys, grid, M1=None, tol=1e-10, max_sweeps=200):
                 R[l] = R[l] + F[l]
         return R
 
-    modal, diag = fixed_point(props, sys.initials, rhs, grid, tol, max_sweeps)
+    modal, diag = fixed_point(props, sys.initials, rhs, tol, max_sweeps)
     increments = diag.pop("increments")
     trajs = [
         Trajectory(grid, basis, modal[l], {"component": l, "M1": M1, **diag})
@@ -202,7 +202,7 @@ def kernel_envelope_check(sys, grid):
     env = C * np.diff(t**alpha1) / alpha1
     worst = 0.0
     for a in sys.alphas:
-        _, W = ModalPropagator(sys.basis, a).tables(grid)
+        W = ModalPropagator(sys.basis, a, grid).W
         worst = max(worst, float(np.max(W / env[:, None])))
     return {"constant": C, "worst_ratio": worst, "passes": worst <= 1.0 + 1e-9}
 
@@ -226,19 +226,6 @@ class SemilinearPair:
                                  float(np.max(np.abs(self.b)))))
         self.m = float(m)
 
-    def lipschitz(self, box=None, n=101):
-        """max sampled |partial_k| of f and g over the box, inflated 10%."""
-        lo, hi = box if box is not None else (-self.m, self.m)
-        xi = np.linspace(lo, hi, n)
-        U, V = np.meshgrid(xi, xi, indexing="ij")
-        worst = 0.0
-        h = xi[1] - xi[0]
-        for fn in (self.f, self.g):
-            Z = np.asarray(fn(U, V), dtype=float) * np.ones_like(U)
-            worst = max(worst, float(np.max(np.abs(np.diff(Z, axis=0)))) / h)
-            worst = max(worst, float(np.max(np.abs(np.diff(Z, axis=1)))) / h)
-        return 1.1 * worst
-
 
 def semilinear_pair_solve(pair, grid, tol=1e-10, max_sweeps=200, shift=0.0):
     """Coupled Picard iteration for the pair, to sup increment < tol, by
@@ -249,7 +236,7 @@ def semilinear_pair_solve(pair, grid, tol=1e-10, max_sweeps=200, shift=0.0):
     and cooperative couplings the discrete sweep map preserves
     nonnegativity exactly (full-basis grids)."""
     basis = pair.basis
-    prop = ModalPropagator(basis, pair.alpha, shift=shift)
+    prop = ModalPropagator(basis, pair.alpha, grid, shift=shift)
 
     def rhs(U):
         u, v = U
@@ -259,7 +246,7 @@ def semilinear_pair_solve(pair, grid, tol=1e-10, max_sweeps=200, shift=0.0):
         ])
 
     modal, diag = fixed_point(
-        [prop, prop], [pair.a, pair.b], rhs, grid, tol, max_sweeps, m=pair.m
+        [prop, prop], [pair.a, pair.b], rhs, tol, max_sweeps, m=pair.m
     )
     del diag["increments"]
     diag["shift"] = shift

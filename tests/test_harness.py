@@ -1,5 +1,6 @@
 import os
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,14 +207,20 @@ def test_convergence_study_linear(tmp_path):
 
 
 def test_convergence_study_releases_level_tables(tmp_path):
-    """The level and reference solves leave no tables in the scenario's
-    propagator: only an entry for the scenario's own grid may stay."""
+    """The level and reference solves keep none of their tables: traced
+    memory after convergence_study is within 1 MB of what it was before
+    (the rows of its four graded grids, N = 16 to 128, take 2.9 MB)."""
     scn = Scenario.load(write_scenario(tmp_path, LINEAR.replace(
         "N = 64", "N = 16\n    grading = 2") + "    reaction = -0.5\n"))
     run_scenario(scn, write_files=False)
-    convergence_study(scn, 3)
-    own = (scn.grid.kind, scn.grid.nodes.tobytes())
-    assert list(scn.problem.propagator._tables) == [own]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        convergence_study(scn, 3)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 2**20
 
 
 def test_convergence_property(tmp_path):

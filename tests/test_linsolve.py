@@ -34,10 +34,11 @@ def neumann_basis(n_modes=8, n_grid=401, c0=0.0):
 
 def test_propagator_validation():
     b = neumann_basis(4, 101)
+    grid = TimeGrid.uniform(1.0, 4)
     with pytest.raises(ValueError):
-        ModalPropagator(b, 1.5)
+        ModalPropagator(b, 1.5, grid)
     with pytest.raises(ValueError):
-        ModalPropagator(b, 0.5, shift=-1.0)  # lambda_1 = 0 goes negative
+        ModalPropagator(b, 0.5, grid, shift=-1.0)  # lambda_1 = 0 goes negative
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
@@ -45,19 +46,19 @@ def test_weight_sum_invariant(alpha):
     b = eigendecompose(
         EllipticOperator(1.0, sigma=(1.0, 1.0)), 12, 201
     )  # Robin: all lambdas > 0
-    prop = ModalPropagator(b, alpha)
-    assert prop.weight_sum_check(TimeGrid.uniform(2.0, 128)) < 1e-10
+    assert ModalPropagator(b, alpha, TimeGrid.uniform(2.0, 128)).weight_sum_check() < 1e-10
     # lambda_1 = 0 path (Neumann)
-    prop0 = ModalPropagator(neumann_basis(6, 101), alpha)
-    assert prop0.weight_sum_check(TimeGrid.uniform(1.0, 64)) < 1e-10
+    b0 = neumann_basis(6, 101)
+    assert ModalPropagator(b0, alpha, TimeGrid.uniform(1.0, 64)).weight_sum_check() < 1e-10
     # graded row table, both paths
-    for p in (prop, prop0):
-        assert p.weight_sum_check(TimeGrid.graded(1.0, 48, (2.0 - alpha) / alpha)) < 1e-10
+    graded = TimeGrid.graded(1.0, 48, (2.0 - alpha) / alpha)
+    for basis in (b, b0):
+        assert ModalPropagator(basis, alpha, graded).weight_sum_check() < 1e-10
 
 
 def test_apply_s_identity_and_decay():
     b = neumann_basis(6, 201, c0=1.0)
-    prop = ModalPropagator(b, 0.5)
+    prop = ModalPropagator(b, 0.5, TimeGrid.uniform(2.0, 1))
     c = np.arange(1.0, 7.0)
     np.testing.assert_allclose(apply_S(prop, 0.0, c), c)
     out = apply_S(prop, 2.0, c)
@@ -143,9 +144,9 @@ def test_duhamel_consistency(grid):
 
     prob = LinearProblem(b, alpha, a, forcing=F)
     traj = solve_linear(prob, grid)
-    prop = prob.propagator
+    prop = ModalPropagator(b, alpha, grid)
     G = np.array([project(b, F(b.grid, t) * np.ones_like(b.grid)) for t in grid.nodes])
-    conv = convolve_K(prop, grid, G)
+    conv = convolve_K(prop, G)
     a_modal = project(b, a)
     duhamel = np.array([apply_S(prop, t, a_modal) for t in grid.nodes]) + conv
     assert np.max(np.abs(traj.modal - duhamel)) < 1e-10
@@ -158,11 +159,10 @@ def test_uniform_convolution_matches_fftconvolve_and_direct_sum(N, M):
     stored spectrum) equals fftconvolve bit for bit, including N where
     2N - 1 is not a fast FFT length, and the direct causal sum
     sum_j W[i-1-j] G[j] to round-off."""
-    prop = ModalPropagator(neumann_basis(M, 33), 0.6, shift=2.0)
-    grid = TimeGrid.uniform(1.0, N)
+    prop = ModalPropagator(neumann_basis(M, 33), 0.6, TimeGrid.uniform(1.0, N), shift=2.0)
     G = np.random.default_rng([N, M]).standard_normal((N + 1, M))
-    out = convolve_K(prop, grid, G)
-    _, W = prop.tables(grid)
+    out = convolve_K(prop, G)
+    W = prop.W
     assert not out[0].any()
     np.testing.assert_array_equal(out[1:], fftconvolve(G[:-1], W, mode="full", axes=0)[:N])
     direct = np.array([np.einsum("jm,jm->m", W[:i][::-1], G[:i]) for i in range(1, N + 1)])
@@ -198,12 +198,13 @@ def test_solver_weights_match_kernel_weight_vec():
     """The uniform lag table and the graded row table the solvers use are
     the kernel_weight_vec moments, mode by mode, including lambda = 0."""
     alpha = 0.6
-    prop = ModalPropagator(neumann_basis(6, 101), alpha)
-    assert prop.lambdas[0] < 1e-12 < prop.lambdas[1]
+    b = neumann_basis(6, 101)
     uniform = TimeGrid.uniform(1.0, 32)
-    _, W = prop.tables(uniform)
+    prop = ModalPropagator(b, alpha, uniform)
+    assert prop.lambdas[0] < 1e-12 < prop.lambdas[1]
+    W = prop.W
     graded = TimeGrid.graded(1.0, 24, 2.0)
-    _, rows = prop.tables(graded)
+    rows = ModalPropagator(b, alpha, graded).W
     assert [r.shape for r in rows] == [(i, 6) for i in range(len(graded))]
     cases = [(W, uniform.nodes)]
     for i in (1, 7, len(graded) - 1):
@@ -218,9 +219,10 @@ def test_solver_weights_match_kernel_weight_vec():
 
 
 def test_oversize_row_table_refused(monkeypatch):
-    """A graded grid whose rows exceed MAX_ROW_TABLE_BYTES raises a
-    ValueError naming N, M and the size before any weight is computed."""
-    prop = ModalPropagator(neumann_basis(65, 129), 0.5)
+    """A propagator on a graded grid whose rows exceed MAX_ROW_TABLE_BYTES
+    is refused at construction with a ValueError naming N, M and the size,
+    before any weight is computed."""
+    b = neumann_basis(65, 129)
     grid = TimeGrid.graded(1.0, 20000, 2.0)
     assert 4 * 65 * 20000 * 20001 > MAX_ROW_TABLE_BYTES
 
@@ -231,7 +233,7 @@ def test_oversize_row_table_refused(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"N = 20000, M = 65 modes take 96\.9 GiB"):
-            prop.tables(grid)
+            ModalPropagator(b, 0.5, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -383,7 +385,7 @@ def test_trajectory_csv_and_report(tmp_path):
 
 def test_tables_survive_grid_address_reuse():
     """A grid allocated at the address of a freed grid gets its own tables,
-    not the freed grid's (the cache is keyed by node values)."""
+    not the freed grid's (each solve builds the tables of its grid)."""
     b = neumann_basis(9, 9)
     prob = LinearProblem(b, 0.6, np.ones(b.grid.size))
     coarse = TimeGrid.uniform(1.0, 8)
@@ -408,4 +410,4 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         solve_linear(LinearProblem(b, 0.5, np.zeros(33)), TimeGrid.uniform(1.0, 4), reconstruction="spline")
     with pytest.raises(ValueError):
-        convolve_K(ModalPropagator(b, 0.5), TimeGrid.uniform(1.0, 4), np.zeros((3, 3)))
+        convolve_K(ModalPropagator(b, 0.5, TimeGrid.uniform(1.0, 4)), np.zeros((3, 3)))

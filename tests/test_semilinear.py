@@ -51,6 +51,17 @@ def test_term_validation_and_lipschitz():
     assert np.max(np.abs(out + np.sin(b.grid) * np.cos(b.grid))) < 1e-2
 
 
+def test_problem_rejects_misshapen_initial_field():
+    """An initial field off the spatial grid is refused when the problem is
+    made, with LinearProblem's message, not when a solve first uses it."""
+    b = full_neumann_basis(9)
+    msg = r"initial field has shape \(5,\), spatial grid \(9,\)"
+    with pytest.raises(ValueError, match=msg):
+        SemilinearProblem(b, 0.5, np.ones(5), SemilinearTerm.enzyme())
+    with pytest.raises(ValueError, match=msg):
+        LinearProblem(b, 0.5, np.ones(5))
+
+
 def test_picard_zero_reaction_matches_linear():
     b = full_neumann_basis(33)
     a = 0.5 + 0.3 * np.cos(b.grid)

@@ -6,6 +6,7 @@ import pytest
 from fracdiff.fracops import TimeGrid, l1_weights
 from fracdiff.linsolve import LinearProblem, solve_linear
 from fracdiff.mlf import ml_neg_vec
+from fracdiff.semilinear import SemilinearProblem, SemilinearTerm, picard_solve
 from fracdiff.spectral import EllipticOperator, eigendecompose
 from fracdiff.systems import (
     MultiOrderSystem,
@@ -37,6 +38,28 @@ def test_system_validation():
         MultiOrderSystem(b, [0.3, 0.5], a[:1])
     with pytest.raises(ValueError):
         MultiOrderSystem(b, [0.3, 0.5], a, couplings=[[None]])
+
+
+@pytest.mark.parametrize("solver", ["picard", "system", "pair"])
+@pytest.mark.parametrize("max_sweeps", [0, -1])
+def test_max_sweeps_below_one_refused(solver, max_sweeps):
+    """Every solver on the fixed-point engine refuses max_sweeps < 1 with a
+    ValueError naming the value, before the first sweep."""
+    b = full_neumann_basis(9)
+    a = np.ones_like(b.grid)
+    grid = TimeGrid.uniform(1.0, 4)
+    solve = {
+        "picard": lambda: picard_solve(
+            SemilinearProblem(b, 0.5, a, SemilinearTerm.enzyme()), grid,
+            max_sweeps=max_sweeps),
+        "system": lambda: picard_system_solve(
+            MultiOrderSystem(b, [0.3, 0.5], [a, a]), grid, max_sweeps=max_sweeps),
+        "pair": lambda: semilinear_pair_solve(
+            SemilinearPair(b, 0.5, lambda u, v: -u, lambda u, v: -v, a, a), grid,
+            max_sweeps=max_sweeps),
+    }[solver]
+    with pytest.raises(ValueError, match=f"max_sweeps >= 1, got {max_sweeps}"):
+        solve()
 
 
 def test_decoupled_system_matches_modal_decay():
