@@ -180,7 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # a solve stops at a non-finite value; NumPy's warnings only repeat it
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (ScenarioError, ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -37,7 +37,8 @@ section and the key.  Numbers are finite; defaults are in parentheses::
                 gap_tol (1e-6) >= 0
 
 Bracket, envelope and convergence properties need kind linear or
-semilinear, comparison semilinear.
+semilinear, comparison semilinear.  The linear ``shift`` and the
+``solver_shift`` are one solve argument, the scheme's spectral shift.
 
 Reports are deterministic: for a fixed scenario file and seed the report
 body is byte-identical across runs (runtime lives outside the body).
@@ -252,10 +253,11 @@ def _time_grid(T, N, grading):
 
 class Scenario:
     """A scenario file read by :meth:`load`.  It owns the solver inputs
-    ``basis``, ``grid``, ``problem`` and ``solver_shift`` (the Picard
-    solvers' spectral shift), built once; ``properties`` holds (name, type,
-    fields) per property section and ``monotone`` the fields of [monotone]
-    or None, fields being namespaces of typed values named by their keys."""
+    ``basis``, ``grid``, ``problem`` and ``solver_shift`` (the spectral
+    shift of the scalar and pair solves), built once; ``properties`` holds
+    (name, type, fields) per property section and ``monotone`` the fields
+    of [monotone] or None, fields being namespaces of typed values named by
+    their keys."""
 
     def __init__(self, path, parser):
         self.path = str(path)
@@ -269,7 +271,8 @@ class Scenario:
         self.grid = self._built("time", "grading", _time_grid, tm.t, tm.n, tm.grading)
         pv = self._read(parser, "problem", _PROBLEM_KEYS[self.kind])
         self.problem = self._problem(pv)
-        self.solver_shift = getattr(pv, "solver_shift", 0.0)
+        # a linear file calls its solver shift `shift`; systems have none
+        self.solver_shift = getattr(pv, "solver_shift", getattr(pv, "shift", 0.0))
         self.properties = [
             self._property(parser, section, pv)
             for section in parser.sections()
@@ -360,17 +363,19 @@ class Scenario:
             sp.length, p=sp.p, c=0.0 if sp.c is None else sp.c,
             sigma=(sp.sigma0, sp.sigmal), c0=sp.c0,
         )
-        # the key table checks every other key; c is checked where it is sampled
-        return self._built("space", "c", eigendecompose, op, n_modes, sp.n_grid)
+        # the key table checks every other key; c is checked where it is
+        # sampled, and a stiffness that overflows comes from a tiny length
+        try:
+            return self._built("space", "c", eigendecompose, op, n_modes, sp.n_grid)
+        except OverflowError as exc:
+            raise ScenarioError(f"{self.path}: [space] length: {exc}") from exc
 
     def _problem(self, pv):
         basis, x = self.basis, self.basis.grid
         if self.kind in _SCALAR:
             linear = dict(drift=pv.drift, reaction=pv.reaction, forcing=pv.forcing)
             if self.kind == "linear":
-                return LinearProblem(
-                    basis, pv.alpha, pv.initial(x), shift=pv.shift, **linear
-                )
+                return LinearProblem(basis, pv.alpha, pv.initial(x), **linear)
             return self._built(
                 "problem", "m", SemilinearProblem, basis, pv.alpha, pv.initial(x),
                 SemilinearTerm(pv.term), m=pv.m, **linear,
@@ -437,7 +442,7 @@ def _solve(scn, grid):
     component; the first is the report's primary one."""
     prob = scn.problem
     if scn.kind == "linear":
-        return [solve_linear(prob, grid)]
+        return [solve_linear(prob, grid, shift=scn.solver_shift)]
     if scn.kind == "semilinear":
         return [picard_solve(prob, grid, shift=scn.solver_shift)]
     if scn.kind == "system":

@@ -13,11 +13,12 @@ convolve_K takes the forcing piecewise constant per step (left endpoint),
 and solve_linear does the same by default or uses endpoint averages
 (reconstruction='linear').
 
-An optional spectral shift s >= 0 rewrites the equation as
-d_t^alpha (u - a) + (A_0 + s) u = (Q + s) u + F.  The shifted kernel
-weights are nonnegative, so whenever the effective forcing is monotone in
-u the discrete time-march preserves ordering exactly; the monotone and
-comparison machinery in higher modules relies on this.
+A LinearProblem holds the equation only; the spectral shift s >= 0 of
+the discrete scheme is an argument of each solve.  It rewrites the
+equation as d_t^alpha (u - a) + (A_0 + s) u = (Q + s) u + F.  The shifted
+kernel weights are nonnegative, so whenever the effective forcing is
+monotone in u the discrete time-march preserves ordering exactly; the
+monotone and comparison machinery in higher modules relies on this.
 
 Every whole-window iteration of the mild-solution map
 u = S(t) a + K * R(u) in the package (Picard, multi-order systems,
@@ -48,6 +49,10 @@ __all__ = [
 
 # largest row table (bytes) ModalPropagator builds for a nonuniform grid
 MAX_ROW_TABLE_BYTES = 2**31
+# solve_linear(reconstruction='linear'): the inner fixed point of each node
+# stops below this relative modal increment, and stalls after INNER_SWEEPS
+INNER_RTOL = 1e-12
+INNER_SWEEPS = 100
 
 
 class ModalPropagator:
@@ -241,9 +246,11 @@ def fixed_point(props, a, rhs, tol, max_sweeps, m=None):
 class LinearProblem:
     """Mild-solution data: initial a (field samples), drift b(x,t),
     reaction q(x,t), forcing F(x,t) (callables of (x, t) arrays, constants,
-    or None), and a nonnegative spectral shift."""
+    or None), and no reaction term f(u), which SemilinearProblem adds."""
 
-    def __init__(self, basis, alpha, a, drift=None, reaction=None, forcing=None, shift=0.0):
+    term = None
+
+    def __init__(self, basis, alpha, a, drift=None, reaction=None, forcing=None):
         a = np.asarray(a, dtype=float)
         if a.shape != basis.grid.shape:
             raise ValueError(
@@ -255,7 +262,6 @@ class LinearProblem:
         self.drift = drift
         self.reaction = reaction
         self.forcing = forcing
-        self.shift = float(shift)
 
     def coefficients(self, tnodes):
         """(q, b, F) sampled on the spatial grid at every node (each a
@@ -266,7 +272,7 @@ class LinearProblem:
             for f in (self.reaction, self.drift, self.forcing)
         )
 
-    def rhs(self, U, coeffs):
+    def rhs(self, U, coeffs, shift):
         """(Q + shift) u + F in physical space, for fields U whose last axis
         is the spatial grid and coefficients (q, b, F) that broadcast
         against them."""
@@ -276,7 +282,7 @@ class LinearProblem:
             out += q * U
         if b is not None:
             out += b * np.gradient(U, self.basis.grid, axis=-1)
-        out = out + self.shift * U
+        out = out + shift * U
         if F is not None:
             out = out + F
         return out
@@ -314,57 +320,58 @@ class Trajectory:
         return "\n".join(lines)
 
 
-def solve_linear(
-    prob,
-    grid,
-    reconstruction="constant",
-    inner_tol=1e-12,
-    max_inner=100,
-):
+def _require_linear(prob, solver):
+    if prob.term is not None:
+        raise TypeError(f"{solver} cannot march a reaction term; use picard_solve")
+
+
+def solve_linear(prob, grid, shift=0.0, reconstruction="constant"):
     """Forward-substitution solve of the discrete Volterra equation.
 
-    u(t_i) = S(t_i) a + sum_j W_ij P[(Q + s) u + F](t_j); with 'constant'
-    reconstruction each node is explicit; with 'linear' the current node
-    enters through the endpoint average and is resolved by an inner fixed
-    point (modal-norm increment < inner_tol, at most max_inner iterations).
+    u(t_i) = S(t_i) a + sum_j W_ij P[(Q + s) u + F](t_j), s = shift; with
+    'constant' reconstruction each node is explicit; with 'linear' the
+    current node enters through the endpoint average and is resolved by an
+    inner fixed point.  The first node, node 0 included, where u is not
+    finite raises ArithmeticError.
     """
+    _require_linear(prob, "solve_linear")
     if reconstruction not in ("constant", "linear"):
         raise ValueError(f"unknown reconstruction {reconstruction!r}")
     basis = prob.basis
     n = len(grid)
     M = basis.n_modes
-    prop = ModalPropagator(basis, prob.alpha, grid, prob.shift)
+    prop = ModalPropagator(basis, prob.alpha, grid, shift)
     E, W = prop.E, prop.W
     a_modal = project(basis, prob.a)
     coeffs = prob.coefficients(grid.nodes)
 
     def rhs(field, i):
-        """Modal (Q + s) u + F at node i."""
+        """Modal (Q + s) u + F at node i, for a finite field u."""
+        if not np.isfinite(field).all():
+            raise ArithmeticError(f"non-finite value at node {i} (t={grid.nodes[i]})")
         at = tuple(None if c is None else c[i] for c in coeffs)
-        return project(basis, prob.rhs(field, at))
+        return project(basis, prob.rhs(field, at, prop.shift))
 
     modal = np.zeros((n, M))
     modal[0] = a_modal
     G = np.zeros((n, M))  # modal rhs history at nodes
     G[0] = rhs(prob.a, 0)
-    inner_counts = []
+    peak_inner = 0
     for i in range(1, n):
         w = W[:i][::-1] if grid.kind == "uniform" else W[i]
         base = E[i] * a_modal
         if reconstruction == "constant":
             modal[i] = base + np.einsum("jm,jm->m", w, G[:i])
-            G[i] = rhs(basis.modes @ modal[i], i)
-            inner_counts.append(0)
         else:
             past = np.einsum("jm,jm->m", w[:-1], 0.5 * (G[: i - 1] + G[1:i]))
             past += w[-1] * 0.5 * G[i - 1]
             u = modal[i - 1].copy()
-            for it in range(max_inner):
+            for it in range(INNER_SWEEPS):
                 g_i = rhs(basis.modes @ u, i)
                 u_new = base + past + w[-1] * 0.5 * g_i
                 delta = float(np.max(np.abs(u_new - u)))
                 u = u_new
-                if delta < inner_tol * max(1.0, float(np.max(np.abs(u)))):
+                if delta < INNER_RTOL * max(1.0, float(np.max(np.abs(u)))):
                     break
             else:
                 raise ArithmeticError(
@@ -372,12 +379,12 @@ def solve_linear(
                     f"residual {delta}"
                 )
             modal[i] = u
-            G[i] = rhs(basis.modes @ u, i)
-            inner_counts.append(it + 1)
+            peak_inner = max(peak_inner, it + 1)
+        G[i] = rhs(basis.modes @ modal[i], i)
     diag = {
         "reconstruction": reconstruction,
-        "max_inner_iterations": max(inner_counts) if inner_counts else 0,
-        "shift": prob.shift,
+        "peak_inner_iterations": peak_inner,
+        "shift": prop.shift,
     }
     return Trajectory(grid, basis, modal, diag)
 
@@ -394,6 +401,7 @@ def solve_linear_l1(prob, grid):
 
     from .fracops import l1_weights
 
+    _require_linear(prob, "solve_linear_l1")
     basis = prob.basis
     x = basis.grid
     n = len(grid)

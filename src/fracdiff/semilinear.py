@@ -10,16 +10,17 @@ Two routes to the mild solution of
   pair of lower/upper solutions, each sweep a linear solve with the
   reaction shifted by M + 1.
 
-Both run on the shared Volterra engine of linsolve (fixed_point and
+A SemilinearProblem is a LinearProblem plus the term f and a working box.
+Both solvers run on the shared Volterra engine of linsolve (fixed_point and
 volterra_sweep), with the coefficients sampled and one shifted propagator
-(its tables) built once per solve, and absorb an optional spectral shift s
-into the eigenvalues.  With the full discrete eigenbasis (n_modes =
-n_grid) the projection is an exact orthogonal transform and the
-propagator matrices are entrywise nonnegative (E_{alpha,beta}(-x) is
-completely monotone and the stiffness matrix is an M-matrix), so the
-shifted sweep map preserves node-wise ordering exactly: the monotone
-sandwich and the comparison principle hold on the grid to rounding, not
-just up to truncation.
+(its tables) built once per solve, and absorb the spectral shift s of the
+solve (picard_solve's shift, M + 1 in the monotone map) into the
+eigenvalues.  With the full discrete eigenbasis (n_modes = n_grid) the
+projection is an exact orthogonal transform and the propagator matrices
+are entrywise nonnegative (E_{alpha,beta}(-x) is completely monotone and
+the stiffness matrix is an M-matrix), so the shifted sweep map preserves
+node-wise ordering exactly: the monotone sandwich and the comparison
+principle hold on the grid to rounding, not just up to truncation.
 
 Also here: residual checks for upper/lower solutions, the comparison
 principle, steady states by damped Newton, decay envelopes, and the
@@ -63,6 +64,13 @@ __all__ = [
     "steady_bracket_constant",
 ]
 
+# monotone_iterate: rounding allowed against the order, relative to the scale
+MONOTONE_RTOL = 1e-12
+# compare_solutions: amplitudes in [-m, m] at which f_1 >= f_2 is sampled
+COMPARISON_LEVELS = 101
+# steady_state_solve: damped Newton steps before it gives up
+NEWTON_STEPS = 100
+
 
 def enzyme_kinetics(eta):
     """The built-in enzyme reaction f(eta) = -eta / (1 + |eta|)."""
@@ -82,12 +90,11 @@ class SemilinearTerm:
     with the spatial grid, inflated by 10%.
     """
 
-    def __init__(self, evaluator, kind="pointwise", lipschitz_M=None):
+    def __init__(self, evaluator, kind="pointwise"):
         if kind not in ("pointwise", "gradient"):
             raise ValueError(f"unknown reaction kind {kind!r}")
         self.evaluator = evaluator
         self.kind = kind
-        self._given_M = lipschitz_M
 
     @classmethod
     def enzyme(cls):
@@ -102,8 +109,6 @@ class SemilinearTerm:
 
     def lipschitz(self, x, m):
         """max sampled |df/du| on grid x times [-m, m], inflated by 10%."""
-        if self._given_M is not None:
-            return float(self._given_M)
         levels = np.linspace(-m, m, 201)
         U = np.repeat(levels[:, None], x.size, axis=1)
         vals = self(x, U, du=np.zeros_like(U))
@@ -111,45 +116,27 @@ class SemilinearTerm:
         return 1.1 * float(np.max(slopes))
 
 
-class SemilinearProblem:
-    """Semilinear data on an eigenbasis: initial a, reaction term f, and
-    optional linear parts (drift b, reaction q, forcing F).  The working
-    box |u| <= m defaults to 2 (1 + ||a||_inf); solutions escaping it
-    abort with diagnostics."""
+class SemilinearProblem(LinearProblem):
+    """The linear data of LinearProblem (initial a, drift b, reaction q,
+    forcing F) plus a reaction term f.  The working box |u| <= m defaults
+    to 2 (1 + ||a||_inf); solutions escaping it abort with diagnostics."""
 
     def __init__(self, basis, alpha, a, term, drift=None, reaction=None,
                  forcing=None, m=None):
-        if not isinstance(term, SemilinearTerm):
-            term = SemilinearTerm(term)
-        self.term = term
-        a = np.asarray(a, dtype=float)
-        if a.shape != basis.grid.shape:
-            raise ValueError(
-                f"initial field has shape {a.shape}, spatial grid {basis.grid.shape}"
-            )
+        super().__init__(basis, alpha, a, drift=drift, reaction=reaction,
+                         forcing=forcing)
+        self.term = term if isinstance(term, SemilinearTerm) else SemilinearTerm(term)
+        sup_a = float(np.max(np.abs(self.a)))
         if m is None:
-            m = 2.0 * (1.0 + float(np.max(np.abs(a))))
-        if float(np.max(np.abs(a))) > m:
+            m = 2.0 * (1.0 + sup_a)
+        if sup_a > m:
             raise ValueError(f"initial data leaves the working box |u| <= {m}")
         self.m = float(m)
-        self.basis = basis
-        self.alpha = float(alpha)
-        self.a = a
-        self.drift = drift
-        self.reaction = reaction
-        self.forcing = forcing
 
-    def linear_part(self, shift=0.0):
-        return LinearProblem(
-            self.basis, self.alpha, self.a,
-            drift=self.drift, reaction=self.reaction, forcing=self.forcing,
-            shift=shift,
-        )
-
-    def rhs(self, lp, U, coeffs):
+    def rhs(self, U, coeffs, shift):
         """(Q + shift) u + F + f(u) in physical space, for field histories
-        U and the coefficients sampled by lp.coefficients."""
-        return lp.rhs(U, coeffs) + self.term(self.basis.grid, U)
+        U and the coefficients sampled by coefficients."""
+        return super().rhs(U, coeffs, shift) + self.term(self.basis.grid, U)
 
     def require_pointwise(self, op):
         if self.term.kind == "gradient":
@@ -164,11 +151,10 @@ def picard_solve(prob, grid, tol=1e-10, max_sweeps=200, shift=0.0):
     of linsolve.fixed_point in the working box m, which sets the stopping
     and failure policy.  Diagnostics carry the per-sweep contraction
     ratios rho_k and a flag if any ratio >= 1."""
-    lp = prob.linear_part(shift)
-    coeffs = lp.coefficients(grid.nodes)
+    coeffs = prob.coefficients(grid.nodes)
     prop = ModalPropagator(prob.basis, prob.alpha, grid, shift)
     modal, diag = fixed_point(
-        [prop], prob.a[None], lambda U: prob.rhs(lp, U, coeffs),
+        [prop], prob.a[None], lambda U: prob.rhs(U, coeffs, prop.shift),
         tol, max_sweeps, m=prob.m,
     )
     del diag["increments"]
@@ -200,14 +186,13 @@ def _monotone_map(prob, M, grid):
         raise ValueError(
             f"monotone shift M = {M} is below the sampled Lipschitz bound {needed}"
         )
-    lp = prob.linear_part(shift=M + 1.0)
-    coeffs = lp.coefficients(grid.nodes)
+    coeffs = prob.coefficients(grid.nodes)
     a_modal = project(prob.basis, prob.a)
-    prop = ModalPropagator(prob.basis, prob.alpha, grid, lp.shift)
+    prop = ModalPropagator(prob.basis, prob.alpha, grid, M + 1.0)
 
     def sweep(U):
         return volterra_sweep([prop] * len(U), [a_modal] * len(U),
-                              prob.rhs(lp, U, coeffs))
+                              prob.rhs(U, coeffs, prop.shift))
 
     return M, sweep
 
@@ -241,14 +226,14 @@ class BracketPair:
         return lo, hi
 
 
-def monotone_iterate(pair, prob, grid, k_max=200, M=None, mono_tol=1e-12,
-                     gap_tol=1e-6):
+def monotone_iterate(pair, prob, grid, k_max=200, M=None, gap_tol=1e-6):
     """Monotone sandwich between an ordered bracket.
 
     Each sweep applies the monotone map of monotone_step to both ends at
     once (one shifted propagator, the two histories stacked); the lower
-    sequence must ascend and the upper descend (within mono_tol), else an
-    ArithmeticError reports the worst node (M too small or a bad bracket).
+    sequence must ascend and the upper descend (within MONOTONE_RTOL times
+    the bracket's scale), else an ArithmeticError reports the worst node (M
+    too small or a bad bracket).
     Declares convergence when sup|upper - lower| < gap_tol.
     """
     prob.require_pointwise("monotone_iterate")
@@ -269,7 +254,7 @@ def monotone_iterate(pair, prob, grid, k_max=200, M=None, mono_tol=1e-12,
             ("sequences crossed", new_lo - new_hi),
         ):
             worst = float(np.max(bad))
-            if worst > mono_tol * scale:
+            if worst > MONOTONE_RTOL * scale:
                 i, j = np.unravel_index(np.argmax(bad), bad.shape)
                 raise ArithmeticError(
                     f"monotonicity violation ({name}) of {worst} at node "
@@ -311,13 +296,7 @@ def _residual_history(candidate, prob, grid, initial=None):
     a_bar = U[0] if initial is None else np.asarray(initial, dtype=float)
     D = l1_weights(prob.alpha, grid)
     dcap = D @ (U - a_bar[None, :])
-    lp = prob.linear_part(0.0)
-    r = (
-        dcap
-        + _a0_apply(basis, U.T).T
-        - lp.rhs(U, lp.coefficients(grid.nodes))
-        - prob.term(basis.grid, U)
-    )
+    r = dcap + _a0_apply(basis, U.T).T - prob.rhs(U, prob.coefficients(grid.nodes), 0.0)
     return U, a_bar, r
 
 
@@ -359,7 +338,7 @@ def check_lower_solution(candidate, prob, grid, tol=None):
     return _check_solution(candidate, prob, grid, tol, -1.0, "max_residual")
 
 
-def compare_solutions(prob1, prob2, grid, tol=1e-8, n_samples=101):
+def compare_solutions(prob1, prob2, grid, tol=1e-8):
     """Comparison principle: f_1 >= f_2 on the sampled box and a_1 >= a_2
     imply u_1 >= u_2.  Hypotheses are checked first (verdict NOT-APPLICABLE
     when violated); both problems are then solved with a common spectral
@@ -372,7 +351,7 @@ def compare_solutions(prob1, prob2, grid, tol=1e-8, n_samples=101):
     m = max(prob1.m, prob2.m)
     if float(np.min(prob1.a - prob2.a)) < -1e-12:
         return {"verdict": "NOT-APPLICABLE", "reason": "a_1 >= a_2 fails"}
-    levels = np.linspace(-m, m, n_samples)
+    levels = np.linspace(-m, m, COMPARISON_LEVELS)
     U = np.repeat(levels[:, None], x.size, axis=1)
     bad = np.min(prob1.term(x, U) - prob2.term(x, U), axis=1) < -1e-12
     if bad.any():
@@ -399,15 +378,12 @@ def compare_solutions(prob1, prob2, grid, tol=1e-8, n_samples=101):
     }
 
 
-def steady_state_solve(basis, term, guess, tol=1e-10, max_iter=100):
+def steady_state_solve(basis, term, guess, tol=1e-10):
     """Damped Newton for the steady state A u = f(u), where A is the
     basis operator with its spectral shift c0 removed again."""
-    if isinstance(term, SemilinearTerm):
-        if term.kind == "gradient":
-            raise TypeError("steady_state_solve requires a pointwise reaction")
-        f = term
-    else:
-        f = SemilinearTerm(term)
+    f = term if isinstance(term, SemilinearTerm) else SemilinearTerm(term)
+    if f.kind == "gradient":
+        raise TypeError("steady_state_solve requires a pointwise reaction")
     x = basis.grid
     _, _, c0 = basis.operator.coefficients(x)
     P = basis.weights[None, :] * basis.modes.T
@@ -418,7 +394,7 @@ def steady_state_solve(basis, term, guess, tol=1e-10, max_iter=100):
 
     u = np.asarray(guess, dtype=float).copy()
     r = residual(u)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_STEPS):
         nr = float(np.max(np.abs(r)))
         if nr < tol:
             return u
@@ -439,7 +415,7 @@ def steady_state_solve(basis, term, guess, tol=1e-10, max_iter=100):
                 f"Newton stalled at residual {nr} (no decreasing step)"
             )
     raise ArithmeticError(
-        f"Newton did not reach residual {tol} in {max_iter} iterations"
+        f"Newton did not reach residual {tol} in {NEWTON_STEPS} iterations"
     )
 
 

@@ -68,6 +68,8 @@ class EllipticOperator:
             raise ValueError("diffusion coefficient p must be positive")
         if (c > 1e-12).any():
             raise ValueError("reaction coefficient c must satisfy c <= 0")
+        if not np.isfinite(c).all():
+            raise ValueError("reaction coefficient c must be finite")
         c0 = self.c0
         if c0 is None:
             c0 = 1.0 + max(0.0, -float(np.min(c))) + max(self.sigma)
@@ -105,7 +107,8 @@ def eigendecompose(op, n_modes, n_grid):
     """First n_modes eigenpairs of the discretized A_0 on n_grid nodes.
 
     Raises ArithmeticError if the smallest eigenvalue is negative beyond
-    rounding: the shift c0 is too small and the caller must increase it.
+    rounding: the shift c0 is too small and the caller must increase it;
+    OverflowError if the grid spacing is too small for the stiffness.
     (lambda_1 = 0 itself, e.g. pure Neumann with c = c0 = 0, is legal; the
     downstream kernel weights take their analytic lambda -> 0 limit.)
     """
@@ -131,6 +134,8 @@ def eigendecompose(op, n_modes, n_grid):
     isw = 1.0 / np.sqrt(w)
     d = diag * isw * isw
     e = off * isw[:-1] * isw[1:]
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise OverflowError(f"stiffness overflows at grid spacing h = {h:.3e}")
     lam, v = eigh_tridiagonal(d, e, select="i", select_range=(0, n_modes - 1))
 
     scale = float(np.max(np.abs(diag)))

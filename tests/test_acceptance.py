@@ -294,10 +294,13 @@ def test_criterion_09_cooperative_systems():
         verdict = nonneg_verify(system, out["trajectories"], grid)
         assert verdict["verdict"] == "PASS", verdict
         min_value = min(min_value, verdict["min_value"])
+        # increments at or below the rounding floor of
+        # increment_recursion_check are round-off, not contraction
+        scale = max(tr.sup_norm() for tr in out["trajectories"])
+        floor = 1e-14 + 1e-13 * scale
         sups = [float(np.max(U)) for U in out["increments"]]
-        ratios = [
-            s2 / s1 for s1, s2 in zip(sups[:-1], sups[1:]) if s1 > 1e-15
-        ]
+        sups = [s for s in sups if s > floor]
+        ratios = [s2 / s1 for s1, s2 in zip(sups[:-1], sups[1:])]
         worst_ratio_margin = max(
             worst_ratio_margin, ratios[-1] / (ratios[0] / 10.0)
         )

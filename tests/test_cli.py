@@ -1,6 +1,7 @@
 import math
 import os
 import textwrap
+import warnings
 
 import pytest
 
@@ -226,6 +227,8 @@ SYSTEM = """
         ("run", SEMI.replace("[property:pos]", "[propery:pos]"), "[propery:pos]"),
         ("run", SEMI.replace("N = 64", "N = 256\n    grading = 1000"), "[time] grading"),
         ("run", SEMI.replace("n_grid = 33", "n_grid = 33\n    c = 1 + cos(x)"), "[space] c"),
+        ("run", SEMI.replace("length = 3.141592653589793", "length = 1e-200"),
+         "[space] length"),
         ("system", SYSTEM.replace("alphas = 0.5, 0.7", "alphas = 0.7, 0.5"),
          "[problem] alphas"),
     ],
@@ -252,6 +255,7 @@ SYSTEM = """
         "unknown-section",
         "graded-nodes-underflow",
         "space-c-positive",
+        "space-length-stiffness-overflows",
         "system-alphas-unordered",
     ],
 )
@@ -266,6 +270,33 @@ def test_invalid_scenario_exits_2_at_load(tmp_path, capsys, command, text, secti
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
     assert section in lines[0]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (LINEAR.replace("forcing = 0.2*(1 + cos(x))*exp(-t)", "forcing = 1/x"),
+         "error: non-finite value at node 1 (t=0.0625)"),
+        (SEMI.replace("term = enzyme(u)", "term = u/0"),
+         "error: non-finite value at sweep 1"),
+        (SEMI.replace("length = 3.141592653589793", "length = 1e-200"),
+         "[space] length: stiffness overflows"),
+    ],
+    ids=["linear-forcing-1/x", "semilinear-term-u/0", "space-length-1e-200"],
+)
+def test_non_finite_exits_2_with_one_line_and_no_warning(tmp_path, capsys, text,
+                                                         message):
+    """A non-finite value stops the command with exit 2 and one stderr line;
+    NumPy's floating-point warnings stay silent."""
+    path = write(tmp_path, text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", path, "--outdir", str(tmp_path)]) == 2
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and message in lines[0]
 
 
 def test_oversize_graded_table_exits_2(tmp_path, capsys):

@@ -21,6 +21,7 @@ from fracdiff.linsolve import (
     solve_linear_l1,
 )
 from fracdiff.mlf import kernel_weight_vec, ml_neg_vec
+from fracdiff.semilinear import SemilinearProblem, SemilinearTerm
 from fracdiff.spectral import EllipticOperator, eigendecompose, project, synthesize
 
 
@@ -87,9 +88,9 @@ def test_reaction_shift_closed_form_exact():
     alpha, q = 0.6, -0.7
     b = neumann_basis(4, 201)
     a = b.modes[:, 1].copy()  # phi_2, lambda approx 1
-    prob = LinearProblem(b, alpha, a, reaction=q, shift=-q)
+    prob = LinearProblem(b, alpha, a, reaction=q)
     grid = TimeGrid.uniform(2.0, 64)
-    traj = solve_linear(prob, grid)
+    traj = solve_linear(prob, grid, shift=-q)
     want = ml_neg_vec(alpha, (b.lambdas[1] - q) * grid.nodes**alpha)
     np.testing.assert_allclose(traj.modal[:, 1], want, atol=1e-12)
     other = np.delete(traj.modal, 1, axis=1)
@@ -278,7 +279,7 @@ def test_linear_reconstruction_more_accurate():
     traj_lin = solve_linear(prob, grid, reconstruction="linear")
     e_lin = np.abs(traj_lin.modal[-1] - ref).max()
     assert e_lin < 0.2 * e_const
-    assert traj_lin.diagnostics["max_inner_iterations"] >= 1
+    assert traj_lin.diagnostics["peak_inner_iterations"] >= 1
 
 
 def test_stability_in_initial_value():
@@ -305,8 +306,8 @@ def test_nonnegativity_band_limited():
     def F(x, t):
         return 0.2 * (1.0 + np.cos(x))
 
-    prob = LinearProblem(b, alpha, a, reaction=-0.5, forcing=F, shift=0.5)
-    traj = solve_linear(prob, TimeGrid.uniform(4.0, 128))
+    prob = LinearProblem(b, alpha, a, reaction=-0.5, forcing=F)
+    traj = solve_linear(prob, TimeGrid.uniform(4.0, 128), shift=0.5)
     assert traj.fields().min() > -1e-12
 
 
@@ -332,9 +333,9 @@ def test_graded_grid_matches_closed_form():
     alpha, q = 0.5, -1.0
     b = neumann_basis(4, 201)
     a = b.modes[:, 2].copy()
-    prob = LinearProblem(b, alpha, a, reaction=q, shift=-q)
+    prob = LinearProblem(b, alpha, a, reaction=q)
     grid = TimeGrid.graded(1.0, 48, 2.0)
-    traj = solve_linear(prob, grid)
+    traj = solve_linear(prob, grid, shift=-q)
     want = ml_neg_vec(alpha, (b.lambdas[2] - q) * grid.nodes**alpha)
     np.testing.assert_allclose(traj.modal[:, 2], want, atol=1e-12)
 
@@ -411,3 +412,31 @@ def test_problem_validation():
         solve_linear(LinearProblem(b, 0.5, np.zeros(33)), TimeGrid.uniform(1.0, 4), reconstruction="spline")
     with pytest.raises(ValueError):
         convolve_K(ModalPropagator(b, 0.5, TimeGrid.uniform(1.0, 4)), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("reconstruction", ["constant", "linear"])
+def test_non_finite_value_stops_the_march(reconstruction):
+    """The march stops at the first node with a non-finite value, naming the
+    node and its time: node 0 for an infinite initial field, node 1 for a
+    forcing infinite at x = 0."""
+    b = neumann_basis(4, 33)
+    grid = TimeGrid.uniform(1.0, 8)
+    with np.errstate(all="ignore"):
+        cases = [
+            (np.full(33, np.inf), None, r"at node 0 \(t=0.0\)"),
+            (np.ones(33), lambda x, t: 1.0 / x, r"at node 1 \(t=0.125\)"),
+        ]
+        for a, forcing, where in cases:
+            prob = LinearProblem(b, 0.5, a, forcing=forcing)
+            with pytest.raises(ArithmeticError, match=where):
+                solve_linear(prob, grid, reconstruction=reconstruction)
+
+
+def test_linear_solvers_refuse_a_reaction_term():
+    """A SemilinearProblem is a LinearProblem with a reaction term, which
+    neither linear solver marches: both point to picard_solve."""
+    b = neumann_basis(4, 33)
+    prob = SemilinearProblem(b, 0.5, np.ones(33), SemilinearTerm.enzyme())
+    for solve in (solve_linear, solve_linear_l1):
+        with pytest.raises(TypeError, match="picard_solve"):
+            solve(prob, TimeGrid.uniform(1.0, 4))

@@ -212,7 +212,7 @@ def test_graded_picard_linear_term_matches_solve_linear(shift):
     grid = TimeGrid.graded(1.0, 48, 2.5)
     prob = SemilinearProblem(b, 0.6, a, SemilinearTerm(lambda x, u: -k * u))
     traj = picard_solve(prob, grid, shift=shift)
-    ref = solve_linear(LinearProblem(b, 0.6, a, reaction=-k, shift=shift), grid)
+    ref = solve_linear(LinearProblem(b, 0.6, a, reaction=-k), grid, shift=shift)
     assert traj.diagnostics["sweeps"] > 2
     assert np.max(np.abs(traj.modal - ref.modal)) <= 1e-9
 

@@ -160,9 +160,7 @@ def test_equal_order_agrees_with_linsolve():
     )
     grid = TimeGrid.uniform(1.0, 128)
     out = picard_system_solve(sys, grid, M1=1.0)
-    ref = solve_linear(
-        LinearProblem(b, 0.5, a1, reaction=-0.4, shift=1.0), grid
-    )
+    ref = solve_linear(LinearProblem(b, 0.5, a1, reaction=-0.4), grid, shift=1.0)
     assert np.max(np.abs(out["trajectories"][0].fields() - ref.fields())) < 1e-8
 
 
