@@ -23,6 +23,14 @@ Measures, in CPU time with BLAS threads capped at 1:
   (tables built in the solve, as above) and per sweep (the solve divided
   by its sweeps), medians of REPEATS batches of UNIFORM_BATCH solves after
   one warm-up;
+* the median CPU seconds of the reaction-system solves (L3), per solve and
+  per sweep, medians of REPEATS batches of SYSTEM_BATCH solves after one
+  warm-up: ``picard_system_solve`` of a cooperative 3-component system
+  (orders 0.9/0.94/0.98, off-diagonal couplings 1, M1 = 0.1, tol 1e-12) on
+  33 nodes and ``TimeGrid.uniform(1, 64)``, and ``semilinear_pair_solve`` of
+  the case-4 pair f = v (1 + u^2), g = u (1 + v^2) (alpha = 0.6, shift 2)
+  on 33 nodes and ``TimeGrid.uniform(0.5, 64)``, the sizes of the
+  benchmark's fixed_point system and pair steps;
 * L4: the CPU seconds and peak RSS (medians of REPEATS) of a fresh
   interpreter that imports fracdiff and runs that uniform solve once, as
   the process reports them at its end (interpreter start included).
@@ -59,6 +67,7 @@ REPEATS = 7
 PICARD_N = (64, 128)
 PICARD_REPEATS = 3
 UNIFORM_BATCH = 20
+SYSTEM_BATCH = 10
 # the uniform solve of the L3 and L4 cells, as source that a fresh
 # interpreter runs with nothing else imported
 UNIFORM_PICARD = """
@@ -168,6 +177,47 @@ def uniform_picard_s(src):
     return solve, solve / ns["traj"].diagnostics["sweeps"]
 
 
+def reaction_system_s(src, kind):
+    """(CPU s per solve, per sweep) of the system or the pair solve."""
+    sys.path.insert(0, src)
+    from fracdiff.fracops import TimeGrid
+    from fracdiff.spectral import EllipticOperator, eigendecompose
+    from fracdiff.systems import (
+        MultiOrderSystem,
+        SemilinearPair,
+        picard_system_solve,
+        semilinear_pair_solve,
+    )
+
+    basis = eigendecompose(EllipticOperator(np.pi), 33, 33)
+    x = basis.grid
+    if kind == "system":
+        initials = [b * (1.0 + 0.5 * np.cos((j + 1) * x)) for j, b in enumerate((0.6, 0.4, 0.8))]
+        couplings = [[-0.01 if j == k else 1.0 for k in range(3)] for j in range(3)]
+        system = MultiOrderSystem(basis, [0.9, 0.94, 0.98], initials, couplings=couplings)
+        grid = TimeGrid.uniform(1.0, 64)
+
+        def solve():
+            return picard_system_solve(system, grid, M1=0.1, tol=1e-12, max_sweeps=400)["sweeps"]
+    else:
+        pair = SemilinearPair(basis, 0.6, lambda u, v: v * (1.0 + u**2),
+                              lambda u, v: u * (1.0 + v**2),
+                              0.3 + 0.1 * np.cos(x), 0.2 + 0.1 * np.cos(2.0 * x))
+        grid = TimeGrid.uniform(0.5, 64)
+
+        def solve():
+            return semilinear_pair_solve(pair, grid, shift=2.0)[0].diagnostics["sweeps"]
+
+    sweeps = solve()  # warm-up
+
+    def batch():
+        for _ in range(SYSTEM_BATCH):
+            solve()
+
+    seconds = _median_cpu(batch, REPEATS) / SYSTEM_BATCH
+    return seconds, seconds / sweeps
+
+
 def fresh_process(src):
     """(CPU s, peak RSS MB) of a fresh interpreter running UNIFORM_PICARD."""
     code = (f"import sys\nsys.path.insert(0, {src!r})\n{UNIFORM_PICARD}"
@@ -200,7 +250,11 @@ def main(argv=None):
             f"N={N}": round(pool.apply(graded_picard_s, (src, N)), 4) for N in PICARD_N
         }
         solve, sweep = pool.apply(uniform_picard_s, (src,))
+        systems = {k: pool.apply(reaction_system_s, (src, k)) for k in ("system", "pair")}
     result["uniform_picard_cpu_s"] = {"solve": round(solve, 4), "sweep": round(sweep, 5)}
+    result["reaction_system_cpu_s"] = {
+        k: {"solve": round(v[0], 5), "sweep": round(v[1], 6)} for k, v in systems.items()
+    }
     cpu, rss = fresh_process(src)
     result["fresh_process"] = {"cpu_s": round(cpu, 3), "peak_rss_mb": round(rss, 1)}
     print(f"graded solve_linear triple: {result['graded_solve_linear_triple_cpu_s']:.3f} s CPU (median of {REPEATS})")
@@ -209,6 +263,9 @@ def main(argv=None):
     ) + f" (median of {PICARD_REPEATS})")
     print(f"uniform picard_solve: {solve:.4f} s CPU per solve, {sweep:.5f} s per sweep "
           f"(median of {REPEATS} batches of {UNIFORM_BATCH})")
+    for k, (v, w) in systems.items():
+        print(f"{k} solve: {v:.4f} s CPU per solve, {w:.5f} s per sweep "
+              f"(median of {REPEATS} batches of {SYSTEM_BATCH})")
     print(f"fresh process (import + uniform solve): {cpu:.3f} s CPU (median of {REPEATS}), "
           f"peak RSS {rss:.1f} MB")
     result["environment"] = {
@@ -228,6 +285,9 @@ def main(argv=None):
         f"at N = {'/'.join(map(str, PICARD_N))}, medians of {PICARD_REPEATS}; "
         "median CPU seconds of a uniform enzyme picard_solve (N = 96, shift 2, 33 modes) "
         f"per solve and per sweep, medians of {REPEATS} batches of {UNIFORM_BATCH}; "
+        "median CPU seconds of a 3-component picard_system_solve (33 nodes, N = 64) and "
+        "a semilinear_pair_solve (33 nodes, N = 64, T = 0.5) per solve and per sweep, "
+        f"medians of {REPEATS} batches of {SYSTEM_BATCH}; "
         "median CPU seconds and peak RSS of a fresh process that imports fracdiff and "
         "runs that solve once; each measurement in a fresh process"
     )

@@ -7,7 +7,7 @@ fracops      discrete fractional integral/derivative operators (RL, L1)
 spectral     1-D elliptic eigendecomposition (Neumann/Robin)
 linsolve     linear mild-solution solvers, the shared Volterra fixed-point engine
 semilinear   Picard contraction, monotone iteration, comparison, barriers
-systems      multi-order cooperative systems and semilinear pairs
+systems      reaction systems: multi-order linear systems, semilinear pairs
 expressions  small expression grammar for scenario files
 harness      scenario ingestion, property checks, reports
 cli          `fracdiff` command-line entry point

@@ -19,7 +19,7 @@ section and the key.  Numbers are finite; defaults are in parentheses::
                   drift, reaction, forcing of x, t
                 linear: shift (0) >= 0
                 semilinear: term* of x, u  m > 0  solver_shift (0) >= 0
-                system: alphas* in (0, 1), split by ','
+                system: alphas* in (0, 1), split by ',', may repeat, never decrease
                   initials* of x, forcings of x, t: split by ';'
                   couplings: random, or rows of numbers split by ';'
                   coupling_lo (0), coupling_hi (0.5): range when random
@@ -38,7 +38,9 @@ section and the key.  Numbers are finite; defaults are in parentheses::
 
 Bracket, envelope and convergence properties need kind linear or
 semilinear, comparison semilinear.  The linear ``shift`` and the
-``solver_shift`` are one solve argument, the scheme's spectral shift.
+``solver_shift`` are one solve argument, the scheme's spectral shift.  The
+working box m, and its default 2 (1 + sup|initial|), must be finite and
+hold the initial data.
 
 Reports are deterministic: for a fixed scenario file and seed the report
 body is byte-identical across runs (runtime lives outside the body).
@@ -71,9 +73,7 @@ from .systems import (
     MultiOrderSystem,
     SemilinearPair,
     nonneg_verify,
-    pair_nonneg_verify,
     picard_system_solve,
-    semilinear_pair_solve,
 )
 
 __all__ = [
@@ -254,7 +254,8 @@ def _time_grid(T, N, grading):
 class Scenario:
     """A scenario file read by :meth:`load`.  It owns the solver inputs
     ``basis``, ``grid``, ``problem`` and ``solver_shift`` (the spectral
-    shift of the scalar and pair solves), built once; ``properties`` holds
+    shift of the solve, None for a system file, whose solve takes its
+    default M1), built once; ``properties`` holds
     (name, type, fields) per property section and ``monotone`` the fields
     of [monotone] or None, fields being namespaces of typed values named by
     their keys."""
@@ -272,7 +273,7 @@ class Scenario:
         pv = self._read(parser, "problem", _PROBLEM_KEYS[self.kind])
         self.problem = self._problem(pv)
         # a linear file calls its solver shift `shift`; systems have none
-        self.solver_shift = getattr(pv, "solver_shift", getattr(pv, "shift", 0.0))
+        self.solver_shift = getattr(pv, "solver_shift", getattr(pv, "shift", None))
         self.properties = [
             self._property(parser, section, pv)
             for section in parser.sections()
@@ -403,8 +404,9 @@ class Scenario:
                 "problem", "alphas", MultiOrderSystem, basis, pv.alphas,
                 [a(x) for a in pv.initials], couplings=couplings, forcings=pv.forcings,
             )
-        return SemilinearPair(
-            basis, pv.alpha, pv.f, pv.g, pv.initial_u(x), pv.initial_v(x), m=pv.m
+        return self._built(
+            "problem", "m", SemilinearPair, basis, pv.alpha, pv.f, pv.g,
+            pv.initial_u(x), pv.initial_v(x), m=pv.m,
         )
 
 
@@ -445,26 +447,17 @@ def _solve(scn, grid):
         return [solve_linear(prob, grid, shift=scn.solver_shift)]
     if scn.kind == "semilinear":
         return [picard_solve(prob, grid, shift=scn.solver_shift)]
-    if scn.kind == "system":
-        return picard_system_solve(prob, grid)["trajectories"]
-    return list(semilinear_pair_solve(prob, grid, shift=scn.solver_shift))
+    return picard_system_solve(prob, grid, scn.solver_shift)["trajectories"]
 
 
 def _check_nonneg(scn, trajs, params):
     prob, tol = scn.problem, params.tol
-    if scn.kind == "system":
+    if scn.kind not in _SCALAR:
         out = nonneg_verify(prob, trajs, scn.grid, tol=tol)
-        detail = f"min_value={_fmt(out['min_value'])}" \
-            if "min_value" in out else f"reason={out.get('reason', '')}"
-        return out["verdict"], detail
-    if scn.kind == "pair":
-        out = pair_nonneg_verify(prob, trajs, tol=tol)
         if out["verdict"] == "NOT-APPLICABLE":
-            return out["verdict"], f"reason={out.get('reason', '')}"
-        return out["verdict"], (
-            f"min_value={_fmt(out['min_value'])} "
-            f"case={out['classification']['case']}"
-        )
+            return out["verdict"], f"reason={out['reason']}"
+        case = f" case={out['classification']['case']}" if "classification" in out else ""
+        return out["verdict"], f"min_value={_fmt(out['min_value'])}{case}"
     # scalar problems: gate on sampled hypotheses a >= 0, F >= 0, f(x,0) >= 0
     x = scn.basis.grid
     if float(np.min(prob.a)) < -1e-12:

@@ -43,6 +43,7 @@ __all__ = [
     "sample_history",
     "volterra_sweep",
     "fixed_point",
+    "working_box",
     "solve_linear",
     "solve_linear_l1",
 ]
@@ -241,6 +242,16 @@ def fixed_point(props, a, rhs, tol, max_sweeps, m=None):
         "contraction_flag": bool(rhos and max(rhos) >= 1.0),
     }
     return modal, diag
+
+
+def working_box(a, m=None):
+    """The working box |u| <= m of fixed_point for initial fields a, by
+    default 2 (1 + sup|a|); a ValueError unless it is finite and holds a."""
+    sup_a = float(np.max(np.abs(a)))
+    m = 2.0 * (1.0 + sup_a) if m is None else float(m)
+    if not (np.isfinite(m) and sup_a <= m):
+        raise ValueError(f"sup|a| = {sup_a} needs a finite working box m >= sup|a|, got {m}")
+    return m
 
 
 class LinearProblem:

@@ -40,6 +40,7 @@ from .linsolve import (
     fixed_point,
     sample_history,
     volterra_sweep,
+    working_box,
 )
 from .mlf import ml_neg_vec
 from .spectral import project, synthesize
@@ -126,12 +127,7 @@ class SemilinearProblem(LinearProblem):
         super().__init__(basis, alpha, a, drift=drift, reaction=reaction,
                          forcing=forcing)
         self.term = term if isinstance(term, SemilinearTerm) else SemilinearTerm(term)
-        sup_a = float(np.max(np.abs(self.a)))
-        if m is None:
-            m = 2.0 * (1.0 + sup_a)
-        if sup_a > m:
-            raise ValueError(f"initial data leaves the working box |u| <= {m}")
-        self.m = float(m)
+        self.m = working_box(self.a, m)
 
     def rhs(self, U, coeffs, shift):
         """(Q + shift) u + F + f(u) in physical space, for field histories

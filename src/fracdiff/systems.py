@@ -1,21 +1,19 @@
-"""Multi-order cooperative linear systems and two-component semilinear
-pairs on a shared Neumann Laplacian eigenbasis.
+"""Reaction systems: C >= 2 components on one Neumann Laplacian
+eigenbasis, each of its own order alpha_c, coupled through a reaction R:
 
-picard_system_solve iterates the coupled mild formulation
+    d_t^{alpha_c} (u_c - a_c) - Lap u_c = R_c(u),   c = 1, ..., C.
 
-    d_t^{alpha_l} (u_l - a_l) - Lap u_l = sum_j p_{lj} u_j + F_l
-
-with per-component propagators S_l, K_l shifted by M_1 (so the diagonal
-coupling p_ll + M_1 is positive and the sweep map preserves ordering and
-nonnegativity on the grid).  Both picard_system_solve and
-semilinear_pair_solve run on the shared Volterra engine
+ReactionSystem validates the orders, the initial fields and the working
+box.  Its two constructors, MultiOrderSystem (linear couplings and
+forcings) and SemilinearPair (two components of equal order, bivariate
+reactions f and g), each supply the reaction, the default and check of
+the spectral shift M_1, and the hypotheses of the non-negativity theorem;
+cooperative_classify decides which of the four cooperative cases of a
+pair (or none) applies.  picard_system_solve is the one solve: the
+coupled mild formulation on the shared Volterra engine
 linsolve.fixed_point, with the components stacked along its component
-axis and the couplings and forcings sampled once per grid.
-
-Nonnegativity verdicts are gated on the sampled hypotheses (off-diagonal
-couplings, forcings, and initial data all nonnegative);
-cooperative_classify decides which disjuncts of the pair conditions hold
-and hence which of the four cooperative cases (or none) applies.
+axis, one propagator per distinct order shifted by M_1, and the reaction
+sampled once per grid.  nonneg_verify is the one non-negativity gate.
 """
 
 import math
@@ -23,36 +21,46 @@ import math
 import numpy as np
 
 from .fracops import SampledSignal, rl_integral
-from .linsolve import ModalPropagator, Trajectory, fixed_point, sample_history
+from .linsolve import ModalPropagator, Trajectory, fixed_point, sample_history, working_box
 
 __all__ = [
+    "ReactionSystem",
     "MultiOrderSystem",
+    "SemilinearPair",
     "picard_system_solve",
     "nonneg_verify",
     "increment_recursion_check",
     "kernel_envelope_check",
-    "SemilinearPair",
     "semilinear_pair_solve",
     "cooperative_classify",
     "pair_nonneg_verify",
 ]
 
 
-class MultiOrderSystem:
-    """N coupled components with strictly increasing orders alpha_l.
+def _sup(history):
+    return 0.0 if history is None else float(np.max(np.abs(history)))
 
-    couplings is an N x N nested sequence of entries (None, scalar, or
-    callable (x, t)); forcings a length-N sequence of the same kind.
+
+class ReactionSystem:
+    """C >= 2 components with orders in (0, 1) that never decrease,
+    initial fields sampled on the basis grid, and the working box |u| <= m
+    of the solve (None: no box, fixed_point's growth rule).
+
+    A constructor supplies reaction(tnodes, M1), the checked shift M1 (its
+    default for None) and a function adding the reaction of the field
+    histories U (C, N+1, n_grid) into the shifted history M1 U; and
+    cooperativity(grid, low, high), the gate of nonneg_verify for
+    solutions ranging over [low, high].
     """
 
-    def __init__(self, basis, alphas, initials, couplings=None, forcings=None):
+    def __init__(self, basis, alphas, initials, m=None):
         alphas = [float(a) for a in alphas]
         if len(alphas) < 2:
-            raise ValueError("a multi-order system needs at least 2 components")
+            raise ValueError("a reaction system needs at least 2 components")
         if any(not (0.0 < a < 1.0) for a in alphas):
             raise ValueError(f"orders must lie in (0, 1), got {alphas}")
-        if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
-            raise ValueError(f"orders must be strictly increasing, got {alphas}")
+        if any(a2 < a1 for a1, a2 in zip(alphas, alphas[1:])):
+            raise ValueError(f"orders must not decrease, got {alphas}")
         n = len(alphas)
         initials = [np.asarray(a, dtype=float) for a in initials]
         if len(initials) != n:
@@ -60,6 +68,23 @@ class MultiOrderSystem:
         for a in initials:
             if a.shape != basis.grid.shape:
                 raise ValueError("initial fields must be sampled on the basis grid")
+        self.basis = basis
+        self.alphas = alphas
+        self.N = n
+        self.initials = initials
+        self.m = None if m is None else working_box(initials, m)
+
+
+class MultiOrderSystem(ReactionSystem):
+    """Linear couplings R_l(u) = sum_j p_lj u_j + F_l, with no box.
+
+    couplings is an N x N nested sequence of entries (None, scalar, or
+    callable (x, t)); forcings a length-N sequence of the same kind.
+    """
+
+    def __init__(self, basis, alphas, initials, couplings=None, forcings=None):
+        super().__init__(basis, alphas, initials)
+        n = self.N
         if couplings is None:
             couplings = [[None] * n for _ in range(n)]
         if len(couplings) != n or any(len(row) != n for row in couplings):
@@ -68,10 +93,6 @@ class MultiOrderSystem:
             forcings = [None] * n
         if len(forcings) != n:
             raise ValueError(f"{len(forcings)} forcings for {n} components")
-        self.basis = basis
-        self.alphas = alphas
-        self.N = n
-        self.initials = initials
         self.couplings = couplings
         self.forcings = forcings
 
@@ -82,47 +103,107 @@ class MultiOrderSystem:
         P = [[sample_history(p, x, tnodes) for p in row] for row in self.couplings]
         return P, [sample_history(f, x, tnodes) for f in self.forcings]
 
+    def reaction(self, tnodes, M1=None):
+        """M_1 must exceed the diagonal couplings sup|p_ll| and be >= 0; by
+        default it is 1 + max_l sup|p_ll|, or 0 for a decoupled system, so
+        that one sweep reproduces S_l a_l."""
+        P, F = self.coefficients(tnodes)
+        coupled = any(p is not None for row in P for p in row)
+        diagonal_sup = max(_sup(P[l][l]) for l in range(self.N))
+        if M1 is None:
+            M1 = 1.0 + diagonal_sup if coupled else 0.0
+        M1 = float(M1)
+        if coupled and M1 <= diagonal_sup:
+            raise ValueError(
+                f"M1 = {M1} must exceed the diagonal coupling bound {diagonal_sup}"
+            )
+        if M1 < 0.0:
+            raise ValueError(f"M1 must be nonnegative, got {M1}")
 
-def _sup(history):
-    return 0.0 if history is None else float(np.max(np.abs(history)))
+        def add(U, R):
+            for l in range(self.N):
+                for j in range(self.N):
+                    if P[l][j] is not None:
+                        R[l] = R[l] + P[l][j] * U[j]
+                if F[l] is not None:
+                    R[l] = R[l] + F[l]
+            return R
+
+        return M1, add
+
+    def cooperativity(self, grid, low, high):
+        """Off-diagonal p_jk >= 0, F_k >= 0, a_k >= 0, all sampled on the
+        grid; the reason names the last one that fails."""
+        P, F = self.coefficients(grid.nodes)
+        idx = range(self.N)
+        named = [(f"a_{k + 1}", a) for k, a in enumerate(self.initials)]
+        named += [(f"F_{k + 1}", f) for k, f in enumerate(F)]
+        named += [(f"p_{j + 1}{k + 1}", P[j][k]) for j in idx for k in idx if j != k]
+        failed = [name for name, h in named if h is not None and np.min(h) < -1e-12]
+        return {"reason": f"{failed[-1]} takes negative values"} if failed else {}
+
+
+class SemilinearPair(ReactionSystem):
+    """Two components of equal order coupled through bivariate reactions
+    f(u, v) and g(u, v) (elementwise callables), always in a working box:
+    m, or 2 (1 + max(sup|a|, sup|b|)) by default."""
+
+    def __init__(self, basis, alpha, f, g, a, b, m=None):
+        super().__init__(basis, [alpha, alpha], [a, b], m)
+        if m is None:
+            self.m = working_box(self.initials)
+        self.f = f
+        self.g = g
+
+    def reaction(self, tnodes, M1=None):
+        """M_1 defaults to 0.  It rewrites the reactions as M_1 u + f(u, v)
+        and M_1 v + g(u, v); with M_1 >= the sampled Lipschitz bound and
+        cooperative couplings the discrete sweep map preserves
+        nonnegativity exactly (full-basis grids)."""
+
+        def add(U, R):
+            u, v = U
+            R[0] = R[0] + np.asarray(self.f(u, v), float) * np.ones_like(u)
+            R[1] = R[1] + np.asarray(self.g(u, v), float) * np.ones_like(v)
+            return R
+
+        return (0.0 if M1 is None else float(M1)), add
+
+    def cooperativity(self, grid, low, high):
+        """a >= 0, b >= 0 and a successful classification over the observed
+        range [low, high] inflated by 25%."""
+        if min(float(np.min(a)) for a in self.initials) < -1e-12:
+            return {"reason": "initial data not nonnegative"}
+        span = max(high - low, 1e-3)
+        cls = cooperative_classify(self, (low - 0.25 * span, high + 0.25 * span))
+        if cls["case"] == "none":
+            return {
+                "reason": "pair is not cooperative on the observed range",
+                "classification": cls,
+            }
+        return {"classification": cls}
 
 
 def picard_system_solve(sys, grid, M1=None, tol=1e-10, max_sweeps=200):
-    """Coupled Picard sweeps from U^0 = (a_1, ..., a_N).
+    """Coupled Picard sweeps of a reaction system from U^0 = (a_1, ...,
+    a_N), in its working box.
 
+    Every component's propagator is shifted by M_1, which the reaction
+    adds back (M_1 U + R(U)); its default and check are the system's.
     Returns trajectories, the increment histories U_n(t) = sum_l
-    sup_x |u_l^{n+1} - u_l^n|(t), and the shift M_1 used.  Raises as
-    linsolve.fixed_point does: on a non-finite value, on divergence (sup
+    sup_x |u_l^{n+1} - u_l^n|(t), the shift M_1 used and the sweeps.
+    Raises as linsolve.fixed_point does: on a non-finite value, on
+    divergence (amplitude escape from the box, or without a box the sup
     increment growing over 5 consecutive sweeps), or on non-convergence
     within max_sweeps.
     """
     basis = sys.basis
-    P, F = sys.coefficients(grid.nodes)
-    coupled = any(p is not None for row in P for p in row)
-    diagonal_sup = max(_sup(P[l][l]) for l in range(sys.N))
-    if M1 is None:
-        # decoupled systems run unshifted, so one sweep reproduces S_l a_l
-        M1 = 1.0 + diagonal_sup if coupled else 0.0
-    M1 = float(M1)
-    if coupled and M1 <= diagonal_sup:
-        raise ValueError(
-            f"M1 = {M1} must exceed the diagonal coupling bound {diagonal_sup}"
-        )
-    if M1 < 0.0:
-        raise ValueError(f"M1 must be nonnegative, got {M1}")
-    props = [ModalPropagator(basis, a, grid, shift=M1) for a in sys.alphas]
-
-    def rhs(U):
-        R = M1 * U
-        for l in range(sys.N):
-            for j in range(sys.N):
-                if P[l][j] is not None:
-                    R[l] = R[l] + P[l][j] * U[j]
-            if F[l] is not None:
-                R[l] = R[l] + F[l]
-        return R
-
-    modal, diag = fixed_point(props, sys.initials, rhs, tol, max_sweeps)
+    M1, reaction = sys.reaction(grid.nodes, M1)
+    props = {a: ModalPropagator(basis, a, grid, shift=M1) for a in set(sys.alphas)}
+    modal, diag = fixed_point(
+        [props[a] for a in sys.alphas], sys.initials,
+        lambda U: reaction(U, M1 * U), tol, max_sweeps, m=sys.m,
+    )
     increments = diag.pop("increments")
     trajs = [
         Trajectory(grid, basis, modal[l], {"component": l, "M1": M1, **diag})
@@ -137,32 +218,16 @@ def picard_system_solve(sys, grid, M1=None, tol=1e-10, max_sweeps=200):
 
 
 def nonneg_verify(sys, trajectories, grid, tol=1e-8):
-    """Gate on the cooperativity hypotheses, then check min value >= -tol.
-
-    Hypotheses: off-diagonal p_jk >= 0, F_k >= 0, a_k >= 0 (all sampled);
-    if any fails the verdict is NOT-APPLICABLE and the minimum is still
-    reported (but not asserted)."""
-    P, F = sys.coefficients(grid.nodes)
-    reason = None
-    for k, a in enumerate(sys.initials):
-        if float(np.min(a)) < -1e-12:
-            reason = f"a_{k + 1} takes negative values"
-    for k, f in enumerate(F):
-        if f is not None and float(np.min(f)) < -1e-12:
-            reason = f"F_{k + 1} takes negative values"
-    for j in range(sys.N):
-        for k in range(sys.N):
-            p = P[j][k]
-            if j != k and p is not None and float(np.min(p)) < -1e-12:
-                reason = f"p_{j + 1}{k + 1} takes negative values"
-    min_value = min(float(np.min(tr.fields())) for tr in trajectories)
-    if reason is not None:
-        return {"verdict": "NOT-APPLICABLE", "reason": reason, "min_value": min_value}
-    return {
-        "verdict": "PASS" if min_value >= -tol else "FAIL",
-        "min_value": min_value,
-        "tol": tol,
-    }
+    """Gate on the system's cooperativity hypotheses, then check min value
+    >= -tol.  If a hypothesis fails the verdict is NOT-APPLICABLE with its
+    reason, and the minimum is still reported (but not asserted)."""
+    fields = [tr.fields() for tr in trajectories]
+    low = min(float(np.min(f)) for f in fields)
+    high = max(float(np.max(f)) for f in fields)
+    out = {"min_value": low, **sys.cooperativity(grid, low, high)}
+    if "reason" in out:
+        return {"verdict": "NOT-APPLICABLE", **out}
+    return {"verdict": "PASS" if low >= -tol else "FAIL", **out, "tol": tol}
 
 
 def increment_recursion_check(result, sys, grid):
@@ -207,50 +272,9 @@ def kernel_envelope_check(sys, grid):
     return {"constant": C, "worst_ratio": worst, "passes": worst <= 1.0 + 1e-9}
 
 
-class SemilinearPair:
-    """Two components of equal order coupled through bivariate reactions
-    f(u, v) and g(u, v) (elementwise callables)."""
-
-    def __init__(self, basis, alpha, f, g, a, b, m=None):
-        self.basis = basis
-        self.alpha = float(alpha)
-        self.f = f
-        self.g = g
-        self.a = np.asarray(a, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        for field in (self.a, self.b):
-            if field.shape != basis.grid.shape:
-                raise ValueError("initial fields must be sampled on the basis grid")
-        if m is None:
-            m = 2.0 * (1.0 + max(float(np.max(np.abs(self.a))),
-                                 float(np.max(np.abs(self.b)))))
-        self.m = float(m)
-
-
 def semilinear_pair_solve(pair, grid, tol=1e-10, max_sweeps=200, shift=0.0):
-    """Coupled Picard iteration for the pair, to sup increment < tol, by
-    linsolve.fixed_point with the working box m.
-
-    The optional spectral shift s rewrites the reactions as
-    s u + f(u, v) and s v + g(u, v); with s >= the sampled Lipschitz bound
-    and cooperative couplings the discrete sweep map preserves
-    nonnegativity exactly (full-basis grids)."""
-    basis = pair.basis
-    prop = ModalPropagator(basis, pair.alpha, grid, shift=shift)
-
-    def rhs(U):
-        u, v = U
-        return np.stack([
-            shift * u + np.asarray(pair.f(u, v), float) * np.ones_like(u),
-            shift * v + np.asarray(pair.g(u, v), float) * np.ones_like(v),
-        ])
-
-    modal, diag = fixed_point(
-        [prop, prop], [pair.a, pair.b], rhs, tol, max_sweeps, m=pair.m
-    )
-    del diag["increments"]
-    diag["shift"] = shift
-    return tuple(Trajectory(grid, basis, c, diag) for c in modal)
+    """The trajectories (u, v) of picard_system_solve with M_1 = shift."""
+    return tuple(picard_system_solve(pair, grid, shift, tol, max_sweeps)["trajectories"])
 
 
 def cooperative_classify(pair, box, n=101, tol=1e-9):
@@ -267,16 +291,12 @@ def cooperative_classify(pair, box, n=101, tol=1e-9):
     h = xi[1] - xi[0]
     witnesses = {}
 
-    def disjuncts(fn, first_arg_zero):
+    def disjuncts(fn, label, axis):
+        # f: the edge u = 0 and d_2 f (axis 1); g: the edge v = 0 and d_1 g
         Z = np.asarray(fn(U, V), dtype=float) * np.ones_like(U)
-        if first_arg_zero:
-            edge = np.asarray(fn(np.zeros_like(xi), xi), dtype=float) * np.ones_like(xi)
-            dpart = np.diff(Z, axis=1) / h  # d_2 f
-            label = "f"
-        else:
-            edge = np.asarray(fn(xi, np.zeros_like(xi)), dtype=float) * np.ones_like(xi)
-            dpart = np.diff(Z, axis=0) / h  # d_1 g
-            label = "g"
+        on_edge = (np.zeros_like(xi), xi) if axis == 1 else (xi, np.zeros_like(xi))
+        edge = np.asarray(fn(*on_edge), dtype=float) * np.ones_like(xi)
+        dpart = np.diff(Z, axis=axis) / h
         A = bool(np.min(edge) >= -tol)
         if not A:
             k = int(np.argmin(edge))
@@ -290,8 +310,8 @@ def cooperative_classify(pair, box, n=101, tol=1e-9):
             )
         return A, B
 
-    fA, fB = disjuncts(pair.f, True)
-    gA, gB = disjuncts(pair.g, False)
+    fA, fB = disjuncts(pair.f, "f", 1)
+    gA, gB = disjuncts(pair.g, "g", 0)
     case = "none"
     if fA and gA:
         case = 1
@@ -310,30 +330,5 @@ def cooperative_classify(pair, box, n=101, tol=1e-9):
 
 
 def pair_nonneg_verify(pair, solution, tol=1e-8):
-    """PASS iff both components stay >= -tol, gated on a >= 0, b >= 0 and a
-    successful classification over the observed range inflated by 25%."""
-    u_traj, v_traj = solution
-    uf, vf = u_traj.fields(), v_traj.fields()
-    min_value = min(float(np.min(uf)), float(np.min(vf)))
-    if float(np.min(pair.a)) < -1e-12 or float(np.min(pair.b)) < -1e-12:
-        return {
-            "verdict": "NOT-APPLICABLE",
-            "reason": "initial data not nonnegative",
-            "min_value": min_value,
-        }
-    hi = max(float(np.max(uf)), float(np.max(vf)))
-    span = max(hi - min_value, 1e-3)
-    cls = cooperative_classify(pair, (min_value - 0.25 * span, hi + 0.25 * span))
-    if cls["case"] == "none":
-        return {
-            "verdict": "NOT-APPLICABLE",
-            "reason": "pair is not cooperative on the observed range",
-            "classification": cls,
-            "min_value": min_value,
-        }
-    return {
-        "verdict": "PASS" if min_value >= -tol else "FAIL",
-        "min_value": min_value,
-        "classification": cls,
-        "tol": tol,
-    }
+    """nonneg_verify of the trajectories (u, v) of a pair."""
+    return nonneg_verify(pair, solution, solution[0].grid, tol)

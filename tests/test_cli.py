@@ -180,6 +180,31 @@ SYSTEM = """
     type = nonneg
 """
 
+PAIR = """
+    [scenario]
+    name = pairdemo
+    kind = pair
+
+    [space]
+    length = 3.141592653589793
+    n_grid = 17
+
+    [time]
+    T = 0.5
+    N = 16
+
+    [problem]
+    alpha = 0.5
+    f = v^2
+    g = u^2
+    initial_u = 0.3 + 0.1*cos(x)
+    initial_v = 0.2
+
+    [property:pos]
+    type = nonneg
+"""
+
+
 @pytest.mark.parametrize(
     "command, text, section",
     [
@@ -231,6 +256,11 @@ SYSTEM = """
          "[space] length"),
         ("system", SYSTEM.replace("alphas = 0.5, 0.7", "alphas = 0.7, 0.5"),
          "[problem] alphas"),
+        ("run", SEMI.replace("initial = 1 + 0.1*cos(x)", "initial = 1e308"),
+         "[problem] m"),
+        ("run", PAIR.replace("initial_v = 0.2", "initial_v = 1e308"), "[problem] m"),
+        ("run", PAIR.replace("initial_v = 0.2", "initial_v = 0.2\n    m = 0.35"),
+         "[problem] m"),
     ],
     ids=[
         "problem-term-missing",
@@ -257,6 +287,9 @@ SYSTEM = """
         "space-c-positive",
         "space-length-stiffness-overflows",
         "system-alphas-unordered",
+        "semilinear-default-box-overflows",
+        "pair-default-box-overflows",
+        "pair-initial-outside-box",
     ],
 )
 def test_invalid_scenario_exits_2_at_load(tmp_path, capsys, command, text, section):

@@ -159,6 +159,36 @@ def test_system_scenario_random_seeded(tmp_path):
         assert (tmp_path / f"coop.comp{i}.traj.csv").exists()
 
 
+def test_system_not_applicable_says_why(tmp_path):
+    """A system whose hypotheses fail reports the failed one, as the pair
+    and scalar kinds do."""
+    text = """
+    [scenario]
+    name = anti
+    kind = system
+
+    [space]
+    length = 3.141592653589793
+    n_grid = 17
+
+    [time]
+    T = 1.0
+    N = 16
+
+    [problem]
+    alphas = 0.5, 0.7
+    initials = 0.5 + 0.2*cos(x); 0.3
+    couplings = 0, -0.3; 0.2, 0
+
+    [property:pos]
+    type = nonneg
+    """
+    report = run_scenario(write_scenario(tmp_path, text), write_files=False)
+    assert report.verdicts == [("pos", "NOT-APPLICABLE")]
+    assert "property pos [nonneg]: NOT-APPLICABLE reason=p_12 takes negative values" \
+        in report.body.splitlines()
+
+
 def test_pair_scenario(tmp_path):
     text = """
     [scenario]

@@ -30,8 +30,8 @@ def test_system_validation():
     a = [np.ones_like(b.grid)] * 2
     with pytest.raises(ValueError):
         MultiOrderSystem(b, [0.5], a[:1])
-    with pytest.raises(ValueError):
-        MultiOrderSystem(b, [0.5, 0.4], a)  # not increasing
+    with pytest.raises(ValueError, match="must not decrease"):
+        MultiOrderSystem(b, [0.5, 0.4], a)
     with pytest.raises(ValueError):
         MultiOrderSystem(b, [0.5, 1.2], a)
     with pytest.raises(ValueError):
@@ -148,20 +148,68 @@ def test_nonneg_verify_gate_and_pass():
 
 
 def test_equal_order_agrees_with_linsolve():
-    """Degenerate check: nearly equal orders behave like a block linear run.
-    (Exactly equal orders are rejected by validation, so compare one
-    component of a system with a matching scalar solve.)"""
+    """A component that nothing feeds back into is a scalar linear run,
+    whether the other component's order is higher or exactly equal."""
     b = full_neumann_basis()
     a1 = 0.5 + 0.2 * np.cos(b.grid)
     a2 = np.zeros_like(b.grid)
-    # second component does not feed back into the first
-    sys = MultiOrderSystem(
-        b, [0.5, 0.9], [a1, a2], couplings=[[-0.4, None], [0.3, None]]
-    )
     grid = TimeGrid.uniform(1.0, 128)
-    out = picard_system_solve(sys, grid, M1=1.0)
     ref = solve_linear(LinearProblem(b, 0.5, a1, reaction=-0.4), grid, shift=1.0)
-    assert np.max(np.abs(out["trajectories"][0].fields() - ref.fields())) < 1e-8
+    for alpha2 in (0.9, 0.5):
+        # second component does not feed back into the first
+        sys = MultiOrderSystem(
+            b, [0.5, alpha2], [a1, a2], couplings=[[-0.4, None], [0.3, None]]
+        )
+        out = picard_system_solve(sys, grid, M1=1.0)
+        assert np.max(np.abs(out["trajectories"][0].fields() - ref.fields())) < 1e-8
+
+
+def test_working_box_refused():
+    """A pair and a scalar semilinear problem share one box rule: a box
+    that the initial data leave, or that is not finite (the default
+    2 (1 + sup|a|) overflows above about 9e307), is refused."""
+    b = full_neumann_basis(9)
+    a = 0.5 + 0.2 * np.cos(b.grid)
+
+    def f(u, v):
+        return v * v
+
+    with pytest.raises(ValueError, match="working box"):
+        SemilinearPair(b, 0.5, f, f, a, a, m=0.6)
+    huge = np.full_like(b.grid, 1e308)
+    not_finite = r"finite working box m >= sup\|a\|, got inf"
+    with pytest.raises(ValueError, match=not_finite):
+        SemilinearPair(b, 0.5, f, f, a, huge)
+    with pytest.raises(ValueError, match=not_finite):
+        SemilinearPair(b, 0.5, f, f, a, a, m=math.inf)
+    with pytest.raises(ValueError, match=not_finite):
+        SemilinearProblem(b, 0.5, huge, SemilinearTerm.enzyme())
+    assert SemilinearPair(b, 0.5, f, f, a, 0.5 * a).m == 2.0 * (1.0 + 0.7)
+
+
+def test_pair_builds_one_propagator(monkeypatch):
+    """The two components of a pair have one order, so its solve builds one
+    propagator; a system with a repeated order builds one per distinct
+    order."""
+    import fracdiff.systems as systems
+
+    built = []
+
+    class Counting(systems.ModalPropagator):
+        def __init__(self, *args, **kwargs):
+            built.append(args[1])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(systems, "ModalPropagator", Counting)
+    b = full_neumann_basis(9)
+    a = 0.5 + 0.2 * np.cos(b.grid)
+    grid = TimeGrid.uniform(0.5, 8)
+    semilinear_pair_solve(
+        SemilinearPair(b, 0.5, lambda u, v: v * v, lambda u, v: u * u, a, a), grid)
+    assert built == [0.5]
+    built.clear()
+    picard_system_solve(MultiOrderSystem(b, [0.3, 0.3, 0.6], [a, a, a]), grid)
+    assert sorted(built) == [0.3, 0.6]
 
 
 def test_pair_decoupled_and_symmetric():
