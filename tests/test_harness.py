@@ -292,10 +292,10 @@ def test_bundled_scenarios_all_pass(tmp_path):
             assert report.body == fh.read()
 
 
-@pytest.mark.parametrize("name", ["coop_system", "coop_pair"])
+@pytest.mark.parametrize("name", ["coop_system", "coop_pair", "graded_linear"])
 def test_pinned_reaction_system_bodies(tmp_path, name):
-    """The report bodies of one system and one pair scenario (kept out of
-    the shipped bundle) are pinned byte for byte."""
+    """The report bodies of one system, one pair and one graded linear
+    scenario (kept out of the shipped bundle) are pinned byte for byte."""
     report = run_scenario(os.path.join(DATA_DIR, f"{name}.ini"), outdir=str(tmp_path))
     assert report.ok, report.body
     with open(os.path.join(DATA_DIR, f"{name}.report.txt"), encoding="utf-8") as fh:
