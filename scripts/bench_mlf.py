@@ -1,5 +1,6 @@
-"""L0 timings of the Mittag-Leffler evaluator, the solvers that feed on
-it, and a fresh process's set-up, written to BENCH_mlf.json.
+"""L0 timings of the Mittag-Leffler evaluator, the propagator tables and
+solvers that feed on it, and a fresh process's set-up, written to
+BENCH_mlf.json.
 
     python scripts/bench_mlf.py [--label NAME] [--src DIR] [--out FILE]
 
@@ -9,6 +10,13 @@ Measures, in CPU time with BLAS threads capped at 1:
   alpha in {0.3, 0.5, 0.9}, on batches of 2048 points, about the size of one
   graded row-weight call: Taylor x in [0, 1], contour x in (1, deep_cut),
   asymptotic x in [deep_cut, 1e4 deep_cut] (log-uniform);
+* L1: the median CPU seconds (of REPEATS) of one propagator build,
+  ``ModalPropagator(basis, 0.5, grid, 2.0)`` with 65 modes, on
+  ``TimeGrid.uniform(1, 1024)`` (lag table and its spectrum) and on
+  ``TimeGrid.graded(1, N, 3)`` for N = 256 and 512 (one row per node), and
+  the tracemalloc peak and the bytes still held after the constructor (its
+  tables), read around the constructor rather than from the tables, so the
+  same cell measures checkouts whose table attributes differ;
 * the median CPU seconds of a graded-style ``solve_linear`` triple:
   N = 64/88/112 on ``TimeGrid.graded(1, N, (2 - a)/a)`` with a = 0.4/0.6/0.8,
   17 nodes and the full basis, each solve on a fresh problem (every solve
@@ -65,6 +73,8 @@ REGIMES = ("taylor", "contour", "asymptotic")
 BATCH = 2048
 REPEATS = 7
 PICARD_N = (64, 128)
+# (kind, N) of the L1 propagator builds
+BUILD_GRIDS = (("uniform", 1024), ("graded", 256), ("graded", 512))
 PICARD_REPEATS = 3
 UNIFORM_BATCH = 20
 SYSTEM_BATCH = 10
@@ -127,6 +137,29 @@ def ns_per_point(src, alpha, regime):
             mlf.ml_neg_vec(alpha, x)
 
     return 1e9 * _median_cpu(batch, REPEATS) / (calls * BATCH)
+
+
+def propagator_build(src, kind, N):
+    """(median CPU s, tracemalloc peak MB, MB held after) of one
+    ModalPropagator build on the (kind, N) grid of BUILD_GRIDS."""
+    sys.path.insert(0, src)
+    import tracemalloc
+
+    from fracdiff.fracops import TimeGrid
+    from fracdiff.linsolve import ModalPropagator
+    from fracdiff.spectral import EllipticOperator, eigendecompose
+
+    basis = eigendecompose(EllipticOperator(np.pi), 65, 65)
+    grid = TimeGrid.uniform(1.0, N) if kind == "uniform" else TimeGrid.graded(1.0, N, 3.0)
+    ModalPropagator(basis, 0.5, TimeGrid.graded(1.0, 8, 3.0), 2.0)  # warm-up
+    seconds = _median_cpu(lambda: ModalPropagator(basis, 0.5, grid, 2.0), REPEATS)
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    prop = ModalPropagator(basis, 0.5, grid, 2.0)
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    del prop
+    return seconds, (peak - before) / 2**20, (held - before) / 2**20
 
 
 def graded_triple_s(src):
@@ -245,18 +278,26 @@ def main(argv=None):
             row = {r: round(pool.apply(ns_per_point, (src, alpha, r)), 1) for r in REGIMES}
             result["ns_per_point"][f"alpha={alpha}"] = row
             print(f"alpha={alpha}: " + ", ".join(f"{r} {v:.0f} ns/pt" for r, v in row.items()))
+        builds = {f"{k} N={N}": pool.apply(propagator_build, (src, k, N)) for k, N in BUILD_GRIDS}
         result["graded_solve_linear_triple_cpu_s"] = round(pool.apply(graded_triple_s, (src,)), 4)
         result["graded_picard_cpu_s"] = {
             f"N={N}": round(pool.apply(graded_picard_s, (src, N)), 4) for N in PICARD_N
         }
         solve, sweep = pool.apply(uniform_picard_s, (src,))
         systems = {k: pool.apply(reaction_system_s, (src, k)) for k in ("system", "pair")}
+    result["propagator_build"] = {
+        k: {"cpu_s": round(v[0], 4), "peak_mb": round(v[1], 2), "held_mb": round(v[2], 2)}
+        for k, v in builds.items()
+    }
     result["uniform_picard_cpu_s"] = {"solve": round(solve, 4), "sweep": round(sweep, 5)}
     result["reaction_system_cpu_s"] = {
         k: {"solve": round(v[0], 5), "sweep": round(v[1], 6)} for k, v in systems.items()
     }
     cpu, rss = fresh_process(src)
     result["fresh_process"] = {"cpu_s": round(cpu, 3), "peak_rss_mb": round(rss, 1)}
+    for k, v in result["propagator_build"].items():
+        print(f"propagator build, {k}: {v['cpu_s']:.4f} s CPU (median of {REPEATS}), "
+              f"tracemalloc peak {v['peak_mb']:.2f} MB, held {v['held_mb']:.2f} MB")
     print(f"graded solve_linear triple: {result['graded_solve_linear_triple_cpu_s']:.3f} s CPU (median of {REPEATS})")
     print("graded picard_solve: " + ", ".join(
         f"{k} {v:.3f} s CPU" for k, v in result["graded_picard_cpu_s"].items()
@@ -279,7 +320,10 @@ def main(argv=None):
             data = json.load(fh)
     data["about"] = (
         "scripts/bench_mlf.py: CPU ns per point of ml_neg_vec per regime "
-        f"(beta = 1, batches of {BATCH}) and median CPU seconds of a graded "
+        f"(beta = 1, batches of {BATCH}); L1 median CPU seconds of {REPEATS} builds of "
+        "ModalPropagator(basis, 0.5, grid, 2.0) with 65 modes on TimeGrid.uniform(1, 1024) "
+        "and TimeGrid.graded(1, N, 3), N = 256/512, with the tracemalloc peak and the MB "
+        "held after the constructor; median CPU seconds of a graded "
         f"solve_linear triple (N = 64/88/112, 17 nodes), medians of {REPEATS} repeats; "
         "median CPU seconds of a graded enzyme picard_solve (r = 3, shift 2, 65 modes) "
         f"at N = {'/'.join(map(str, PICARD_N))}, medians of {PICARD_REPEATS}; "

@@ -462,7 +462,7 @@ def _check_nonneg(scn, trajs, params):
     x = scn.basis.grid
     if float(np.min(prob.a)) < -1e-12:
         return "NOT-APPLICABLE", "reason=initial data takes negative values"
-    F = sample_history(prob.forcing, x, scn.grid.nodes)
+    F = sample_history(prob.forcing, x, scn.grid.nodes, "forcing")
     if F is not None and float(np.min(F)) < -1e-12:
         return "NOT-APPLICABLE", "reason=forcing takes negative values"
     if scn.kind == "semilinear":
@@ -477,14 +477,14 @@ def _check_nonneg(scn, trajs, params):
 def _check_bracket(scn, trajs, params):
     prob, tol = scn.problem, params.tol
     x, t = scn.basis.grid, scn.grid.nodes
-    lower = sample_history(params.lower, x, t)
+    lower = sample_history(params.lower, x, t, "lower")
     detail = []
     if params.upper_mode == "power_barrier":
         rho = power_barrier_rho(prob, scn.grid)
         upper = prob.a[None, :] + rho * (t**prob.alpha)[:, None]
         detail.append(f"rho={_fmt(rho)}")
     else:
-        upper = sample_history(params.upper, x, t)
+        upper = sample_history(params.upper, x, t, "upper")
     fields = trajs[0].fields()
     lo_gap = float(np.min(fields - lower))
     hi_gap = float(np.min(upper - fields))

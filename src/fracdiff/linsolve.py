@@ -8,10 +8,11 @@ moments (mlf.kernel_weights_from_e), which absorb the t^(alpha-1)
 singularity.  A ModalPropagator belongs to one time grid and builds its
 tables once, when it is made: a uniform grid's lag table with its real FFT
 spectrum, or one row per node of any other grid.  Each solver makes the
-propagators it needs once per call, so no table outlives its solve.
-convolve_K takes the forcing piecewise constant per step (left endpoint),
-and solve_linear does the same by default or uses endpoint averages
-(reconstruction='linear').
+propagators it needs once per call, so no table outlives its solve.  The
+memory term has two entry points, which alone read the tables: prop.row(i)
+weights the history before one node (solve_linear's forward substitution)
+and convolve_K(prop, G) convolves a whole history (every sweep).  Both
+take the forcing piecewise constant per step (left endpoint).
 
 A LinearProblem holds the equation only; the spectral shift s >= 0 of
 the discrete scheme is an argument of each solve.  It rewrites the
@@ -25,7 +26,7 @@ u = S(t) a + K * R(u) in the package (Picard, multi-order systems,
 semilinear pairs, the monotone sandwich) runs through volterra_sweep and
 fixed_point here, on field histories stacked along a component axis;
 coefficients given as callables of (x, t) are sampled once per grid by
-sample_history.
+sample_history, which refuses a non-finite sample.
 """
 
 import numpy as np
@@ -50,10 +51,6 @@ __all__ = [
 
 # largest row table (bytes) ModalPropagator builds for a nonuniform grid
 MAX_ROW_TABLE_BYTES = 2**31
-# solve_linear(reconstruction='linear'): the inner fixed point of each node
-# stops below this relative modal increment, and stalls after INNER_SWEEPS
-INNER_RTOL = 1e-12
-INNER_SWEEPS = 100
 
 
 class ModalPropagator:
@@ -63,12 +60,12 @@ class ModalPropagator:
     S(t): multiply mode n by E_{alpha,1}(-lam_n t^alpha); E (N+1, M) holds
           it at every node.
     K*g:  discrete convolution with exact kernel moments
-          w_n(lo, hi) = int_lo^hi tau^(alpha-1) E_{alpha,alpha}(-lam_n tau^alpha) dtau.
-          On a uniform grid W is the lag table (N, M) and Wf its real FFT
-          spectrum; on others W[i] is the (i, M) row of node i, aligned with
-          the forcing at nodes 0..i-1, and Wf is None.  The rows take
-          8 M N(N+1)/2 bytes; a grid needing more than MAX_ROW_TABLE_BYTES
-          raises ValueError before any weight is computed.
+          w_n(lo, hi) = int_lo^hi tau^(alpha-1) E_{alpha,alpha}(-lam_n tau^alpha) dtau,
+          read through row(i) and convolve_K only.  A uniform grid keeps
+          the lag table (N, M) and its real FFT spectrum; others keep the
+          row of every node, which take 8 M N(N+1)/2 bytes; a grid needing
+          more than MAX_ROW_TABLE_BYTES raises ValueError before any weight
+          is computed.
     """
 
     def __init__(self, basis, alpha, grid, shift=0.0):
@@ -92,13 +89,12 @@ class ModalPropagator:
                              f"the {MAX_ROW_TABLE_BYTES / 2**30:g} GiB limit")
         self.E = self.e_values(t)
         if grid.kind == "uniform":
-            self.W = kernel_weights_from_e(self.alpha, self.lambdas, t, self.E)
-            self.Wf = rfftn(self.W, [next_fast_len(2 * N - 1, True)], axes=[0])
+            self._W = kernel_weights_from_e(self.alpha, self.lambdas, t, self.E)
+            self._Wf = rfftn(self._W, [next_fast_len(2 * N - 1, True)], axes=[0])
         else:  # row i from the lags t_i - t_j, j = i..0: one e_values call
             lags = (t[i] - t[i::-1] for i in range(1, t.size))
-            self.W = [np.empty((0, M))] + [kernel_weights_from_e(
+            self._W = [np.empty((0, M))] + [kernel_weights_from_e(
                 self.alpha, self.lambdas, d, self.e_values(d))[::-1] for d in lags]
-            self.Wf = None
 
     def e_values(self, tnodes):
         """E_{alpha,1}(-lam_n t^alpha) for every node/mode: (n_t, M)."""
@@ -106,10 +102,14 @@ class ModalPropagator:
         x = np.outer(tnodes**self.alpha, self.lambdas)
         return ml_neg_vec(self.alpha, x)
 
+    def row(self, i):
+        """The (i, M) weights of node i, aligned with the forcing at nodes
+        0..i-1: a reversed view of the lag table, or the stored row."""
+        return self._W[:i][::-1] if self.grid.kind == "uniform" else self._W[i]
+
     def weight_sum_check(self):
         """Invariant: the weights of node i sum to the moments over [0, t_i]."""
-        sums = (np.cumsum(self.W, axis=0) if self.grid.kind == "uniform"
-                else [w.sum(axis=0) for w in self.W[1:]])
+        sums = [self.row(i).sum(axis=0) for i in range(1, len(self.grid))]
         t, E = self.grid.nodes[1:], self.E[1:]
         want = kernel_weights_from_e(
             self.alpha, self.lambdas,
@@ -129,7 +129,9 @@ def convolve_K(prop, forcing):
     """Discrete (K * forcing)(t_i) on prop's grid for a modal forcing
     history (N+1, M), taking the forcing at the left endpoint of each step.
     Exact kernel moments make a constant single-mode forcing g reproduce
-    (1 - E_{alpha,1}(-lam t^alpha))/lam * g to ml accuracy.
+    (1 - E_{alpha,1}(-lam t^alpha))/lam * g to ml accuracy.  A uniform
+    grid convolves by one real FFT pair against the lag table's spectrum,
+    any other grid node by node through prop.row(i).
     """
     G = np.asarray(forcing, dtype=float)
     n = len(prop.grid)
@@ -137,28 +139,36 @@ def convolve_K(prop, forcing):
         raise ValueError(f"forcing history has {G.shape[0]} rows, grid {n} nodes")
     G = G[:-1]
     out = np.zeros((n, prop.lambdas.size))
-    if prop.Wf is not None:
-        L = [next_fast_len(2 * prop.grid.N - 1, True)]  # the length of Wf
-        out[1:] = irfftn(rfftn(G, L, axes=[0]) * prop.Wf, L, axes=[0])[: n - 1]
+    if prop.grid.kind == "uniform":
+        L = [next_fast_len(2 * prop.grid.N - 1, True)]  # the length of _Wf
+        out[1:] = irfftn(rfftn(G, L, axes=[0]) * prop._Wf, L, axes=[0])[: n - 1]
     else:
         for i in range(1, n):
-            out[i] = np.einsum("jm,jm->m", prop.W[i], G[:i])
+            out[i] = np.einsum("jm,jm->m", prop.row(i), G[:i])
     return out
 
 
-def sample_history(f, x, tnodes):
-    """Samples of a coefficient on the spatial grid x at every time node,
-    shape (len(tnodes), x.size), or None for None.
+def sample_history(f, x, tnodes, name):
+    """Samples of the coefficient called name on the spatial grid x at every
+    time node, shape (len(tnodes), x.size), or None for None.
 
     f is None, a constant, or a callable f(x, t), called once per node with
-    the 1-D grid x and a scalar t."""
+    the 1-D grid x and a scalar t.  A non-finite sample is a ValueError
+    naming the coefficient and the first node time where it occurs: the
+    left-endpoint rule never reads the last node's right-hand side, so a
+    solve would not see it there."""
     if f is None:
         return None
     if callable(f):
-        return np.array([
+        out = np.array([
             np.asarray(f(x, t), dtype=float) * np.ones_like(x) for t in tnodes
         ])
-    return np.full((len(tnodes), x.size), float(f))
+    else:
+        out = np.full((len(tnodes), x.size), float(f))
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{name} is not finite at t={tnodes[np.argmax(bad)]}")
+    return out
 
 
 def volterra_sweep(props, a_modal, R):
@@ -279,8 +289,9 @@ class LinearProblem:
         (len(tnodes), n_grid) history, or None)."""
         x = self.basis.grid
         return tuple(
-            sample_history(f, x, tnodes)
-            for f in (self.reaction, self.drift, self.forcing)
+            sample_history(f, x, tnodes, name)
+            for f, name in ((self.reaction, "reaction"), (self.drift, "drift"),
+                            (self.forcing, "forcing"))
         )
 
     def rhs(self, U, coeffs, shift):
@@ -336,24 +347,17 @@ def _require_linear(prob, solver):
         raise TypeError(f"{solver} cannot march a reaction term; use picard_solve")
 
 
-def solve_linear(prob, grid, shift=0.0, reconstruction="constant"):
+def solve_linear(prob, grid, shift=0.0):
     """Forward-substitution solve of the discrete Volterra equation.
 
-    u(t_i) = S(t_i) a + sum_j W_ij P[(Q + s) u + F](t_j), s = shift; with
-    'constant' reconstruction each node is explicit; with 'linear' the
-    current node enters through the endpoint average and is resolved by an
-    inner fixed point.  The first node, node 0 included, where u is not
-    finite raises ArithmeticError.
+    u(t_i) = S(t_i) a + sum_{j<i} w_ij P[(Q + s) u + F](t_j), s = shift,
+    with the weights w_ij of prop.row(i): each node is explicit.  The
+    first node, node 0 included, where u is not finite raises
+    ArithmeticError.
     """
     _require_linear(prob, "solve_linear")
-    if reconstruction not in ("constant", "linear"):
-        raise ValueError(f"unknown reconstruction {reconstruction!r}")
     basis = prob.basis
-    n = len(grid)
-    M = basis.n_modes
     prop = ModalPropagator(basis, prob.alpha, grid, shift)
-    E, W = prop.E, prop.W
-    a_modal = project(basis, prob.a)
     coeffs = prob.coefficients(grid.nodes)
 
     def rhs(field, i):
@@ -363,41 +367,13 @@ def solve_linear(prob, grid, shift=0.0, reconstruction="constant"):
         at = tuple(None if c is None else c[i] for c in coeffs)
         return project(basis, prob.rhs(field, at, prop.shift))
 
-    modal = np.zeros((n, M))
-    modal[0] = a_modal
-    G = np.zeros((n, M))  # modal rhs history at nodes
+    modal = prop.E * project(basis, prob.a)
+    G = np.zeros_like(modal)  # modal rhs history at nodes
     G[0] = rhs(prob.a, 0)
-    peak_inner = 0
-    for i in range(1, n):
-        w = W[:i][::-1] if grid.kind == "uniform" else W[i]
-        base = E[i] * a_modal
-        if reconstruction == "constant":
-            modal[i] = base + np.einsum("jm,jm->m", w, G[:i])
-        else:
-            past = np.einsum("jm,jm->m", w[:-1], 0.5 * (G[: i - 1] + G[1:i]))
-            past += w[-1] * 0.5 * G[i - 1]
-            u = modal[i - 1].copy()
-            for it in range(INNER_SWEEPS):
-                g_i = rhs(basis.modes @ u, i)
-                u_new = base + past + w[-1] * 0.5 * g_i
-                delta = float(np.max(np.abs(u_new - u)))
-                u = u_new
-                if delta < INNER_RTOL * max(1.0, float(np.max(np.abs(u)))):
-                    break
-            else:
-                raise ArithmeticError(
-                    f"inner iteration stalled at node {i} (t={grid.nodes[i]}), "
-                    f"residual {delta}"
-                )
-            modal[i] = u
-            peak_inner = max(peak_inner, it + 1)
+    for i in range(1, len(grid)):
+        modal[i] += np.einsum("jm,jm->m", prop.row(i), G[:i])
         G[i] = rhs(basis.modes @ modal[i], i)
-    diag = {
-        "reconstruction": reconstruction,
-        "peak_inner_iterations": peak_inner,
-        "shift": prop.shift,
-    }
-    return Trajectory(grid, basis, modal, diag)
+    return Trajectory(grid, basis, modal, {"shift": prop.shift})
 
 
 def solve_linear_l1(prob, grid):

@@ -162,7 +162,7 @@ def _as_field_history(state, basis, grid):
     if isinstance(state, Trajectory):
         return state.fields()
     if callable(state):
-        return sample_history(state, basis.grid, grid.nodes)
+        return sample_history(state, basis.grid, grid.nodes, "field history")
     arr = np.asarray(state, dtype=float)
     if arr.shape != (len(grid), basis.grid.size):
         raise ValueError(

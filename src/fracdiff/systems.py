@@ -100,8 +100,10 @@ class MultiOrderSystem(ReactionSystem):
         """(P, F): the couplings as an N x N table and the forcings as a
         list, each entry a (len(tnodes), n_grid) history or None."""
         x = self.basis.grid
-        P = [[sample_history(p, x, tnodes) for p in row] for row in self.couplings]
-        return P, [sample_history(f, x, tnodes) for f in self.forcings]
+        P = [[sample_history(p, x, tnodes, f"p_{j + 1}{k + 1}") for k, p in enumerate(row)]
+             for j, row in enumerate(self.couplings)]
+        return P, [sample_history(f, x, tnodes, f"F_{k + 1}")
+                   for k, f in enumerate(self.forcings)]
 
     def reaction(self, tnodes, M1=None):
         """M_1 must exceed the diagonal couplings sup|p_ll| and be >= 0; by
@@ -267,7 +269,7 @@ def kernel_envelope_check(sys, grid):
     env = C * np.diff(t**alpha1) / alpha1
     worst = 0.0
     for a in sys.alphas:
-        W = ModalPropagator(sys.basis, a, grid).W
+        W = ModalPropagator(sys.basis, a, grid).row(grid.N)[::-1]  # by lag
         worst = max(worst, float(np.max(W / env[:, None])))
     return {"constant": C, "worst_ratio": worst, "passes": worst <= 1.0 + 1e-9}
 

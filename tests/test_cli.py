@@ -309,13 +309,22 @@ def test_invalid_scenario_exits_2_at_load(tmp_path, capsys, command, text, secti
     "text, message",
     [
         (LINEAR.replace("forcing = 0.2*(1 + cos(x))*exp(-t)", "forcing = 1/x"),
-         "error: non-finite value at node 1 (t=0.0625)"),
+         "error: forcing is not finite at t=0.0"),
+        (LINEAR.replace("reaction = -0.3*(1 + 0.5*cos(x))", "reaction = 1e300"),
+         "error: non-finite value at node 2 (t=0.125)"),
+        (LINEAR.replace("N = 16", "N = 8").replace(
+            "forcing = 0.2*(1 + cos(x))*exp(-t)", "forcing = 1/(1-t)"),
+         "error: forcing is not finite at t=1.0"),
+        (SEMI.replace("N = 64", "N = 8").replace(
+            "term = enzyme(u)", "term = enzyme(u)\n    forcing = 1/(1-t)"),
+         "error: forcing is not finite at t=1.0"),
         (SEMI.replace("term = enzyme(u)", "term = u/0"),
          "error: non-finite value at sweep 1"),
         (SEMI.replace("length = 3.141592653589793", "length = 1e-200"),
          "[space] length: stiffness overflows"),
     ],
-    ids=["linear-forcing-1/x", "semilinear-term-u/0", "space-length-1e-200"],
+    ids=["linear-forcing-1/x", "linear-reaction-1e300", "linear-forcing-1/(1-t)",
+         "semilinear-forcing-1/(1-t)", "semilinear-term-u/0", "space-length-1e-200"],
 )
 def test_non_finite_exits_2_with_one_line_and_no_warning(tmp_path, capsys, text,
                                                          message):

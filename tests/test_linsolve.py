@@ -159,14 +159,14 @@ def test_uniform_convolution_matches_fftconvolve_and_direct_sum(N, M):
     """The uniform convolve_K (one real FFT pair against the lag table's
     stored spectrum) equals fftconvolve bit for bit, including N where
     2N - 1 is not a fast FFT length, and the direct causal sum
-    sum_j W[i-1-j] G[j] to round-off."""
+    sum_j W[i-1-j] G[j] over the rows prop.row(i) to round-off."""
     prop = ModalPropagator(neumann_basis(M, 33), 0.6, TimeGrid.uniform(1.0, N), shift=2.0)
     G = np.random.default_rng([N, M]).standard_normal((N + 1, M))
     out = convolve_K(prop, G)
-    W = prop.W
+    W = prop.row(N)[::-1]  # the lag table
     assert not out[0].any()
     np.testing.assert_array_equal(out[1:], fftconvolve(G[:-1], W, mode="full", axes=0)[:N])
-    direct = np.array([np.einsum("jm,jm->m", W[:i][::-1], G[:i]) for i in range(1, N + 1)])
+    direct = np.array([np.einsum("jm,jm->m", prop.row(i), G[:i]) for i in range(1, N + 1)])
     assert np.max(np.abs(out[1:] - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
@@ -203,9 +203,9 @@ def test_solver_weights_match_kernel_weight_vec():
     uniform = TimeGrid.uniform(1.0, 32)
     prop = ModalPropagator(b, alpha, uniform)
     assert prop.lambdas[0] < 1e-12 < prop.lambdas[1]
-    W = prop.W
+    W = prop.row(uniform.N)[::-1]  # the lag table
     graded = TimeGrid.graded(1.0, 24, 2.0)
-    rows = ModalPropagator(b, alpha, graded).W
+    rows = [ModalPropagator(b, alpha, graded).row(i) for i in range(len(graded))]
     assert [r.shape for r in rows] == [(i, 6) for i in range(len(graded))]
     cases = [(W, uniform.nodes)]
     for i in (1, 7, len(graded) - 1):
@@ -261,25 +261,6 @@ def test_manufactured_solution_refinement():
         errs.append(np.max(np.abs(traj.modal - want)))
     assert 1.4 < errs[0] / errs[1] < 4.6
     assert 1.4 < errs[1] / errs[2] < 4.6
-
-
-def test_linear_reconstruction_more_accurate():
-    alpha = 0.7
-    b = neumann_basis(4, 201, c0=1.0)
-    a = b.modes[:, 1].copy()
-
-    def F(x, t):
-        return math.sin(t) * np.ones_like(x)
-
-    grid = TimeGrid.uniform(1.0, 32)
-    fine = TimeGrid.uniform(1.0, 4096)
-    prob = LinearProblem(b, alpha, a, forcing=F)
-    ref = solve_linear(prob, fine).modal[-1]
-    e_const = np.abs(solve_linear(prob, grid).modal[-1] - ref).max()
-    traj_lin = solve_linear(prob, grid, reconstruction="linear")
-    e_lin = np.abs(traj_lin.modal[-1] - ref).max()
-    assert e_lin < 0.2 * e_const
-    assert traj_lin.diagnostics["peak_inner_iterations"] >= 1
 
 
 def test_stability_in_initial_value():
@@ -381,7 +362,7 @@ def test_trajectory_csv_and_report(tmp_path):
     rows = path.read_text().strip().splitlines()
     assert len(rows) == 10 and rows[0].startswith("t,x0,")
     assert float(rows[1].split(",")[0]) == 0.0
-    assert "reconstruction" in traj.report()
+    assert traj.report().splitlines()[1:] == ["  shift: 0.0"]
 
 
 def test_tables_survive_grid_address_reuse():
@@ -409,27 +390,71 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         LinearProblem(b, 0.5, np.zeros(10))
     with pytest.raises(ValueError):
-        solve_linear(LinearProblem(b, 0.5, np.zeros(33)), TimeGrid.uniform(1.0, 4), reconstruction="spline")
-    with pytest.raises(ValueError):
         convolve_K(ModalPropagator(b, 0.5, TimeGrid.uniform(1.0, 4)), np.zeros((3, 3)))
 
 
-@pytest.mark.parametrize("reconstruction", ["constant", "linear"])
-def test_non_finite_value_stops_the_march(reconstruction):
+def test_non_finite_value_stops_the_march():
     """The march stops at the first node with a non-finite value, naming the
-    node and its time: node 0 for an infinite initial field, node 1 for a
-    forcing infinite at x = 0."""
+    node and its time: node 0 for an infinite initial field, node 2 for a
+    finite reaction whose products overflow."""
     b = neumann_basis(4, 33)
     grid = TimeGrid.uniform(1.0, 8)
     with np.errstate(all="ignore"):
         cases = [
             (np.full(33, np.inf), None, r"at node 0 \(t=0.0\)"),
-            (np.ones(33), lambda x, t: 1.0 / x, r"at node 1 \(t=0.125\)"),
+            (np.ones(33), 1e300, r"at node 2 \(t=0.25\)"),
         ]
-        for a, forcing, where in cases:
-            prob = LinearProblem(b, 0.5, a, forcing=forcing)
+        for a, reaction, where in cases:
+            prob = LinearProblem(b, 0.5, a, reaction=reaction)
             with pytest.raises(ArithmeticError, match=where):
-                solve_linear(prob, grid, reconstruction=reconstruction)
+                solve_linear(prob, grid)
+
+
+@pytest.mark.parametrize(
+    "coefficient, where",
+    [
+        ({"forcing": lambda x, t: 1.0 / x}, r"forcing is not finite at t=0\.0$"),
+        ({"forcing": lambda x, t: 1.0 / (1.0 - t)}, r"forcing is not finite at t=1\.0$"),
+        ({"drift": np.inf}, r"drift is not finite at t=0\.0$"),
+        ({"reaction": lambda x, t: np.where(t > 0.5, np.nan, x)},
+         r"reaction is not finite at t=0\.625$"),
+    ],
+    ids=["forcing-1/x", "forcing-infinite-at-T", "drift-inf", "reaction-nan"],
+)
+def test_non_finite_coefficient_refused(coefficient, where):
+    """A coefficient with a non-finite sample is refused before any solve,
+    naming it and the first node time where it occurs, also at the last
+    node, whose right-hand side the left-endpoint rule never reads."""
+    b = neumann_basis(4, 33)
+    prob = LinearProblem(b, 0.5, np.ones(33), **coefficient)
+    with np.errstate(all="ignore"):
+        for solve in (solve_linear, solve_linear_l1):
+            with pytest.raises(ValueError, match=where):
+                solve(prob, TimeGrid.uniform(1.0, 8))
+
+
+def test_memory_paths_agree():
+    """The nodes of a uniform grid wrapped as a custom grid take the row
+    path; its rows, convolve_K and solve_linear match the lag table and FFT
+    path of the uniform grid to 1e-12 relative, and both pass the weight
+    sum invariant."""
+    b = neumann_basis(9, 65, c0=1.0)
+    uniform = TimeGrid.uniform(1.0, 40)
+    custom = TimeGrid(uniform.nodes, kind="custom")
+    lag, rows = (ModalPropagator(b, 0.6, g, shift=2.0) for g in (uniform, custom))
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    for i in range(1, len(uniform)):
+        close(rows.row(i), lag.row(i))
+    G = np.random.default_rng(5).standard_normal((len(uniform), 9))
+    close(convolve_K(rows, G), convolve_K(lag, G))
+    prob = LinearProblem(b, 0.6, 1.0 + 0.5 * np.cos(b.grid),
+                         drift=lambda x, t: 0.2 * np.sin(x), reaction=-0.3,
+                         forcing=lambda x, t: (1.0 + np.cos(x)) * np.exp(-t))
+    close(solve_linear(prob, custom, 2.0).modal, solve_linear(prob, uniform, 2.0).modal)
+    assert lag.weight_sum_check() < 1e-12 and rows.weight_sum_check() < 1e-12
 
 
 def test_linear_solvers_refuse_a_reaction_term():

@@ -40,6 +40,23 @@ def test_system_validation():
         MultiOrderSystem(b, [0.3, 0.5], a, couplings=[[None]])
 
 
+def test_non_finite_system_coefficient_refused():
+    """A coupling or forcing with a non-finite sample is refused before the
+    first sweep, named as in the cooperativity gate, at its first bad node
+    time: the last node too, whose right-hand side no sweep reads."""
+    b = full_neumann_basis(9)
+    a = [np.ones_like(b.grid)] * 2
+    grid = TimeGrid.uniform(1.0, 4)
+    cases = [
+        (dict(forcings=[None, lambda x, t: 1.0 / (1.0 - t)]), r"F_2 is not finite at t=1\.0$"),
+        (dict(couplings=[[None, np.nan], [None, None]]), r"p_12 is not finite at t=0\.0$"),
+    ]
+    with np.errstate(all="ignore"):
+        for kw, message in cases:
+            with pytest.raises(ValueError, match=message):
+                picard_system_solve(MultiOrderSystem(b, [0.3, 0.5], a, **kw), grid)
+
+
 @pytest.mark.parametrize("solver", ["picard", "system", "pair"])
 @pytest.mark.parametrize("max_sweeps", [0, -1])
 def test_max_sweeps_below_one_refused(solver, max_sweeps):
