@@ -155,10 +155,9 @@ def propagator_build(src, kind, N):
     seconds = _median_cpu(lambda: ModalPropagator(basis, 0.5, grid, 2.0), REPEATS)
     tracemalloc.start()
     before = tracemalloc.get_traced_memory()[0]
-    prop = ModalPropagator(basis, 0.5, grid, 2.0)
+    prop = ModalPropagator(basis, 0.5, grid, 2.0)  # held while measured
     held, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    del prop
     return seconds, (peak - before) / 2**20, (held - before) / 2**20
 
 
