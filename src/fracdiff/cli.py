@@ -124,10 +124,8 @@ def _cmd_monotone(args) -> int:
 
 
 def _cmd_steady(args) -> int:
-    from .semilinear import steady_state_solve
-
     scn = _load(args, "semilinear")
-    u = steady_state_solve(scn.basis, scn.problem.term, scn.problem.a)
+    u = scn.steady_state("steady")
     outdir = _output_dir(args.outdir)
     path = os.path.join(outdir, f"{scn.name}.steady.csv")
     with open(path, "w", encoding="utf-8") as fh:

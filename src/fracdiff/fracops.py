@@ -3,9 +3,8 @@
 Riemann-Liouville integral J^alpha, Caputo L1 derivative and an H_alpha
 seminorm surrogate.  Both operators are assembled as dense lower-triangular
 weight matrices acting on nodal values, built from exact moments of the
-weakly singular kernel against piecewise-linear (or piecewise-constant)
-reconstructions, so constants and linear signals are reproduced exactly up
-to rounding.
+weakly singular kernel against the piecewise-linear reconstruction, so
+constants and linear signals are reproduced exactly up to rounding.
 """
 
 import math
@@ -21,6 +20,9 @@ __all__ = [
     "caputo_l1",
     "halpha_seminorm",
 ]
+
+# halpha_seminorm: largest |sig(0)| accepted as the required sig(0) = 0
+HALPHA_ZERO_TOL = 1e-10
 
 
 class TimeGrid:
@@ -93,43 +95,37 @@ def _tau_powers(nodes, expo):
     return np.where(tau > 0.0, tau, 0.0) ** expo
 
 
-def rl_weights(alpha, grid, rule="linear"):
+def rl_weights(alpha, grid):
     """Weight matrix W with (J^alpha u)(t_i) = (W u)_i.
 
-    Product integration of (1/Gamma(a)) (t-s)^(a-1) against the chosen
-    nodal reconstruction: 'linear' (default) or 'rectangle' (left-endpoint
-    piecewise constant, cheaper and first-order).
+    Product integration of (1/Gamma(a)) (t-s)^(a-1) against the
+    piecewise-linear nodal reconstruction.
     """
     alpha = float(alpha)
     if not (0.0 < alpha < 2.0):
         raise ValueError(f"rl_integral needs alpha in (0, 2), got {alpha}")
-    if rule not in ("linear", "rectangle"):
-        raise ValueError(f"unknown reconstruction rule {rule!r}")
     t = grid.nodes
     n = t.size
     ta = _tau_powers(t, alpha)  # ta[i, j] = (t_i - t_j)^alpha
     # m0[i, j] = integral of (t_i - s)^(a-1) over [t_j, t_j+1], for j < i
     m0 = (ta[:, :-1] - ta[:, 1:]) / alpha
+    # linear part: q[i, j] = (1/D_j) * int (t_i - s)^(a-1) (s - t_j) ds
+    ta1 = _tau_powers(t, alpha + 1.0)
+    tau = np.where(t[:, None] - t[None, :] > 0.0, t[:, None] - t[None, :], 0.0)
+    q = (
+        tau[:, :-1] * m0 - (ta1[:, :-1] - ta1[:, 1:]) / (alpha + 1.0)
+    ) / np.diff(t)[None, :]
     W = np.zeros((n, n))
-    if rule == "rectangle":
-        W[:, :-1] = m0
-    else:
-        # linear part: q[i, j] = (1/D_j) * int (t_i - s)^(a-1) (s - t_j) ds
-        ta1 = _tau_powers(t, alpha + 1.0)
-        tau = np.where(t[:, None] - t[None, :] > 0.0, t[:, None] - t[None, :], 0.0)
-        q = (
-            tau[:, :-1] * m0 - (ta1[:, :-1] - ta1[:, 1:]) / (alpha + 1.0)
-        ) / np.diff(t)[None, :]
-        W[:, :-1] += m0 - q
-        W[:, 1:] += q
+    W[:, :-1] += m0 - q
+    W[:, 1:] += q
     W *= 1.0 / math.gamma(alpha)
     # enforce causality exactly (rounding can leave tiny upper-triangle dust)
     return np.tril(W)
 
 
-def rl_integral(alpha, sig, rule="linear"):
+def rl_integral(alpha, sig):
     """Discrete Riemann-Liouville integral J^alpha of a sampled signal."""
-    W = rl_weights(alpha, sig.grid, rule=rule)
+    W = rl_weights(alpha, sig.grid)
     return SampledSignal(sig.grid, W @ sig.values)
 
 
@@ -161,14 +157,15 @@ def caputo_l1(alpha, sig):
     return SampledSignal(sig.grid, D @ sig.values)
 
 
-def halpha_seminorm(alpha, sig, tol=1e-10):
+def halpha_seminorm(alpha, sig):
     """Discrete H_alpha surrogate: L2(0,T) norm of the L1 Caputo derivative.
 
-    Requires sig(0) = 0 (the H_alpha membership branch of the underlying
-    theory); vector signals contribute through their Euclidean norm.
+    Requires sig(0) = 0 to within HALPHA_ZERO_TOL (the H_alpha membership
+    branch of the underlying theory); vector signals contribute through
+    their Euclidean norm.
     """
     v0 = np.max(np.abs(np.atleast_1d(sig.values[0])))
-    if v0 > tol:
+    if v0 > HALPHA_ZERO_TOL:
         raise ValueError(f"halpha_seminorm needs sig(0)=0, got |sig(0)|={v0}")
     d = caputo_l1(alpha, sig).values
     if d.ndim > 1:

@@ -42,6 +42,13 @@ semilinear, comparison semilinear.  The linear ``shift`` and the
 working box m, and its default 2 (1 + sup|initial|), must be finite and
 hold the initial data.
 
+The fields of x (``initial``, ``initials``, ``initial_u``, ``initial_v``,
+``u_inf`` and ``initial2``) are sampled once at load on the basis grid,
+and a sample that is not finite is a ScenarioError naming the key.  The
+steady state of ``u_inf_mode = steady`` (and of ``fracdiff steady``) is
+that of the solved equation, A_0 u = f(u) with the operator shift c0 in
+A_0; it needs a problem without drift, reaction or forcing.
+
 Reports are deterministic: for a fixed scenario file and seed the report
 body is byte-identical across runs (runtime lives outside the body).
 """
@@ -258,7 +265,8 @@ class Scenario:
     default M1), built once; ``properties`` holds
     (name, type, fields) per property section and ``monotone`` the fields
     of [monotone] or None, fields being namespaces of typed values named by
-    their keys."""
+    their keys (the fields of x, and an envelope's u_inf, as samples on the
+    basis grid)."""
 
     def __init__(self, path, parser):
         self.path = str(path)
@@ -347,9 +355,46 @@ class Scenario:
                 and fields.upper is None:
             raise ScenarioError(f"{self.path}: [{section}] needs upper")
         if ptype == "comparison":  # the problem's initial data and term by default
-            fields.initial2 = fields.initial2 or pv.initial
+            fields.initial2 = self._field(
+                section, "initial2", fields.initial2 or pv.initial
+            )
             fields.term2 = fields.term2 or pv.term
+        if ptype == "envelope":
+            fields.u_inf = (self.steady_state(f"[{section}] u_inf_mode")
+                            if fields.u_inf_mode == "steady"
+                            else self._field(section, "u_inf", fields.u_inf))
         return section.split(":", 1)[1], ptype, fields
+
+    def _field(self, section, key, fn):
+        """The field fn(x) of a key, sampled on the basis grid x; a
+        ScenarioError names the key and the first x where it is not finite."""
+        x = self.basis.grid
+        values = np.asarray(fn(x), dtype=float) * np.ones_like(x)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise ScenarioError(
+                f"{self.path}: [{section}] {key}: not finite at x={x[np.argmax(bad)]}"
+            )
+        return values
+
+    def steady_state(self, where):
+        """The steady state of the solved equation, A_0 u = f(u) with the
+        operator shift c0 in A_0 (f = 0 for a linear problem):
+        steady_state_solve of f(x, u) - c0 u from the initial data.  The
+        Newton solve knows only f, so a problem with drift, reaction or
+        forcing is a ScenarioError naming where."""
+        prob, basis = self.problem, self.basis
+        if any(c is not None for c in (prob.drift, prob.reaction, prob.forcing)):
+            raise ScenarioError(
+                f"{self.path}: {where}: a steady state needs a problem "
+                "without drift, reaction or forcing"
+            )
+        _, _, c0 = basis.operator.coefficients(basis.grid)
+        if prob.term is None:
+            return steady_state_solve(basis, lambda x, u: -c0 * u, prob.a)
+        return steady_state_solve(
+            basis, lambda x, u: prob.term(x, u) - c0 * u, prob.a
+        )
 
     # -- solver inputs -----------------------------------------------------
 
@@ -372,13 +417,14 @@ class Scenario:
             raise ScenarioError(f"{self.path}: [space] length: {exc}") from exc
 
     def _problem(self, pv):
-        basis, x = self.basis, self.basis.grid
+        basis = self.basis
         if self.kind in _SCALAR:
             linear = dict(drift=pv.drift, reaction=pv.reaction, forcing=pv.forcing)
+            a = self._field("problem", "initial", pv.initial)
             if self.kind == "linear":
-                return LinearProblem(basis, pv.alpha, pv.initial(x), **linear)
+                return LinearProblem(basis, pv.alpha, a, **linear)
             return self._built(
-                "problem", "m", SemilinearProblem, basis, pv.alpha, pv.initial(x),
+                "problem", "m", SemilinearProblem, basis, pv.alpha, a,
                 SemilinearTerm(pv.term), m=pv.m, **linear,
             )
         if self.kind == "system":
@@ -402,11 +448,13 @@ class Scenario:
             # the orders set the number of components the other keys must match
             return self._built(
                 "problem", "alphas", MultiOrderSystem, basis, pv.alphas,
-                [a(x) for a in pv.initials], couplings=couplings, forcings=pv.forcings,
+                [self._field("problem", "initials", a) for a in pv.initials],
+                couplings=couplings, forcings=pv.forcings,
             )
         return self._built(
             "problem", "m", SemilinearPair, basis, pv.alpha, pv.f, pv.g,
-            pv.initial_u(x), pv.initial_v(x), m=pv.m,
+            self._field("problem", "initial_u", pv.initial_u),
+            self._field("problem", "initial_v", pv.initial_v), m=pv.m,
         )
 
 
@@ -494,14 +542,9 @@ def _check_bracket(scn, trajs, params):
 
 
 def _check_envelope(scn, trajs, params):
-    prob, basis = scn.problem, scn.basis
-    if params.u_inf_mode == "steady":
-        term = prob.term if scn.kind == "semilinear" else (lambda x, u: 0.0 * u)
-        u_inf = steady_state_solve(basis, term, prob.a)
-    else:
-        u_inf = params.u_inf(basis.grid)
-        u_inf = np.asarray(u_inf, dtype=float) * np.ones_like(basis.grid)
-    out = decay_envelope_check(trajs[0], u_inf, basis, prob.alpha, tol=params.tol)
+    prob = scn.problem
+    out = decay_envelope_check(trajs[0], params.u_inf, scn.basis, prob.alpha,
+                               tol=params.tol)
     slope_ok = abs(out["fitted_slope"] + prob.alpha) <= params.slope_tol
     ok = out["envelope_violations"] == 0 and slope_ok and out["tail_ok"]
     verdict = "PASS" if ok else "FAIL"
@@ -514,10 +557,9 @@ def _check_envelope(scn, trajs, params):
 
 
 def _check_comparison(scn, trajs, params):
-    prob, x = scn.problem, scn.basis.grid
-    a2 = np.asarray(params.initial2(x), dtype=float) * np.ones_like(x)
+    prob = scn.problem
     prob2 = SemilinearProblem(
-        scn.basis, prob.alpha, a2, SemilinearTerm(params.term2),
+        scn.basis, prob.alpha, params.initial2, SemilinearTerm(params.term2),
         drift=prob.drift, reaction=prob.reaction, forcing=prob.forcing,
         m=prob.m,
     )
@@ -550,10 +592,10 @@ def _output_dir(outdir=None):
     return out
 
 
-def run_scenario(scenario, outdir=None, write_files=True, property_types=None):
+def run_scenario(scenario, outdir=None, property_types=None):
     """Execute a scenario (a path or a loaded Scenario): solve, verify every
-    declared property, and (by default) write <name>.traj.csv and
-    <name>.report.txt atomically.
+    declared property, and write <name>.traj.csv and <name>.report.txt
+    atomically.
 
     ``property_types`` restricts verification to the given property types
     (an empty tuple solves without checking anything)."""
@@ -586,16 +628,13 @@ def run_scenario(scenario, outdir=None, write_files=True, property_types=None):
     lines.append("summary: {} PASS, {} FAIL, {} NOT-APPLICABLE".format(*counts))
     report = Report(scn.name, lines, verdicts, time.perf_counter() - t0)
 
-    if write_files:
-        out = _output_dir(outdir)
-        parts = {"system": [f"comp{i}" for i in range(1, len(trajs) + 1)],
-                 "pair": ["u", "v"]}
-        for part, tr in zip(parts.get(scn.kind, []), trajs):
-            tr.to_csv(os.path.join(out, f"{scn.name}.{part}.traj.csv"))
-        trajs[0].to_csv(os.path.join(out, f"{scn.name}.traj.csv"))
-        _write_atomic(
-            os.path.join(out, f"{scn.name}.report.txt"), report.render()
-        )
+    out = _output_dir(outdir)
+    parts = {"system": [f"comp{i}" for i in range(1, len(trajs) + 1)],
+             "pair": ["u", "v"]}
+    for part, tr in zip(parts.get(scn.kind, []), trajs):
+        tr.to_csv(os.path.join(out, f"{scn.name}.{part}.traj.csv"))
+    trajs[0].to_csv(os.path.join(out, f"{scn.name}.traj.csv"))
+    _write_atomic(os.path.join(out, f"{scn.name}.report.txt"), report.render())
     return report
 
 

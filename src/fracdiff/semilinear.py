@@ -69,8 +69,11 @@ __all__ = [
 MONOTONE_RTOL = 1e-12
 # compare_solutions: amplitudes in [-m, m] at which f_1 >= f_2 is sampled
 COMPARISON_LEVELS = 101
-# steady_state_solve: damped Newton steps before it gives up
+# steady_state_solve: damped Newton steps before it gives up, sup residual
 NEWTON_STEPS = 100
+NEWTON_TOL = 1e-10
+# algebraic_barrier_time, power_barrier_constants: largest time searched
+BARRIER_T_MAX = 1.0
 
 
 def enzyme_kinetics(eta):
@@ -309,36 +312,36 @@ def _two_grid_tolerance(candidate, prob, grid, initial, r_fine):
     return 10.0 * est + 1e-12
 
 
-def _check_solution(candidate, prob, grid, tol, sign, extreme):
+def _check_solution(candidate, prob, grid, sign, extreme):
     """Residual r of a candidate, reported as extreme = sign min(sign r), and
-    its verdict: PASS iff sign r >= -tol and sign (a_bar - a) >= -tol.  tol
-    defaults to ten times a two-grid consistency estimate of the residual."""
+    its verdict: PASS iff sign r >= -tol and sign (a_bar - a) >= -tol, with
+    tol ten times a two-grid consistency estimate of the residual."""
     U, a_bar, r = _residual_history(candidate, prob, grid)
-    if tol is None:
-        tol = _two_grid_tolerance(candidate, prob, grid, a_bar, r)
+    tol = _two_grid_tolerance(candidate, prob, grid, a_bar, r)
     init_margin = float(np.min(sign * (a_bar - prob.a)))
     worst = float(np.min(sign * r))
     return {"residual": r, extreme: sign * worst, "initial_margin": init_margin,
             "tol": tol, "passes": bool(worst >= -tol and init_margin >= -tol)}
 
 
-def check_upper_solution(candidate, prob, grid, tol=None):
+def check_upper_solution(candidate, prob, grid):
     """Residual r = caputo_l1(u_bar - a_bar) + A_0 u_bar - Q u_bar - f(u_bar) - F.
 
-    PASS iff min r >= -tol and a_bar >= a - tol."""
-    return _check_solution(candidate, prob, grid, tol, 1.0, "min_residual")
+    PASS iff min r >= -tol and a_bar >= a - tol (tol: the two-grid estimate)."""
+    return _check_solution(candidate, prob, grid, 1.0, "min_residual")
 
 
-def check_lower_solution(candidate, prob, grid, tol=None):
+def check_lower_solution(candidate, prob, grid):
     """Reversed-sign counterpart: PASS iff max r <= tol and a_low <= a + tol."""
-    return _check_solution(candidate, prob, grid, tol, -1.0, "max_residual")
+    return _check_solution(candidate, prob, grid, -1.0, "max_residual")
 
 
 def compare_solutions(prob1, prob2, grid, tol=1e-8):
     """Comparison principle: f_1 >= f_2 on the sampled box and a_1 >= a_2
     imply u_1 >= u_2.  Hypotheses are checked first (verdict NOT-APPLICABLE
     when violated); both problems are then solved with a common spectral
-    shift that makes the discrete sweep map order-preserving."""
+    shift that makes the discrete sweep map order-preserving, each in its
+    box (picard_solve raises on amplitude escape), so both stay bounded."""
     for p in (prob1, prob2):
         p.require_pointwise("compare_solutions")
     if prob1.basis is not prob2.basis:
@@ -361,22 +364,18 @@ def compare_solutions(prob1, prob2, grid, tol=1e-8):
     u1 = picard_solve(prob1, grid, shift=shift)
     u2 = picard_solve(prob2, grid, shift=shift)
     min_gap = float(np.min(u1.fields() - u2.fields()))
-    bounded = max(u1.sup_norm(), u2.sup_norm()) <= m
-    verdict = "PASS" if (min_gap >= -tol and bounded) else "FAIL"
-    if not bounded:
-        verdict = "UNVERIFIED"  # boundedness hypothesis violated a posteriori
     return {
-        "verdict": verdict,
+        "verdict": "PASS" if min_gap >= -tol else "FAIL",
         "min_gap": min_gap,
         "tol": tol,
-        "bounded": bounded,
         "trajectories": (u1, u2),
     }
 
 
-def steady_state_solve(basis, term, guess, tol=1e-10):
+def steady_state_solve(basis, term, guess):
     """Damped Newton for the steady state A u = f(u), where A is the
-    basis operator with its spectral shift c0 removed again."""
+    basis operator with its spectral shift c0 removed again, to a sup
+    residual below NEWTON_TOL."""
     f = term if isinstance(term, SemilinearTerm) else SemilinearTerm(term)
     if f.kind == "gradient":
         raise TypeError("steady_state_solve requires a pointwise reaction")
@@ -392,7 +391,7 @@ def steady_state_solve(basis, term, guess, tol=1e-10):
     r = residual(u)
     for _ in range(NEWTON_STEPS):
         nr = float(np.max(np.abs(r)))
-        if nr < tol:
+        if nr < NEWTON_TOL:
             return u
         eps = 1e-6 * (1.0 + np.abs(u))
         fprime = (f(x, u + eps) - f(x, u - eps)) / (2.0 * eps)
@@ -411,21 +410,20 @@ def steady_state_solve(basis, term, guess, tol=1e-10):
                 f"Newton stalled at residual {nr} (no decreasing step)"
             )
     raise ArithmeticError(
-        f"Newton did not reach residual {tol} in {NEWTON_STEPS} iterations"
+        f"Newton did not reach residual {NEWTON_TOL} in {NEWTON_STEPS} iterations"
     )
 
 
-def decay_envelope_check(traj, u_inf, basis, alpha, M1=None, tol=1e-8):
+def decay_envelope_check(traj, u_inf, basis, alpha, tol=1e-8):
     """Check |u(x,t) - u_inf(x)| <= M_1 E_{alpha,1}(-lambda_1 t^alpha)
-    |phi_1(x)| + tol node-wise and fit the log-log decay slope of the
-    sup-error over the final decade of t (expect about -alpha once
-    lambda_1 t^alpha >= 10)."""
+    |phi_1(x)| + tol node-wise, M_1 the steady_bracket_constant of u(0),
+    and fit the log-log decay slope of the sup-error over the final decade
+    of t (expect about -alpha once lambda_1 t^alpha >= 10)."""
     u_inf = np.asarray(u_inf, dtype=float)
     lam1 = float(basis.lambdas[0])
     phi1 = np.abs(basis.modes[:, 0])
     err = np.abs(traj.fields() - u_inf[None, :])
-    if M1 is None:
-        M1 = steady_bracket_constant(basis, traj.field_at(0), u_inf)
+    M1 = steady_bracket_constant(basis, traj.field_at(0), u_inf)
     t = traj.grid.nodes
     env = M1 * np.outer(ml_neg_vec(alpha, lam1 * t**alpha), phi1) + tol
     violations = int(np.sum(err > env))
@@ -475,12 +473,12 @@ def _bisect_smallest(feasible, lo, hi, iters=60):
     return hi
 
 
-def _bisect_largest_time(ok, t_hi, failure):
-    """Largest T <= t_hi with ok(T), by geometric bisection down to 1e-14;
-    raises ArithmeticError(failure) when even 1e-14 is infeasible."""
-    if ok(t_hi):
-        return t_hi
-    lo, hi = 1e-14, t_hi
+def _bisect_largest_time(ok, failure):
+    """Largest T <= BARRIER_T_MAX with ok(T), by geometric bisection down to
+    1e-14; raises ArithmeticError(failure) when even 1e-14 is infeasible."""
+    if ok(BARRIER_T_MAX):
+        return BARRIER_T_MAX
+    lo, hi = 1e-14, BARRIER_T_MAX
     if not ok(lo):
         raise ArithmeticError(failure)
     for _ in range(80):
@@ -509,9 +507,9 @@ def power_barrier_rho(prob, grid):
     return _bisect_smallest(feasible, 0.0, 1.0) * (1.0 + 1e-9)
 
 
-def algebraic_barrier_time(prob, eps, t_hi=1.0):
-    """Largest T_1 <= t_hi (by bisection) making a + t^(alpha-eps) an upper
-    barrier for an increasing reaction:
+def algebraic_barrier_time(prob, eps):
+    """Largest T_1 <= BARRIER_T_MAX (by bisection) making a + t^(alpha-eps)
+    an upper barrier for an increasing reaction:
 
         Gamma(a-e+1)/Gamma(1-e) T_1^(-e) >= f(T_1^(a-e) + max a) + max Lap a.
     """
@@ -527,7 +525,7 @@ def algebraic_barrier_time(prob, eps, t_hi=1.0):
         rhs = float(np.max(prob.term(x, np.full_like(x, T ** (alpha - eps) + a_max))))
         return coef * T ** (-eps) >= rhs + lap_max
 
-    return _bisect_largest_time(ok, t_hi, "no feasible barrier time above 1e-14")
+    return _bisect_largest_time(ok, "no feasible barrier time above 1e-14")
 
 
 def lower_barrier_constants(prob):
@@ -546,9 +544,10 @@ def lower_barrier_constants(prob):
     return {"M2": M2, "delta1": delta1, "rho": rho, "T2": T2}
 
 
-def power_barrier_constants(prob, t_hi=1.0):
+def power_barrier_constants(prob):
     """(M_3, T_3) with ||Lap a|| <= M_3 Gamma(a+1)/2 and
-    f(M_3 T_3^alpha + ||a||) <= M_3 Gamma(a+1)/2, T_3 maximal by bisection."""
+    f(M_3 T_3^alpha + ||a||) <= M_3 Gamma(a+1)/2, T_3 <= BARRIER_T_MAX
+    maximal by bisection."""
     ga = math.gamma(prob.alpha + 1.0)
     lap_norm = float(np.max(np.abs(_laplacian_of_a(prob))))
     a_norm = float(np.max(np.abs(prob.a)))
@@ -562,6 +561,4 @@ def power_barrier_constants(prob, t_hi=1.0):
     def ok(T):
         return f_at(M3 * T**prob.alpha + a_norm) <= 0.5 * M3 * ga
 
-    return M3, _bisect_largest_time(
-        ok, t_hi, "no feasible T_3 above 1e-14; increase M_3"
-    )
+    return M3, _bisect_largest_time(ok, "no feasible T_3 above 1e-14; increase M_3")

@@ -182,15 +182,9 @@ def apply_fractional_power(basis, gamma, coeffs):
     return (lam * coeffs.T).T
 
 
-def basis_to_csv(basis, path, modes=False):
-    """Write (n, lambda_n) rows; with modes=True append the mode samples."""
+def basis_to_csv(basis, path):
+    """Write one (n, lambda_n) row per mode."""
     with open(path, "w") as fh:
-        if modes:
-            fh.write("n,lambda," + ",".join(f"phi(x{i})" for i in range(basis.grid.size)) + "\n")
-            for n in range(basis.n_modes):
-                row = ",".join(repr(float(v)) for v in basis.modes[:, n])
-                fh.write(f"{n + 1},{float(basis.lambdas[n])!r},{row}\n")
-        else:
-            fh.write("n,lambda\n")
-            for n in range(basis.n_modes):
-                fh.write(f"{n + 1},{float(basis.lambdas[n])!r}\n")
+        fh.write("n,lambda\n")
+        for n in range(basis.n_modes):
+            fh.write(f"{n + 1},{float(basis.lambdas[n])!r}\n")

@@ -36,6 +36,10 @@ __all__ = [
     "pair_nonneg_verify",
 ]
 
+# cooperative_classify: lattice points per box axis, rounding allowed
+CLASSIFY_POINTS = 101
+CLASSIFY_TOL = 1e-9
+
 
 def _sup(history):
     return 0.0 if history is None else float(np.max(np.abs(history)))
@@ -279,8 +283,9 @@ def semilinear_pair_solve(pair, grid, tol=1e-10, max_sweeps=200, shift=0.0):
     return tuple(picard_system_solve(pair, grid, shift, tol, max_sweeps)["trajectories"])
 
 
-def cooperative_classify(pair, box, n=101, tol=1e-9):
-    """Which disjuncts of the pair's sign conditions hold on the box.
+def cooperative_classify(pair, box):
+    """Which disjuncts of the pair's sign conditions hold on the
+    CLASSIFY_POINTS x CLASSIFY_POINTS lattice of the box, to CLASSIFY_TOL.
 
     Condition on f: (A) f(0, eta) >= 0, or (B) d_2 f >= 0 and f(0,0) = 0;
     on g: (A) g(xi, 0) >= 0, or (B) d_1 g >= 0 and g(0,0) = 0.
@@ -288,7 +293,7 @@ def cooperative_classify(pair, box, n=101, tol=1e-9):
     condition fails both ways, with the violating lattice points reported.
     """
     lo, hi = float(box[0]), float(box[1])
-    xi = np.linspace(lo, hi, n)
+    xi = np.linspace(lo, hi, CLASSIFY_POINTS)
     U, V = np.meshgrid(xi, xi, indexing="ij")
     h = xi[1] - xi[0]
     witnesses = {}
@@ -299,12 +304,13 @@ def cooperative_classify(pair, box, n=101, tol=1e-9):
         on_edge = (np.zeros_like(xi), xi) if axis == 1 else (xi, np.zeros_like(xi))
         edge = np.asarray(fn(*on_edge), dtype=float) * np.ones_like(xi)
         dpart = np.diff(Z, axis=axis) / h
-        A = bool(np.min(edge) >= -tol)
+        A = bool(np.min(edge) >= -CLASSIFY_TOL)
         if not A:
             k = int(np.argmin(edge))
             witnesses[f"{label}_edge"] = (float(xi[k]), float(np.min(edge)))
         origin = float(np.asarray(fn(np.zeros(1), np.zeros(1)), dtype=float).ravel()[0])
-        B = bool(np.min(dpart) >= -tol and abs(origin) <= max(tol, 1e-9 * np.max(np.abs(Z) + 1)))
+        B = bool(np.min(dpart) >= -CLASSIFY_TOL
+                 and abs(origin) <= max(CLASSIFY_TOL, 1e-9 * np.max(np.abs(Z) + 1)))
         if not B:
             i, j = np.unravel_index(np.argmin(dpart), dpart.shape)
             witnesses[f"{label}_partial"] = (
@@ -331,6 +337,6 @@ def cooperative_classify(pair, box, n=101, tol=1e-9):
     }
 
 
-def pair_nonneg_verify(pair, solution, tol=1e-8):
-    """nonneg_verify of the trajectories (u, v) of a pair."""
-    return nonneg_verify(pair, solution, solution[0].grid, tol)
+def pair_nonneg_verify(pair, solution):
+    """nonneg_verify of the trajectories (u, v) of a pair, at its default tol."""
+    return nonneg_verify(pair, solution, solution[0].grid)

@@ -180,6 +180,8 @@ SYSTEM = """
     type = nonneg
 """
 
+STEADY_ENVELOPE = "\n[property:env]\ntype = envelope\nu_inf_mode = steady\n"
+
 PAIR = """
     [scenario]
     name = pairdemo
@@ -261,6 +263,26 @@ PAIR = """
         ("run", PAIR.replace("initial_v = 0.2", "initial_v = 1e308"), "[problem] m"),
         ("run", PAIR.replace("initial_v = 0.2", "initial_v = 0.2\n    m = 0.35"),
          "[problem] m"),
+        ("run", SEMI.replace("initial = 1 + 0.1*cos(x)", "initial = 1/x"),
+         "[problem] initial: not finite at x=0.0"),
+        ("run", LINEAR.replace("initial = 1 + 0.5*cos(x)", "initial = 1/x"),
+         "[problem] initial: not finite at x=0.0"),
+        ("system", SYSTEM.replace("0.5 + 0.2*cos(x); 0.3", "1; 1/x"),
+         "[problem] initials: not finite at x=0.0"),
+        ("run", PAIR.replace("initial_u = 0.3 + 0.1*cos(x)", "initial_u = 1/x"),
+         "[problem] initial_u: not finite at x=0.0"),
+        ("run", SEMI + "\n[property:cmp]\ntype = comparison\ninitial2 = 1/x\n",
+         "[property:cmp] initial2: not finite at x=0.0"),
+        ("run", SEMI + "\n[property:env]\ntype = envelope\nu_inf = 1/x\n",
+         "[property:env] u_inf: not finite at x=0.0"),
+        ("run", SEMI.replace("term = enzyme(u)", "term = enzyme(u)\n    drift = 0.1")
+         + STEADY_ENVELOPE, "[property:env] u_inf_mode: a steady state needs"),
+        ("run", SEMI.replace("term = enzyme(u)", "term = enzyme(u)\n    reaction = -0.1")
+         + STEADY_ENVELOPE, "[property:env] u_inf_mode: a steady state needs"),
+        ("run", SEMI.replace("term = enzyme(u)", "term = enzyme(u)\n    forcing = 0.1")
+         + STEADY_ENVELOPE, "[property:env] u_inf_mode: a steady state needs"),
+        ("steady", SEMI.replace("term = enzyme(u)", "term = enzyme(u)\n    forcing = 0.1"),
+         "steady: a steady state needs"),
     ],
     ids=[
         "problem-term-missing",
@@ -290,6 +312,16 @@ PAIR = """
         "semilinear-default-box-overflows",
         "pair-default-box-overflows",
         "pair-initial-outside-box",
+        "semilinear-initial-1/x",
+        "linear-initial-1/x",
+        "system-initials-1/x",
+        "pair-initial_u-1/x",
+        "comparison-initial2-1/x",
+        "envelope-u_inf-1/x",
+        "steady-envelope-drift",
+        "steady-envelope-reaction",
+        "steady-envelope-forcing",
+        "steady-command-forcing",
     ],
 )
 def test_invalid_scenario_exits_2_at_load(tmp_path, capsys, command, text, section):
@@ -393,3 +425,66 @@ def test_one_eigendecompose_per_command(tmp_path, capsys, monkeypatch, command):
     extra = ["--levels", "3"] if command == "converge" else ["--outdir", str(tmp_path)]
     assert main([command, path, *extra]) == 0, capsys.readouterr()
     assert len(calls) == 1
+
+
+# the steady state of 1 - u with the operator shift c0 = 1 is 1/2
+RELAXING = """
+    [scenario]
+    name = relaxing
+    kind = semilinear
+
+    [space]
+    length = 3.141592653589793
+    n_grid = 17
+
+    [time]
+    T = 150
+    N = 256
+
+    [problem]
+    alpha = 0.7
+    initial = 0.8 + 0.1*cos(x)
+    term = 1 - u
+    solver_shift = 1
+
+    [property:steady]
+    type = envelope
+    u_inf_mode = steady
+
+    [property:explicit]
+    type = envelope
+    u_inf = 0.5
+"""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        RELAXING,
+        RELAXING.replace("kind = semilinear", "kind = linear")
+        .replace("term = 1 - u\n", "").replace("solver_shift = 1\n", "")
+        .replace("u_inf = 0.5", "u_inf = 0"),
+    ],
+    ids=["semilinear", "linear"],
+)
+def test_steady_envelope_is_that_of_the_solved_equation(tmp_path, capsys, text):
+    """u_inf_mode = steady uses the steady state of the equation the solver
+    advances, operator shift c0 included: its line reads exactly as the
+    line of that steady state given explicitly (1/2, and 0 without f)."""
+    path = write(tmp_path, text)
+    assert main(["envelope", path, "--outdir", str(tmp_path)]) == 0
+    verdicts = dict(
+        line.split(" [envelope]: ") for line in capsys.readouterr().out.splitlines()
+        if line.startswith("property ")
+    )
+    assert verdicts["property steady"] == verdicts["property explicit"]
+    assert verdicts["property steady"].startswith("PASS ")
+
+
+def test_steady_subcommand_includes_operator_shift(tmp_path, capsys):
+    path = write(tmp_path, RELAXING)
+    assert main(["steady", path, "--outdir", str(tmp_path)]) == 0
+    assert "steady: sup=5.000000e-01 " in capsys.readouterr().out
+    rows = (tmp_path / "relaxing.steady.csv").read_text().splitlines()[1:]
+    u = [float(row.split(",")[1]) for row in rows]
+    assert max(abs(v - 0.5) for v in u) < 1e-10

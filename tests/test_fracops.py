@@ -44,8 +44,6 @@ def test_alpha_domains():
     for bad in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError):
             caputo_l1(bad, s)
-    with pytest.raises(ValueError):
-        rl_integral(0.5, s, rule="simpson")
 
 
 def test_rl_constant_exact():
@@ -62,19 +60,6 @@ def test_rl_linear_exact():
     out = rl_integral(0.7, s).values
     want = g.nodes**1.7 / math.gamma(2.7)
     np.testing.assert_allclose(out, want, atol=1e-13)
-
-
-def test_rl_rectangle_rule():
-    g = TimeGrid.uniform(1.0, 256)
-    one = SampledSignal(g, np.ones(257))
-    out = rl_integral(0.5, one, rule="rectangle").values
-    np.testing.assert_allclose(out, g.nodes**0.5 / math.gamma(1.5), atol=1e-13)
-    # first order only for non-constant data
-    lin = SampledSignal(g, g.nodes.copy())
-    err = np.max(
-        np.abs(rl_integral(0.5, lin, rule="rectangle").values - g.nodes**1.5 / math.gamma(2.5))
-    )
-    assert 1e-5 < err < 5e-3
 
 
 def test_rl_semigroup_n2048():

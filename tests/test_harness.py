@@ -57,15 +57,15 @@ def test_empty_scenario_zero_verdicts(tmp_path):
 
 def test_report_body_deterministic(tmp_path):
     path = write_scenario(tmp_path, LINEAR + "\n[property:pos]\ntype = nonneg\n")
-    r1 = run_scenario(path, write_files=False)
-    r2 = run_scenario(path, write_files=False)
+    r1 = run_scenario(path, outdir=tmp_path)
+    r2 = run_scenario(path, outdir=tmp_path)
     assert r1.body == r2.body
     assert r1.render() != r1.body  # runtime excluded from the body
 
 
 def test_nonneg_property_linear(tmp_path):
     path = write_scenario(tmp_path, LINEAR + "\n[property:pos]\ntype = nonneg\n")
-    report = run_scenario(path, write_files=False)
+    report = run_scenario(path, outdir=tmp_path)
     assert report.verdicts == [("pos", "PASS")]
 
     gated = write_scenario(
@@ -74,7 +74,7 @@ def test_nonneg_property_linear(tmp_path):
         + "\n[property:pos]\ntype = nonneg\n",
         name="gated.ini",
     )
-    report = run_scenario(gated, write_files=False)
+    report = run_scenario(gated, outdir=tmp_path)
     assert report.verdicts == [("pos", "NOT-APPLICABLE")]
     assert "initial data" in report.body
 
@@ -86,7 +86,7 @@ def test_bracket_property_explicit_bounds(tmp_path):
     lower = 0
     upper = 1.2
     """
-    report = run_scenario(write_scenario(tmp_path, text), write_files=False)
+    report = run_scenario(write_scenario(tmp_path, text), outdir=tmp_path)
     assert report.verdicts == [("box", "PASS")]
 
     bad = LINEAR + """
@@ -96,7 +96,7 @@ def test_bracket_property_explicit_bounds(tmp_path):
     upper = 1.1
     """
     report = run_scenario(
-        write_scenario(tmp_path, bad, name="bad.ini"), write_files=False
+        write_scenario(tmp_path, bad, name="bad.ini"), outdir=tmp_path
     )
     assert report.verdicts == [("box", "FAIL")] and not report.ok
 
@@ -109,7 +109,7 @@ def test_comparison_property(tmp_path):
     type = comparison
     initial2 = 0.5 + 0.2*cos(x)
     """
-    report = run_scenario(write_scenario(tmp_path, text), write_files=False)
+    report = run_scenario(write_scenario(tmp_path, text), outdir=tmp_path)
     assert report.verdicts == [("order", "PASS")]
 
     swapped = LINEAR.replace("kind = linear", "kind = semilinear") + """
@@ -120,7 +120,7 @@ def test_comparison_property(tmp_path):
     initial2 = 2 + 0.2*cos(x)
     """
     report = run_scenario(
-        write_scenario(tmp_path, swapped, name="swap.ini"), write_files=False
+        write_scenario(tmp_path, swapped, name="swap.ini"), outdir=tmp_path
     )
     assert report.verdicts == [("order", "NOT-APPLICABLE")]
 
@@ -152,7 +152,7 @@ def test_system_scenario_random_seeded(tmp_path):
     """
     path = write_scenario(tmp_path, text)
     r1 = run_scenario(path, outdir=str(tmp_path))
-    r2 = run_scenario(path, write_files=False)
+    r2 = run_scenario(path, outdir=tmp_path)
     assert r1.verdicts == [("pos", "PASS")]
     assert r1.body == r2.body  # same seed, byte-identical body
     for i in (1, 2, 3):
@@ -183,7 +183,7 @@ def test_system_not_applicable_says_why(tmp_path):
     [property:pos]
     type = nonneg
     """
-    report = run_scenario(write_scenario(tmp_path, text), write_files=False)
+    report = run_scenario(write_scenario(tmp_path, text), outdir=tmp_path)
     assert report.verdicts == [("pos", "NOT-APPLICABLE")]
     assert "property pos [nonneg]: NOT-APPLICABLE reason=p_12 takes negative values" \
         in report.body.splitlines()
@@ -242,7 +242,7 @@ def test_convergence_study_releases_level_tables(tmp_path):
     (the rows of its four graded grids, N = 16 to 128, take 2.9 MB)."""
     scn = Scenario.load(write_scenario(tmp_path, LINEAR.replace(
         "N = 64", "N = 16\n    grading = 2") + "    reaction = -0.5\n"))
-    run_scenario(scn, write_files=False)
+    run_scenario(scn, outdir=tmp_path)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -262,7 +262,7 @@ def test_convergence_property(tmp_path):
     levels = 3
     min_order = 0.4
     """
-    report = run_scenario(write_scenario(tmp_path, text), write_files=False)
+    report = run_scenario(write_scenario(tmp_path, text), outdir=tmp_path)
     assert report.verdicts == [("conv", "PASS")]
 
 

@@ -324,6 +324,18 @@ def test_compare_solutions():
         compare_solutions(g, p_base, grid)
 
 
+def test_compare_solutions_raises_when_a_solution_leaves_its_box():
+    """A trajectory that would leave the box m stops its Picard solve with
+    amplitude escape, so compare_solutions never sees an unbounded one."""
+    b = full_neumann_basis(21)
+    grid = TimeGrid.uniform(1.0, 32)
+    grow = SemilinearTerm(lambda x, u: 2.0 + u)
+    p1 = SemilinearProblem(b, 0.5, np.ones_like(b.grid), grow, m=1.5)
+    p2 = SemilinearProblem(b, 0.5, 0.5 * np.ones_like(b.grid), grow, m=1.5)
+    with pytest.raises(ArithmeticError, match="amplitude escape"):
+        compare_solutions(p1, p2, grid)
+
+
 def steady_basis(n_grid=41):
     # A = -Lap + 1 via c = -1 and the default shift removed in the solver
     return eigendecompose(
