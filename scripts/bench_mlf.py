@@ -28,17 +28,24 @@ Measures, in CPU time with BLAS threads capped at 1:
   after one warm-up at N = 8;
 * the median CPU seconds of a uniform enzyme ``picard_solve`` (L2/L3):
   alpha = 0.5, shift 2, 33 modes, ``TimeGrid.uniform(1, 96)``, per solve
-  (tables built in the solve, as above) and per sweep (the solve divided
-  by its sweeps), medians of REPEATS batches of UNIFORM_BATCH solves after
-  one warm-up;
-* the median CPU seconds of the reaction-system solves (L3), per solve and
-  per sweep, medians of REPEATS batches of SYSTEM_BATCH solves after one
-  warm-up: ``picard_system_solve`` of a cooperative 3-component system
-  (orders 0.9/0.94/0.98, off-diagonal couplings 1, M1 = 0.1, tol 1e-12) on
-  33 nodes and ``TimeGrid.uniform(1, 64)``, and ``semilinear_pair_solve`` of
+  (tables built in the solve, as above), medians of REPEATS batches of
+  UNIFORM_BATCH solves after one warm-up;
+* the crossover of that solve: the median CPU seconds (of PICARD_REPEATS,
+  after one warm-up at N = 8) of the enzyme ``picard_solve`` with 65 modes
+  on ``TimeGrid.uniform(1, N)`` for N in CROSSOVER_N, where a forward
+  march costs O(N^2 M) and FFT sweeps O(sweeps N log N M), so the cells of
+  two checkouts show the N at which the one overtakes the other;
+* the median CPU seconds of the reaction-system solves (L3) per solve,
+  medians of REPEATS batches of SYSTEM_BATCH solves after one warm-up:
+  ``picard_system_solve`` of a cooperative 3-component system (orders
+  0.9/0.94/0.98, off-diagonal couplings 1, M1 = 0.1, tol 1e-12) on 33
+  nodes and ``TimeGrid.uniform(1, 64)``, and ``semilinear_pair_solve`` of
   the case-4 pair f = v (1 + u^2), g = u (1 + v^2) (alpha = 0.6, shift 2)
   on 33 nodes and ``TimeGrid.uniform(0.5, 64)``, the sizes of the
   benchmark's fixed_point system and pair steps;
+* per sweep (the solve divided by its sweeps) only for a solve that
+  reports more than one sweep in its diagnostics: a whole-window
+  iteration, not a forward march, which is one pass over the grid;
 * L4: the CPU seconds and peak RSS (medians of REPEATS) of a fresh
   interpreter that imports fracdiff and runs that uniform solve once, as
   the process reports them at its end (interpreter start included).
@@ -73,6 +80,7 @@ REGIMES = ("taylor", "contour", "asymptotic")
 BATCH = 2048
 REPEATS = 7
 PICARD_N = (64, 128)
+CROSSOVER_N = (1024, 2048, 4096)
 # (kind, N) of the L1 propagator builds
 BUILD_GRIDS = (("uniform", 1024), ("graded", 256), ("graded", 512))
 PICARD_REPEATS = 3
@@ -196,6 +204,13 @@ def graded_picard_s(src, N):
     return _median_cpu(lambda: picard_solve(prob, grid, shift=2.0), PICARD_REPEATS)
 
 
+def _per_sweep(seconds, diagnostics):
+    """seconds per sweep of a solve whose diagnostics report sweeps > 1,
+    else None (a march is one pass)."""
+    sweeps = diagnostics.get("sweeps", 1)
+    return seconds / sweeps if sweeps > 1 else None
+
+
 def uniform_picard_s(src):
     sys.path.insert(0, src)
     ns = {}
@@ -206,11 +221,27 @@ def uniform_picard_s(src):
             ns["picard_solve"](ns["prob"], ns["grid"], shift=2.0)
 
     solve = _median_cpu(batch, REPEATS) / UNIFORM_BATCH
-    return solve, solve / ns["traj"].diagnostics["sweeps"]
+    return solve, _per_sweep(solve, ns["traj"].diagnostics)
+
+
+def crossover_picard_s(src, N):
+    """(median CPU s, sweeps) of the uniform enzyme picard_solve at N."""
+    sys.path.insert(0, src)
+    from fracdiff.fracops import TimeGrid
+    from fracdiff.semilinear import SemilinearProblem, SemilinearTerm, picard_solve
+    from fracdiff.spectral import EllipticOperator, eigendecompose
+
+    basis = eigendecompose(EllipticOperator(np.pi), 65, 65)
+    prob = SemilinearProblem(basis, 0.5, 1.0 + 0.1 * np.cos(basis.grid),
+                             SemilinearTerm.enzyme())
+    picard_solve(prob, TimeGrid.uniform(1.0, 8), shift=2.0)  # warm-up
+    grid = TimeGrid.uniform(1.0, N)
+    sweeps = picard_solve(prob, grid, shift=2.0).diagnostics.get("sweeps", 1)
+    return _median_cpu(lambda: picard_solve(prob, grid, shift=2.0), PICARD_REPEATS), sweeps
 
 
 def reaction_system_s(src, kind):
-    """(CPU s per solve, per sweep) of the system or the pair solve."""
+    """(CPU s per solve, per sweep or None) of the system or the pair solve."""
     sys.path.insert(0, src)
     from fracdiff.fracops import TimeGrid
     from fracdiff.spectral import EllipticOperator, eigendecompose
@@ -230,7 +261,8 @@ def reaction_system_s(src, kind):
         grid = TimeGrid.uniform(1.0, 64)
 
         def solve():
-            return picard_system_solve(system, grid, M1=0.1, tol=1e-12, max_sweeps=400)["sweeps"]
+            out = picard_system_solve(system, grid, M1=0.1, tol=1e-12, max_sweeps=400)
+            return out["trajectories"][0].diagnostics
     else:
         pair = SemilinearPair(basis, 0.6, lambda u, v: v * (1.0 + u**2),
                               lambda u, v: u * (1.0 + v**2),
@@ -238,16 +270,29 @@ def reaction_system_s(src, kind):
         grid = TimeGrid.uniform(0.5, 64)
 
         def solve():
-            return semilinear_pair_solve(pair, grid, shift=2.0)[0].diagnostics["sweeps"]
+            return semilinear_pair_solve(pair, grid, shift=2.0)[0].diagnostics
 
-    sweeps = solve()  # warm-up
+    diagnostics = solve()  # warm-up
 
     def batch():
         for _ in range(SYSTEM_BATCH):
             solve()
 
     seconds = _median_cpu(batch, REPEATS) / SYSTEM_BATCH
-    return seconds, seconds / sweeps
+    return seconds, _per_sweep(seconds, diagnostics)
+
+
+def _cell(solve, sweep, digits):
+    """The JSON cell of a solve: per solve, and per sweep when it has one."""
+    cell = {"solve": round(solve, digits)}
+    if sweep is not None:
+        cell["sweep"] = round(sweep, digits + 1)
+    return cell
+
+
+def _said(solve, sweep):
+    per_sweep = "" if sweep is None else f", {sweep:.5f} s per sweep"
+    return f"{solve:.4f} s CPU per solve{per_sweep}"
 
 
 def fresh_process(src):
@@ -283,15 +328,17 @@ def main(argv=None):
             f"N={N}": round(pool.apply(graded_picard_s, (src, N)), 4) for N in PICARD_N
         }
         solve, sweep = pool.apply(uniform_picard_s, (src,))
+        crossover = {N: pool.apply(crossover_picard_s, (src, N)) for N in CROSSOVER_N}
         systems = {k: pool.apply(reaction_system_s, (src, k)) for k in ("system", "pair")}
     result["propagator_build"] = {
         k: {"cpu_s": round(v[0], 4), "peak_mb": round(v[1], 2), "held_mb": round(v[2], 2)}
         for k, v in builds.items()
     }
-    result["uniform_picard_cpu_s"] = {"solve": round(solve, 4), "sweep": round(sweep, 5)}
-    result["reaction_system_cpu_s"] = {
-        k: {"solve": round(v[0], 5), "sweep": round(v[1], 6)} for k, v in systems.items()
+    result["uniform_picard_cpu_s"] = _cell(solve, sweep, 4)
+    result["crossover_picard_cpu_s"] = {
+        f"N={N}": {"solve": round(v, 4), "sweeps": n} for N, (v, n) in crossover.items()
     }
+    result["reaction_system_cpu_s"] = {k: _cell(*v, 5) for k, v in systems.items()}
     cpu, rss = fresh_process(src)
     result["fresh_process"] = {"cpu_s": round(cpu, 3), "peak_rss_mb": round(rss, 1)}
     for k, v in result["propagator_build"].items():
@@ -301,11 +348,13 @@ def main(argv=None):
     print("graded picard_solve: " + ", ".join(
         f"{k} {v:.3f} s CPU" for k, v in result["graded_picard_cpu_s"].items()
     ) + f" (median of {PICARD_REPEATS})")
-    print(f"uniform picard_solve: {solve:.4f} s CPU per solve, {sweep:.5f} s per sweep "
+    print(f"uniform picard_solve: {_said(solve, sweep)} "
           f"(median of {REPEATS} batches of {UNIFORM_BATCH})")
+    print("uniform picard_solve, 65 modes: " + ", ".join(
+        f"N={N} {v:.3f} s CPU ({n} sweeps)" for N, (v, n) in crossover.items()
+    ) + f" (median of {PICARD_REPEATS})")
     for k, (v, w) in systems.items():
-        print(f"{k} solve: {v:.4f} s CPU per solve, {w:.5f} s per sweep "
-              f"(median of {REPEATS} batches of {SYSTEM_BATCH})")
+        print(f"{k} solve: {_said(v, w)} (median of {REPEATS} batches of {SYSTEM_BATCH})")
     print(f"fresh process (import + uniform solve): {cpu:.3f} s CPU (median of {REPEATS}), "
           f"peak RSS {rss:.1f} MB")
     result["environment"] = {
@@ -327,9 +376,12 @@ def main(argv=None):
         "median CPU seconds of a graded enzyme picard_solve (r = 3, shift 2, 65 modes) "
         f"at N = {'/'.join(map(str, PICARD_N))}, medians of {PICARD_REPEATS}; "
         "median CPU seconds of a uniform enzyme picard_solve (N = 96, shift 2, 33 modes) "
-        f"per solve and per sweep, medians of {REPEATS} batches of {UNIFORM_BATCH}; "
+        f"per solve, medians of {REPEATS} batches of {UNIFORM_BATCH}; median CPU seconds "
+        "of the uniform enzyme picard_solve (shift 2, 65 modes) at N = "
+        f"{'/'.join(map(str, CROSSOVER_N))} with its sweeps, medians of {PICARD_REPEATS}; "
         "median CPU seconds of a 3-component picard_system_solve (33 nodes, N = 64) and "
-        "a semilinear_pair_solve (33 nodes, N = 64, T = 0.5) per solve and per sweep, "
+        "a semilinear_pair_solve (33 nodes, N = 64, T = 0.5) per solve; per sweep only "
+        "for a solve reporting more than one sweep (a march is one pass), "
         f"medians of {REPEATS} batches of {SYSTEM_BATCH}; "
         "median CPU seconds and peak RSS of a fresh process that imports fracdiff and "
         "runs that solve once; each measurement in a fresh process"

@@ -71,7 +71,6 @@ from .semilinear import (
     SemilinearTerm,
     compare_solutions,
     decay_envelope_check,
-    picard_solve,
     power_barrier_rho,
     steady_state_solve,
 )
@@ -80,7 +79,7 @@ from .systems import (
     MultiOrderSystem,
     SemilinearPair,
     nonneg_verify,
-    picard_system_solve,
+    solve_system,
 )
 
 __all__ = [
@@ -488,14 +487,11 @@ def _write_atomic(path, text):
 
 
 def _solve(scn, grid):
-    """The trajectories of the kind-appropriate solve on the grid, one per
+    """The trajectories of the scenario's march on the grid, one per
     component; the first is the report's primary one."""
-    prob = scn.problem
-    if scn.kind == "linear":
-        return [solve_linear(prob, grid, shift=scn.solver_shift)]
-    if scn.kind == "semilinear":
-        return [picard_solve(prob, grid, shift=scn.solver_shift)]
-    return picard_system_solve(prob, grid, scn.solver_shift)["trajectories"]
+    if scn.kind in _SCALAR:
+        return [solve_linear(scn.problem, grid, scn.solver_shift)]
+    return solve_system(scn.problem, grid, scn.solver_shift)
 
 
 def _check_nonneg(scn, trajs, params):

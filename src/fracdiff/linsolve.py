@@ -1,5 +1,5 @@
-"""Solution operators S(t), K(t), the Volterra fixed-point engine, and
-mild-solution solvers for
+"""Solution operators S(t), K(t), the forward march, and mild-solution
+solvers for
 
     d_t^alpha (u - a) + A_0 u = Q u + F,   Q u = b(x,t) u_x + q(x,t) u,
 
@@ -10,9 +10,9 @@ tables once, when it is made: a uniform grid's lag table with its real FFT
 spectrum, or one row per node of any other grid.  Each solver makes the
 propagators it needs once per call, so no table outlives its solve.  The
 memory term has two entry points, which alone read the tables: prop.row(i)
-weights the history before one node (solve_linear's forward substitution)
-and convolve_K(prop, G) convolves a whole history (every sweep).  Both
-take the forcing piecewise constant per step (left endpoint).
+weights the history before one node (the march) and convolve_K(prop, G)
+convolves a whole history (every whole-window sweep).  Both take the
+forcing piecewise constant per step (left endpoint).
 
 A LinearProblem holds the equation only; the spectral shift s >= 0 of
 the discrete scheme is an argument of each solve.  It rewrites the
@@ -21,12 +21,14 @@ kernel weights are nonnegative, so whenever the effective forcing is
 monotone in u the discrete time-march preserves ordering exactly; the
 monotone and comparison machinery in higher modules relies on this.
 
-Every whole-window iteration of the mild-solution map
-u = S(t) a + K * R(u) in the package (Picard, multi-order systems,
-semilinear pairs, the monotone sandwich) runs through volterra_sweep and
-fixed_point here, on field histories stacked along a component axis;
-coefficients given as callables of (x, t) are sampled once per grid by
-sample_history, which refuses a non-finite sample.
+Under the left-endpoint rule node i reads the right-hand side only at
+nodes j < i, so the discrete map u = S(t) a + K * R(u) is strictly lower
+triangular: march computes its fixed point node by node, for components
+stacked along a component axis, behind every solve (solve_linear, and
+through it picard_solve, and the system solves).  volterra_sweep applies
+the map to a whole window, for the iterations that are checked themselves
+(the monotone sandwich, picard_system_solve).  Coefficients given as
+callables of (x, t) are sampled once per grid by sample_history.
 """
 
 import numpy as np
@@ -43,7 +45,7 @@ __all__ = [
     "convolve_K",
     "sample_history",
     "volterra_sweep",
-    "fixed_point",
+    "march",
     "working_box",
     "solve_linear",
     "solve_linear_l1",
@@ -171,91 +173,53 @@ def sample_history(f, x, tnodes, name):
     return out
 
 
-def volterra_sweep(props, a_modal, R):
-    """One application of the mild-solution map to C stacked components:
-    E_c a_c + K_c * (P R_c), with one propagator per component, all on
-    one grid.
+def volterra_sweep(props, a, R):
+    """One application of the mild-solution map to C stacked components
+    over the whole window: E_c P a_c + K_c * (P R_c), with one propagator
+    per component, all on one grid.
 
-    a_modal is (C, M); R holds the right-hand-side field histories
-    (C, N+1, n_grid), projected in one product.  Returns the modal
-    histories (C, N+1, M)."""
+    a holds the initial fields (C, n_grid); R the right-hand-side field
+    histories (C, N+1, n_grid), projected in one product.  Returns the
+    modal histories (C, N+1, M)."""
     basis = props[0].basis
     G = (R * basis.weights) @ basis.modes
     out = np.empty_like(G)
     for c, prop in enumerate(props):
-        out[c] = prop.E * a_modal[c] + convolve_K(prop, G[c])
+        out[c] = prop.E * project(basis, a[c]) + convolve_K(prop, G[c])
     return out
 
 
-def fixed_point(props, a, rhs, tol, max_sweeps, m=None):
-    """Whole-window Picard iteration of u_c = S_c(t) a_c + K_c * R_c(u)
-    from u_c = a_c, for C components with one propagator each, all on
-    one grid.
-
-    a holds the initial fields (C, n_grid); rhs maps the field histories
-    (C, N+1, n_grid) to right-hand sides of the same shape.  The increment
-    of sweep n is U_n(t) = sum_c sup_x |u_c^n - u_c^(n-1)|(t); the
-    iteration stops once sup_t U_n < tol max(1, sup|u|).  ArithmeticError
-    is raised at the first sweep with a non-finite value, on divergence,
-    and when max_sweeps sweeps do not converge; max_sweeps < 1 is a
-    ValueError.  Divergence is amplitude escape sup|u| > m when a box m is
-    given, and otherwise 5 consecutive growing increments: a boxed
-    iteration can grow for many sweeps before it contracts, so there growth
-    alone does not name the cause.
-
-    Returns the modal histories (C, N+1, M) and the diagnostics: sweeps,
-    increments (the U_n), rhos (ratios of consecutive sup increments),
-    max_rho and contraction_flag (some ratio >= 1).
-    """
-    if max_sweeps < 1:
-        raise ValueError(f"fixed_point needs max_sweeps >= 1, got {max_sweeps}")
-    basis = props[0].basis
-    a = np.asarray(a, dtype=float)
+def march(props, a, rhs_at, m):
+    """Forward march of u_c(t_i) = S_c(t_i) a_c + sum_{j<i} w^c_ij P R_c(t_j)
+    for C components, one propagator each, all on one grid: w^c_ij are the
+    weights of prop.row(i), and R(t_j) = rhs_at(U, j) the right-hand sides
+    (C, n_grid) of the fields U (C, n_grid) at node j, never taken at the
+    last node.  a holds the initial fields (C, n_grid).  ArithmeticError is
+    raised at the first node, node 0 included, where a value is not finite
+    or, with a box m (None: no box), where sup|u| > m.  Returns the modal
+    histories (C, N+1, M)."""
+    basis, nodes = props[0].basis, props[0].grid.nodes
     # one 1-D projection per component keeps row 0 equal to project(basis, a)
-    a_modal = np.array([project(basis, ac) for ac in a])
-    U = np.repeat(a[:, None, :], len(props[0].grid), axis=1)
-    increments, sups, rhos = [], [], []
-    growing = 0
-    for sweep in range(1, max_sweeps + 1):
-        modal = volterra_sweep(props, a_modal, rhs(U))
-        new = modal @ basis.modes.T
-        if not np.isfinite(new).all():
-            raise ArithmeticError(f"non-finite value at sweep {sweep}")
-        peak = float(np.max(np.abs(new)))
-        if m is not None and peak > m:
-            raise ArithmeticError(
-                f"amplitude escape at sweep {sweep}: sup|u| = {peak} > m = {m}"
-            )
-        increments.append(np.max(np.abs(new - U), axis=-1).sum(axis=0))
-        U = new
-        sups.append(float(np.max(increments[-1])))
-        if len(sups) >= 2 and sups[-2] > 0.0:
-            rhos.append(sups[-1] / sups[-2])
-        if sups[-1] < tol * max(1.0, peak):
-            break
-        growing = growing + 1 if len(sups) >= 2 and sups[-1] > sups[-2] else 0
-        if m is None and growing >= 5:
-            raise ArithmeticError(
-                f"divergence: increments grew over 5 consecutive sweeps "
-                f"(last {sups[-1]})"
-            )
-    else:
-        raise ArithmeticError(
-            f"fixed-point iteration did not converge in {max_sweeps} sweeps "
-            f"(last increment {sups[-1]})"
-        )
-    diag = {
-        "sweeps": sweep,
-        "increments": increments,
-        "rhos": rhos,
-        "max_rho": max(rhos) if rhos else 0.0,
-        "contraction_flag": bool(rhos and max(rhos) >= 1.0),
-    }
-    return modal, diag
+    modal = np.array([prop.E * project(basis, ac) for prop, ac in zip(props, a)])
+    G = np.zeros_like(modal)  # modal right-hand sides at the nodes
+    U = np.asarray(a, dtype=float)
+    for i in range(len(nodes)):
+        if i:
+            for c, prop in enumerate(props):
+                modal[c, i] += np.einsum("jm,jm->m", prop.row(i), G[c, :i])
+            U = modal[:, i] @ basis.modes.T
+        if not np.isfinite(U).all():
+            raise ArithmeticError(f"non-finite value at node {i} (t={nodes[i]})")
+        if m is not None and np.max(np.abs(U)) > m:
+            raise ArithmeticError(f"amplitude escape at node {i} (t={nodes[i]}): "
+                                  f"sup|u| = {float(np.max(np.abs(U)))} > m = {m}")
+        if i < len(nodes) - 1:
+            G[:, i] = (rhs_at(U, i) * basis.weights) @ basis.modes
+    return modal
 
 
 def working_box(a, m=None):
-    """The working box |u| <= m of fixed_point for initial fields a, by
+    """The working box |u| <= m of a solve from the initial fields a, by
     default 2 (1 + sup|a|); a ValueError unless it is finite and holds a."""
     sup_a = float(np.max(np.abs(a)))
     m = 2.0 * (1.0 + sup_a) if m is None else float(m)
@@ -267,9 +231,11 @@ def working_box(a, m=None):
 class LinearProblem:
     """Mild-solution data: initial a (field samples), drift b(x,t),
     reaction q(x,t), forcing F(x,t) (callables of (x, t) arrays, constants,
-    or None), and no reaction term f(u), which SemilinearProblem adds."""
+    or None), and no reaction term f(u) and no working box m, which
+    SemilinearProblem adds."""
 
     term = None
+    m = None
 
     def __init__(self, basis, alpha, a, drift=None, reaction=None, forcing=None):
         a = np.asarray(a, dtype=float)
@@ -342,38 +308,20 @@ class Trajectory:
         return "\n".join(lines)
 
 
-def _require_linear(prob, solver):
-    if prob.term is not None:
-        raise TypeError(f"{solver} cannot march a reaction term; use picard_solve")
-
-
 def solve_linear(prob, grid, shift=0.0):
-    """Forward-substitution solve of the discrete Volterra equation.
-
-    u(t_i) = S(t_i) a + sum_{j<i} w_ij P[(Q + s) u + F](t_j), s = shift,
-    with the weights w_ij of prop.row(i): each node is explicit.  The
-    first node, node 0 included, where u is not finite raises
-    ArithmeticError.
-    """
-    _require_linear(prob, "solve_linear")
+    """The march of a LinearProblem, or of a SemilinearProblem in its box m:
+    u(t_i) = S(t_i) a + sum_{j<i} w_ij P[(Q + s) u + f(u) + F](t_j), s = shift,
+    with the weights w_ij of prop.row(i)."""
     basis = prob.basis
     prop = ModalPropagator(basis, prob.alpha, grid, shift)
     coeffs = prob.coefficients(grid.nodes)
 
-    def rhs(field, i):
-        """Modal (Q + s) u + F at node i, for a finite field u."""
-        if not np.isfinite(field).all():
-            raise ArithmeticError(f"non-finite value at node {i} (t={grid.nodes[i]})")
+    def rhs_at(U, i):
         at = tuple(None if c is None else c[i] for c in coeffs)
-        return project(basis, prob.rhs(field, at, prop.shift))
+        return prob.rhs(U, at, prop.shift)
 
-    modal = prop.E * project(basis, prob.a)
-    G = np.zeros_like(modal)  # modal rhs history at nodes
-    G[0] = rhs(prob.a, 0)
-    for i in range(1, len(grid)):
-        modal[i] += np.einsum("jm,jm->m", prop.row(i), G[:i])
-        G[i] = rhs(basis.modes @ modal[i], i)
-    return Trajectory(grid, basis, modal, {"shift": prop.shift})
+    modal = march([prop], prob.a[None], rhs_at, prob.m)
+    return Trajectory(grid, basis, modal[0], {"shift": prop.shift})
 
 
 def solve_linear_l1(prob, grid):
@@ -388,7 +336,8 @@ def solve_linear_l1(prob, grid):
 
     from .fracops import l1_weights
 
-    _require_linear(prob, "solve_linear_l1")
+    if prob.term is not None:
+        raise TypeError("solve_linear_l1 cannot step a reaction term; use solve_linear")
     basis = prob.basis
     x = basis.grid
     n = len(grid)

@@ -4,23 +4,22 @@ Two routes to the mild solution of
 
     d_t^alpha (u - a) + A_0 u = Q u + f(u) + F:
 
-* picard_solve: whole-window sweeps of the contraction map
-  L u = S a + K * ((Q + s) u + f(u) + F), with contraction ratios reported;
+* picard_solve: the fixed point of the contraction map
+  L u = S a + K * ((Q + s) u + f(u) + F), one forward march (solve_linear);
 * monotone_iterate: the increasing/decreasing sandwich between an ordered
-  pair of lower/upper solutions, each sweep a linear solve with the
-  reaction shifted by M + 1.
+  pair of lower/upper solutions, each sweep a whole-window linear solve
+  with the reaction shifted by M + 1.
 
 A SemilinearProblem is a LinearProblem plus the term f and a working box.
-Both solvers run on the shared Volterra engine of linsolve (fixed_point and
-volterra_sweep), with the coefficients sampled and one shifted propagator
-(its tables) built once per solve, and absorb the spectral shift s of the
-solve (picard_solve's shift, M + 1 in the monotone map) into the
-eigenvalues.  With the full discrete eigenbasis (n_modes = n_grid) the
-projection is an exact orthogonal transform and the propagator matrices
-are entrywise nonnegative (E_{alpha,beta}(-x) is completely monotone and
-the stiffness matrix is an M-matrix), so the shifted sweep map preserves
-node-wise ordering exactly: the monotone sandwich and the comparison
-principle hold on the grid to rounding, not just up to truncation.
+Both solvers sample the coefficients and build one shifted propagator
+(its tables) once per solve, and absorb the spectral shift s of the solve
+(picard_solve's shift, M + 1 in the monotone map) into the eigenvalues.
+With the full discrete eigenbasis (n_modes = n_grid) the projection is an
+exact orthogonal transform and the propagator matrices are entrywise
+nonnegative (E_{alpha,beta}(-x) is completely monotone and the stiffness
+matrix is an M-matrix), so the shifted map preserves node-wise ordering
+exactly: the monotone sandwich and the comparison principle hold on the
+grid to rounding, not just up to truncation.
 
 Also here: residual checks for upper/lower solutions, the comparison
 principle, steady states by damped Newton, decay envelopes, and the
@@ -37,8 +36,8 @@ from .linsolve import (
     LinearProblem,
     ModalPropagator,
     Trajectory,
-    fixed_point,
     sample_history,
+    solve_linear,
     volterra_sweep,
     working_box,
 )
@@ -85,9 +84,10 @@ def enzyme_kinetics(eta):
 class SemilinearTerm:
     """Reaction term: pointwise f(x, u) or gradient-dependent f(x, u, u_x).
 
-    The evaluator must act elementwise: the solvers call it once per sweep
-    on a whole field history (leading time or component axes before the
-    spatial one), with x the 1-D spatial grid.
+    The evaluator must act elementwise: the march calls it once per node on
+    the field there, the monotone map once per sweep on whole field
+    histories (leading time or component axes before the spatial one), with
+    x the 1-D spatial grid.
 
     The Lipschitz/C1 bound on the working box [-m, m] is estimated from
     sampled difference quotients on a 201-point amplitude lattice crossed
@@ -123,7 +123,7 @@ class SemilinearTerm:
 class SemilinearProblem(LinearProblem):
     """The linear data of LinearProblem (initial a, drift b, reaction q,
     forcing F) plus a reaction term f.  The working box |u| <= m defaults
-    to 2 (1 + ||a||_inf); solutions escaping it abort with diagnostics."""
+    to 2 (1 + ||a||_inf); a solve stops at the first node that leaves it."""
 
     def __init__(self, basis, alpha, a, term, drift=None, reaction=None,
                  forcing=None, m=None):
@@ -145,20 +145,12 @@ class SemilinearProblem(LinearProblem):
             )
 
 
-def picard_solve(prob, grid, tol=1e-10, max_sweeps=200, shift=0.0):
-    """Fixed point of the discrete map L by the whole-window Picard sweeps
-    of linsolve.fixed_point in the working box m, which sets the stopping
-    and failure policy.  Diagnostics carry the per-sweep contraction
-    ratios rho_k and a flag if any ratio >= 1."""
-    coeffs = prob.coefficients(grid.nodes)
-    prop = ModalPropagator(prob.basis, prob.alpha, grid, shift)
-    modal, diag = fixed_point(
-        [prop], prob.a[None], lambda U: prob.rhs(U, coeffs, prop.shift),
-        tol, max_sweeps, m=prob.m,
-    )
-    del diag["increments"]
-    diag["shift"] = shift
-    return Trajectory(grid, prob.basis, modal[0], diag)
+def picard_solve(prob, grid, shift=0.0):
+    """Fixed point of the discrete map L: solve_linear, one forward sweep
+    in the working box m.  Diagnostics: the shift and sweeps = 1."""
+    traj = solve_linear(prob, grid, shift)
+    traj.diagnostics["sweeps"] = 1
+    return traj
 
 
 def _as_field_history(state, basis, grid):
@@ -186,11 +178,10 @@ def _monotone_map(prob, M, grid):
             f"monotone shift M = {M} is below the sampled Lipschitz bound {needed}"
         )
     coeffs = prob.coefficients(grid.nodes)
-    a_modal = project(prob.basis, prob.a)
     prop = ModalPropagator(prob.basis, prob.alpha, grid, M + 1.0)
 
     def sweep(U):
-        return volterra_sweep([prop] * len(U), [a_modal] * len(U),
+        return volterra_sweep([prop] * len(U), [prob.a] * len(U),
                               prob.rhs(U, coeffs, prop.shift))
 
     return M, sweep
@@ -340,8 +331,8 @@ def compare_solutions(prob1, prob2, grid, tol=1e-8):
     """Comparison principle: f_1 >= f_2 on the sampled box and a_1 >= a_2
     imply u_1 >= u_2.  Hypotheses are checked first (verdict NOT-APPLICABLE
     when violated); both problems are then solved with a common spectral
-    shift that makes the discrete sweep map order-preserving, each in its
-    box (picard_solve raises on amplitude escape), so both stay bounded."""
+    shift that makes the discrete map order-preserving, each in its box
+    (picard_solve raises on amplitude escape), so both stay bounded."""
     for p in (prob1, prob2):
         p.require_pointwise("compare_solutions")
     if prob1.basis is not prob2.basis:

@@ -9,11 +9,12 @@ forcings) and SemilinearPair (two components of equal order, bivariate
 reactions f and g), each supply the reaction, the default and check of
 the spectral shift M_1, and the hypotheses of the non-negativity theorem;
 cooperative_classify decides which of the four cooperative cases of a
-pair (or none) applies.  picard_system_solve is the one solve: the
-coupled mild formulation on the shared Volterra engine
-linsolve.fixed_point, with the components stacked along its component
-axis, one propagator per distinct order shifted by M_1, and the reaction
-sampled once per grid.  nonneg_verify is the one non-negativity gate.
+pair (or none) applies.  solve_system is the solve of every system: the
+march of the coupled mild formulation (linsolve.march) with the components
+stacked, one propagator per distinct order shifted by M_1, and the
+reaction sampled once per grid; picard_system_solve sweeps the same map
+over the whole window for its increments.  nonneg_verify is the one
+non-negativity gate.
 """
 
 import math
@@ -21,12 +22,20 @@ import math
 import numpy as np
 
 from .fracops import SampledSignal, rl_integral
-from .linsolve import ModalPropagator, Trajectory, fixed_point, sample_history, working_box
+from .linsolve import (
+    ModalPropagator,
+    Trajectory,
+    march,
+    sample_history,
+    volterra_sweep,
+    working_box,
+)
 
 __all__ = [
     "ReactionSystem",
     "MultiOrderSystem",
     "SemilinearPair",
+    "solve_system",
     "picard_system_solve",
     "nonneg_verify",
     "increment_recursion_check",
@@ -48,13 +57,13 @@ def _sup(history):
 class ReactionSystem:
     """C >= 2 components with orders in (0, 1) that never decrease,
     initial fields sampled on the basis grid, and the working box |u| <= m
-    of the solve (None: no box, fixed_point's growth rule).
+    of the solve (None: no box).
 
-    A constructor supplies reaction(tnodes, M1), the checked shift M1 (its
-    default for None) and a function adding the reaction of the field
-    histories U (C, N+1, n_grid) into the shifted history M1 U; and
-    cooperativity(grid, low, high), the gate of nonneg_verify for
-    solutions ranging over [low, high].
+    A constructor supplies reaction(tnodes, M1): the checked shift M1 (its
+    default for None) and the right-hand side rhs(U, i) = M1 U + R(U) of
+    the fields U (C, ..., n_grid) at the node index i of tnodes (an integer,
+    or slice(None) for a whole history); and cooperativity(grid, low, high),
+    the gate of nonneg_verify for solutions ranging over [low, high].
     """
 
     def __init__(self, basis, alphas, initials, m=None):
@@ -112,7 +121,7 @@ class MultiOrderSystem(ReactionSystem):
     def reaction(self, tnodes, M1=None):
         """M_1 must exceed the diagonal couplings sup|p_ll| and be >= 0; by
         default it is 1 + max_l sup|p_ll|, or 0 for a decoupled system, so
-        that one sweep reproduces S_l a_l."""
+        that a decoupled system solves to S_l a_l exactly."""
         P, F = self.coefficients(tnodes)
         coupled = any(p is not None for row in P for p in row)
         diagonal_sup = max(_sup(P[l][l]) for l in range(self.N))
@@ -126,16 +135,17 @@ class MultiOrderSystem(ReactionSystem):
         if M1 < 0.0:
             raise ValueError(f"M1 must be nonnegative, got {M1}")
 
-        def add(U, R):
+        def rhs(U, i):
+            R = M1 * U
             for l in range(self.N):
                 for j in range(self.N):
                     if P[l][j] is not None:
-                        R[l] = R[l] + P[l][j] * U[j]
+                        R[l] = R[l] + P[l][j][i] * U[j]
                 if F[l] is not None:
-                    R[l] = R[l] + F[l]
+                    R[l] = R[l] + F[l][i]
             return R
 
-        return M1, add
+        return M1, rhs
 
     def cooperativity(self, grid, low, high):
         """Off-diagonal p_jk >= 0, F_k >= 0, a_k >= 0, all sampled on the
@@ -164,16 +174,19 @@ class SemilinearPair(ReactionSystem):
     def reaction(self, tnodes, M1=None):
         """M_1 defaults to 0.  It rewrites the reactions as M_1 u + f(u, v)
         and M_1 v + g(u, v); with M_1 >= the sampled Lipschitz bound and
-        cooperative couplings the discrete sweep map preserves
+        cooperative couplings the discrete map preserves
         nonnegativity exactly (full-basis grids)."""
 
-        def add(U, R):
+        M1 = 0.0 if M1 is None else float(M1)
+
+        def rhs(U, i):
             u, v = U
+            R = M1 * U
             R[0] = R[0] + np.asarray(self.f(u, v), float) * np.ones_like(u)
             R[1] = R[1] + np.asarray(self.g(u, v), float) * np.ones_like(v)
             return R
 
-        return (0.0 if M1 is None else float(M1)), add
+        return M1, rhs
 
     def cooperativity(self, grid, low, high):
         """a >= 0, b >= 0 and a successful classification over the observed
@@ -190,37 +203,72 @@ class SemilinearPair(ReactionSystem):
         return {"classification": cls}
 
 
-def picard_system_solve(sys, grid, M1=None, tol=1e-10, max_sweeps=200):
-    """Coupled Picard sweeps of a reaction system from U^0 = (a_1, ...,
-    a_N), in its working box.
+def _shifted(sys, grid, M1):
+    """The checked shift M1, the right-hand side of the system's reaction
+    and one propagator per component, shifted by M1 (one per order)."""
+    M1, rhs = sys.reaction(grid.nodes, M1)
+    props = {a: ModalPropagator(sys.basis, a, grid, shift=M1) for a in set(sys.alphas)}
+    return M1, rhs, [props[a] for a in sys.alphas]
 
-    Every component's propagator is shifted by M_1, which the reaction
-    adds back (M_1 U + R(U)); its default and check are the system's.
-    Returns trajectories, the increment histories U_n(t) = sum_l
-    sup_x |u_l^{n+1} - u_l^n|(t), the shift M_1 used and the sweeps.
-    Raises as linsolve.fixed_point does: on a non-finite value, on
-    divergence (amplitude escape from the box, or without a box the sup
-    increment growing over 5 consecutive sweeps), or on non-convergence
-    within max_sweeps.
+
+def solve_system(sys, grid, M1):
+    """The trajectories of a reaction system by linsolve.march in its box,
+    every propagator shifted by M_1 (None: the system's default), which the
+    right-hand side M_1 U + R(U) adds back."""
+    M1, rhs, props = _shifted(sys, grid, M1)
+    modal = march(props, sys.initials, rhs, sys.m)
+    return [Trajectory(grid, sys.basis, modal[l], {"component": l, "M1": M1})
+            for l in range(sys.N)]
+
+
+def picard_system_solve(sys, grid, M1=None, tol=1e-10, max_sweeps=200):
+    """Whole-window Picard sweeps of the map of solve_system from
+    U^0 = (a_1, ..., a_N), for the increments U_n(t) = sum_l
+    sup_x |u_l^n - u_l^(n-1)|(t) that increment_recursion_check bounds.
+
+    Stops once sup_t U_n < tol max(1, sup|u|).  Raises ArithmeticError on a
+    non-finite value, on divergence (amplitude escape from the box m, or
+    without a box 5 consecutive growing increments: inside a box they may
+    grow for many sweeps before they contract) and after max_sweeps sweeps
+    (ValueError if < 1).  Returns the trajectories, with diagnostics sweeps,
+    rhos (ratios of consecutive sup increments), max_rho and
+    contraction_flag (some ratio >= 1); the increments, M_1 and the sweeps.
     """
-    basis = sys.basis
-    M1, reaction = sys.reaction(grid.nodes, M1)
-    props = {a: ModalPropagator(basis, a, grid, shift=M1) for a in set(sys.alphas)}
-    modal, diag = fixed_point(
-        [props[a] for a in sys.alphas], sys.initials,
-        lambda U: reaction(U, M1 * U), tol, max_sweeps, m=sys.m,
-    )
-    increments = diag.pop("increments")
-    trajs = [
-        Trajectory(grid, basis, modal[l], {"component": l, "M1": M1, **diag})
-        for l in range(sys.N)
-    ]
-    return {
-        "trajectories": trajs,
-        "increments": increments,
-        "M1": M1,
-        "sweeps": diag["sweeps"],
-    }
+    if max_sweeps < 1:
+        raise ValueError(f"picard_system_solve needs max_sweeps >= 1, got {max_sweeps}")
+    basis, m = sys.basis, sys.m
+    M1, rhs, props = _shifted(sys, grid, M1)
+    a = np.asarray(sys.initials, dtype=float)
+    U = np.repeat(a[:, None, :], len(grid), axis=1)
+    increments, rhos, growing, last = [], [], 0, None
+    for sweep in range(1, max_sweeps + 1):
+        modal = volterra_sweep(props, a, rhs(U, slice(None)))
+        new = modal @ basis.modes.T
+        if not np.isfinite(new).all():
+            raise ArithmeticError(f"non-finite value at sweep {sweep}")
+        peak = float(np.max(np.abs(new)))
+        if m is not None and peak > m:
+            raise ArithmeticError(f"amplitude escape at sweep {sweep}: "
+                                  f"sup|u| = {peak} > m = {m}")
+        increments.append(np.max(np.abs(new - U), axis=-1).sum(axis=0))
+        U, sup = new, float(np.max(increments[-1]))
+        if last:
+            rhos.append(sup / last)
+        if sup < tol * max(1.0, peak):
+            break
+        growing = growing + 1 if last is not None and sup > last else 0
+        if m is None and growing >= 5:
+            raise ArithmeticError(f"divergence: increments grew over 5 consecutive sweeps "
+                                  f"(last {sup})")
+        last = sup
+    else:
+        raise ArithmeticError(f"fixed-point iteration did not converge in {max_sweeps} "
+                              f"sweeps (last increment {sup})")
+    diag = {"sweeps": sweep, "rhos": rhos, "max_rho": max(rhos) if rhos else 0.0,
+            "contraction_flag": bool(rhos and max(rhos) >= 1.0)}
+    trajs = [Trajectory(grid, basis, modal[l], {"component": l, "M1": M1, **diag})
+             for l in range(sys.N)]
+    return {"trajectories": trajs, "increments": increments, "M1": M1, "sweeps": sweep}
 
 
 def nonneg_verify(sys, trajectories, grid, tol=1e-8):
@@ -278,9 +326,9 @@ def kernel_envelope_check(sys, grid):
     return {"constant": C, "worst_ratio": worst, "passes": worst <= 1.0 + 1e-9}
 
 
-def semilinear_pair_solve(pair, grid, tol=1e-10, max_sweeps=200, shift=0.0):
-    """The trajectories (u, v) of picard_system_solve with M_1 = shift."""
-    return tuple(picard_system_solve(pair, grid, shift, tol, max_sweeps)["trajectories"])
+def semilinear_pair_solve(pair, grid, shift=0.0):
+    """The trajectories (u, v) of solve_system with M_1 = shift."""
+    return tuple(solve_system(pair, grid, shift))
 
 
 def cooperative_classify(pair, box):

@@ -351,7 +351,7 @@ def test_invalid_scenario_exits_2_at_load(tmp_path, capsys, command, text, secti
             "term = enzyme(u)", "term = enzyme(u)\n    forcing = 1/(1-t)"),
          "error: forcing is not finite at t=1.0"),
         (SEMI.replace("term = enzyme(u)", "term = u/0"),
-         "error: non-finite value at sweep 1"),
+         "error: non-finite value at node 1 (t=0.015625)"),
         (SEMI.replace("length = 3.141592653589793", "length = 1e-200"),
          "[space] length: stiffness overflows"),
     ],

@@ -458,10 +458,9 @@ def test_memory_paths_agree():
 
 
 def test_linear_solvers_refuse_a_reaction_term():
-    """A SemilinearProblem is a LinearProblem with a reaction term, which
-    neither linear solver marches: both point to picard_solve."""
+    """The implicit L1 oracle steps linear problems only: a SemilinearProblem
+    is refused with a pointer to solve_linear, which marches it."""
     b = neumann_basis(4, 33)
     prob = SemilinearProblem(b, 0.5, np.ones(33), SemilinearTerm.enzyme())
-    for solve in (solve_linear, solve_linear_l1):
-        with pytest.raises(TypeError, match="picard_solve"):
-            solve(prob, TimeGrid.uniform(1.0, 4))
+    with pytest.raises(TypeError, match="use solve_linear"):
+        solve_linear_l1(prob, TimeGrid.uniform(1.0, 4))

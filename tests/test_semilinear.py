@@ -85,7 +85,6 @@ def test_relaxation_closed_form(alpha):
     want = 1.0 - ml_neg_vec(alpha, grid.nodes**alpha)
     got = traj.fields()[:, 10]
     assert np.max(np.abs(got - want)) < 1e-10
-    assert traj.diagnostics["sweeps"] <= 3
 
 
 def test_burgers_cross_oracle():
@@ -135,23 +134,9 @@ def test_non_finite_reaction_stops_at_first_sweep():
     a = 0.5 + 0.1 * np.cos(b.grid)
     prob = SemilinearProblem(b, 0.5, a, SemilinearTerm(lambda x, u: np.sqrt(u - 0.55)))
     with np.errstate(invalid="ignore"), pytest.raises(
-        ArithmeticError, match="non-finite value at sweep 1"
+        ArithmeticError, match=r"non-finite value at node 1 \(t=0\.0625\)"
     ):
         picard_solve(prob, TimeGrid.uniform(1.0, 16))
-
-
-def test_contraction_ratios_shrink_with_T():
-    b = full_neumann_basis(21)
-    a = 0.5 + 0.2 * np.cos(b.grid)
-    rhos = []
-    for T in (2.0, 0.5, 0.05):
-        prob = SemilinearProblem(b, 0.5, a, SemilinearTerm.enzyme())
-        traj = picard_solve(prob, TimeGrid.uniform(T, 64))
-        rhos.append(traj.diagnostics["max_rho"])
-        assert not traj.diagnostics["contraction_flag"]
-    assert rhos[2] < rhos[1] < rhos[0]
-    assert rhos[2] < 0.5
-    assert traj.diagnostics["sweeps"] <= 40
 
 
 def test_monotone_step_fixed_point_and_ordering():
@@ -213,7 +198,6 @@ def test_graded_picard_linear_term_matches_solve_linear(shift):
     prob = SemilinearProblem(b, 0.6, a, SemilinearTerm(lambda x, u: -k * u))
     traj = picard_solve(prob, grid, shift=shift)
     ref = solve_linear(LinearProblem(b, 0.6, a, reaction=-k), grid, shift=shift)
-    assert traj.diagnostics["sweeps"] > 2
     assert np.max(np.abs(traj.modal - ref.modal)) <= 1e-9
 
 
@@ -236,22 +220,17 @@ def test_monotone_iterate_graded_grid():
 
 def test_graded_picard_builds_row_table_once(monkeypatch):
     """A graded Picard solve evaluates the Mittag-Leffler tables once per
-    grid (N rows and the nodes), however many sweeps it takes."""
+    grid (N rows and the nodes), however many nodes it marches."""
     calls = []
     real = ModalPropagator.e_values
     monkeypatch.setattr(
         ModalPropagator, "e_values", lambda self, t: calls.append(1) or real(self, t)
     )
     prob = enzyme_problem(n_grid=17)
-    grid = TimeGrid.graded(1.0, 32, 3.0)
-    counts, sweeps = [], []
-    for tol in (1e-4, 1e-12):
+    for N in (16, 32):
         calls.clear()
-        traj = picard_solve(prob, grid, tol=tol, shift=2.0)
-        counts.append(len(calls))
-        sweeps.append(traj.diagnostics["sweeps"])
-    assert sweeps[0] < sweeps[1]
-    assert counts[0] == counts[1] <= grid.N + 2
+        picard_solve(prob, TimeGrid.graded(1.0, N, 3.0), shift=2.0)
+        assert len(calls) == N + 1
 
 
 def test_monotone_iterate_trivial_bracket():

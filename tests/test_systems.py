@@ -18,6 +18,7 @@ from fracdiff.systems import (
     pair_nonneg_verify,
     picard_system_solve,
     semilinear_pair_solve,
+    solve_system,
 )
 
 
@@ -57,26 +58,47 @@ def test_non_finite_system_coefficient_refused():
                 picard_system_solve(MultiOrderSystem(b, [0.3, 0.5], a, **kw), grid)
 
 
-@pytest.mark.parametrize("solver", ["picard", "system", "pair"])
+@pytest.mark.parametrize("solver", ["system", "pair"])
 @pytest.mark.parametrize("max_sweeps", [0, -1])
 def test_max_sweeps_below_one_refused(solver, max_sweeps):
-    """Every solver on the fixed-point engine refuses max_sweeps < 1 with a
-    ValueError naming the value, before the first sweep."""
+    """The whole-window Picard iteration refuses max_sweeps < 1 with a
+    ValueError naming the value, before the first sweep, for a system and
+    for a pair."""
     b = full_neumann_basis(9)
     a = np.ones_like(b.grid)
     grid = TimeGrid.uniform(1.0, 4)
-    solve = {
-        "picard": lambda: picard_solve(
-            SemilinearProblem(b, 0.5, a, SemilinearTerm.enzyme()), grid,
-            max_sweeps=max_sweeps),
-        "system": lambda: picard_system_solve(
-            MultiOrderSystem(b, [0.3, 0.5], [a, a]), grid, max_sweeps=max_sweeps),
-        "pair": lambda: semilinear_pair_solve(
-            SemilinearPair(b, 0.5, lambda u, v: -u, lambda u, v: -v, a, a), grid,
-            max_sweeps=max_sweeps),
+    sys = {
+        "system": MultiOrderSystem(b, [0.3, 0.5], [a, a]),
+        "pair": SemilinearPair(b, 0.5, lambda u, v: -u, lambda u, v: -v, a, a),
     }[solver]
     with pytest.raises(ValueError, match=f"max_sweeps >= 1, got {max_sweeps}"):
-        solve()
+        picard_system_solve(sys, grid, max_sweeps=max_sweeps)
+
+
+def test_march_equals_whole_window_iteration():
+    """The march of solve_system is the fixed point that the whole-window
+    Picard iteration converges to: the two engines agree to 10 tol on a
+    multi-order system and on a pair, for every component."""
+    b = full_neumann_basis(17)
+    x = b.grid
+    tol = 1e-10
+    system = MultiOrderSystem(
+        b, [0.4, 0.6, 0.8],
+        [0.5 + 0.2 * np.cos(x), 0.3 + 0.1 * np.cos(2 * x), 0.15 + 0.1 * np.cos(x)],
+        couplings=[[-0.05, 0.3, 0.1], [0.2, -0.1, 0.4], [0.5, 0.2, -0.02]],
+        forcings=[lambda x, t: 0.1 * np.exp(-t) + 0.0 * x, None, 0.05],
+    )
+    pair = SemilinearPair(b, 0.6, lambda u, v: 0.8 * v * (1 + u * u),
+                          lambda u, v: 1.2 * u * (1 + v * v),
+                          0.3 + 0.1 * np.cos(x), 0.2 + 0.1 * np.cos(2 * x))
+    for sys, M1, grid in ((system, None, TimeGrid.uniform(1.0, 48)),
+                          (pair, 2.0, TimeGrid.graded(0.5, 40, 2.0))):
+        iterated = picard_system_solve(sys, grid, M1, tol=tol)["trajectories"]
+        marched = solve_system(sys, grid, M1)
+        assert len(marched) == sys.N
+        for it, ma in zip(iterated, marched):
+            assert ma.diagnostics["M1"] == it.diagnostics["M1"]
+            assert np.max(np.abs(ma.fields() - it.fields())) <= 10 * tol
 
 
 def test_decoupled_system_matches_modal_decay():
@@ -305,7 +327,7 @@ def test_pair_non_finite_reaction_stops_at_first_sweep():
     pair = SemilinearPair(b, 0.5, lambda u, v: np.sqrt(u - 0.55),
                           lambda u, v: 0.0 * v, a, a.copy())
     with np.errstate(invalid="ignore"), pytest.raises(
-        ArithmeticError, match="non-finite value at sweep 1"
+        ArithmeticError, match=r"non-finite value at node 1 \(t=0\.0625\)"
     ):
         semilinear_pair_solve(pair, TimeGrid.uniform(1.0, 16))
 
@@ -313,13 +335,14 @@ def test_pair_non_finite_reaction_stops_at_first_sweep():
 def test_pair_growth_phase_inside_box_converges():
     """Picard increments of a Volterra equation can grow for many sweeps
     before their super-geometric decay sets in; inside a working box that
-    holds the solution, that growth is not divergence."""
+    holds the solution, that growth is not divergence of the whole-window
+    iteration."""
     b = full_neumann_basis()
     x = b.grid
     pair = SemilinearPair(b, 0.4, lambda u, v: 1.5 * v * (1.0 + u**2),
                           lambda u, v: 1.5 * u * (1.0 + v**2),
                           0.35 + 0.1 * np.cos(x), 0.25 + 0.1 * np.cos(2 * x), m=10.0)
-    u, v = semilinear_pair_solve(pair, TimeGrid.uniform(0.5, 32), shift=2.0)
+    u, v = picard_system_solve(pair, TimeGrid.uniform(0.5, 32), 2.0)["trajectories"]
     growing = [r > 1.0 for r in u.diagnostics["rhos"]]
     assert any(all(growing[k:k + 5]) for k in range(len(growing) - 4))
     assert pair_nonneg_verify(pair, (u, v))["verdict"] == "PASS"
