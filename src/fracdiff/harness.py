@@ -65,7 +65,7 @@ import numpy as np
 
 from .expressions import ExpressionError, expression_parse
 from .fracops import TimeGrid
-from .linsolve import LinearProblem, sample_history, solve_linear
+from .linsolve import LinearProblem, NonFiniteCoefficient, sample_history, solve_linear
 from .semilinear import (
     SemilinearProblem,
     SemilinearTerm,
@@ -488,10 +488,19 @@ def _write_atomic(path, text):
 
 def _solve(scn, grid):
     """The trajectories of the scenario's march on the grid, one per
-    component; the first is the report's primary one."""
-    if scn.kind in _SCALAR:
-        return [solve_linear(scn.problem, grid, scn.solver_shift)]
-    return solve_system(scn.problem, grid, scn.solver_shift)
+    component; the first is the report's primary one.  A coefficient with a
+    non-finite sample on the grid is a ScenarioError naming its key (a
+    system's p_jk and F_k are entries of couplings and forcings)."""
+    try:
+        if scn.kind in _SCALAR:
+            return [solve_linear(scn.problem, grid, scn.solver_shift)]
+        return solve_system(scn.problem, grid, scn.solver_shift)
+    except NonFiniteCoefficient as exc:
+        key = {"p": "couplings", "F": "forcings"}.get(exc.name.split("_")[0], exc.name)
+        entry = "" if key == exc.name else f"{exc.name} "
+        raise ScenarioError(
+            f"{scn.path}: [problem] {key}: {entry}not finite at t={exc.t}"
+        ) from exc
 
 
 def _check_nonneg(scn, trajs, params):
@@ -553,11 +562,12 @@ def _check_envelope(scn, trajs, params):
 
 
 def _check_comparison(scn, trajs, params):
-    prob = scn.problem
+    prob, a2 = scn.problem, params.initial2
+    # the first problem's box, or initial2's default box if initial2 leaves it
+    m2 = prob.m if np.max(np.abs(a2)) <= prob.m else None
     prob2 = SemilinearProblem(
-        scn.basis, prob.alpha, params.initial2, SemilinearTerm(params.term2),
-        drift=prob.drift, reaction=prob.reaction, forcing=prob.forcing,
-        m=prob.m,
+        scn.basis, prob.alpha, a2, SemilinearTerm(params.term2),
+        drift=prob.drift, reaction=prob.reaction, forcing=prob.forcing, m=m2,
     )
     out = compare_solutions(prob, prob2, scn.grid, tol=params.tol)
     if out["verdict"] == "NOT-APPLICABLE":

@@ -44,6 +44,7 @@ __all__ = [
     "apply_S",
     "convolve_K",
     "sample_history",
+    "NonFiniteCoefficient",
     "volterra_sweep",
     "march",
     "working_box",
@@ -150,13 +151,24 @@ def convolve_K(prop, forcing):
     return out
 
 
+class NonFiniteCoefficient(ValueError):
+    """A coefficient with a non-finite sample: its name and the first node
+    time t where that occurs."""
+
+    def __init__(self, name, t):
+        super().__init__(f"{name} is not finite at t={t}")
+        self.name = name
+        self.t = t
+
+
 def sample_history(f, x, tnodes, name):
     """Samples of the coefficient called name on the spatial grid x at every
     time node, shape (len(tnodes), x.size), or None for None.
 
     f is None, a constant, or a callable f(x, t), called once per node with
-    the 1-D grid x and a scalar t.  A non-finite sample is a ValueError
-    naming the coefficient and the first node time where it occurs: the
+    the 1-D grid x and a scalar t.  A non-finite sample is a
+    NonFiniteCoefficient naming the coefficient and the first node time
+    where it occurs: the
     left-endpoint rule never reads the last node's right-hand side, so a
     solve would not see it there."""
     if f is None:
@@ -169,7 +181,7 @@ def sample_history(f, x, tnodes, name):
         out = np.full((len(tnodes), x.size), float(f))
     bad = ~np.isfinite(out).all(axis=1)
     if bad.any():
-        raise ValueError(f"{name} is not finite at t={tnodes[np.argmax(bad)]}")
+        raise NonFiniteCoefficient(name, tnodes[np.argmax(bad)])
     return out
 
 

@@ -148,6 +148,19 @@ def test_compare_subcommand(tmp_path, capsys):
     assert "[nonneg]" not in out  # compare checks comparison properties only
 
 
+def test_comparison_initial2_outside_the_box_is_not_applicable(tmp_path, capsys):
+    """An initial2 above the first problem's box fails a_1 >= a_2: the
+    second problem gets a box that holds it, and the verdict is
+    NOT-APPLICABLE rather than a refused box."""
+    text = SEMI.replace("initial = 1 + 0.1*cos(x)", "initial = 0.8 + 0.1*cos(x)")
+    path = write(tmp_path, text + "\n[property:order]\ntype = comparison\ninitial2 = 10\n")
+    assert main(["compare", path, "--outdir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    verdict = "property order [comparison]: NOT-APPLICABLE reason=a_1 >= a_2 fails"
+    assert verdict in captured.out
+
+
 def test_system_subcommand_needs_system_kind(tmp_path, capsys):
     path = write(tmp_path, SEMI)
     assert main(["system", path, "--outdir", str(tmp_path)]) == 2
@@ -341,28 +354,34 @@ def test_invalid_scenario_exits_2_at_load(tmp_path, capsys, command, text, secti
     "text, message",
     [
         (LINEAR.replace("forcing = 0.2*(1 + cos(x))*exp(-t)", "forcing = 1/x"),
-         "error: forcing is not finite at t=0.0"),
+         "error: {path}: [problem] forcing: not finite at t=0.0"),
         (LINEAR.replace("reaction = -0.3*(1 + 0.5*cos(x))", "reaction = 1e300"),
          "error: non-finite value at node 2 (t=0.125)"),
         (LINEAR.replace("N = 16", "N = 8").replace(
             "forcing = 0.2*(1 + cos(x))*exp(-t)", "forcing = 1/(1-t)"),
-         "error: forcing is not finite at t=1.0"),
+         "error: {path}: [problem] forcing: not finite at t=1.0"),
         (SEMI.replace("N = 64", "N = 8").replace(
             "term = enzyme(u)", "term = enzyme(u)\n    forcing = 1/(1-t)"),
-         "error: forcing is not finite at t=1.0"),
+         "error: {path}: [problem] forcing: not finite at t=1.0"),
         (SEMI.replace("term = enzyme(u)", "term = u/0"),
          "error: non-finite value at node 1 (t=0.015625)"),
         (SEMI.replace("length = 3.141592653589793", "length = 1e-200"),
          "[space] length: stiffness overflows"),
+        (SYSTEM.replace("-0.05, 0.2; 0.3, -0.05",
+                        "-0.05, 0.2; 0.3, -0.05\n    forcings = 0; 1/(1-t)"),
+         "error: {path}: [problem] forcings: F_2 not finite at t=1.0"),
     ],
     ids=["linear-forcing-1/x", "linear-reaction-1e300", "linear-forcing-1/(1-t)",
-         "semilinear-forcing-1/(1-t)", "semilinear-term-u/0", "space-length-1e-200"],
+         "semilinear-forcing-1/(1-t)", "semilinear-term-u/0", "space-length-1e-200",
+         "system-forcings-1/(1-t)"],
 )
 def test_non_finite_exits_2_with_one_line_and_no_warning(tmp_path, capsys, text,
                                                          message):
     """A non-finite value stops the command with exit 2 and one stderr line;
+    a non-finite coefficient sample is named by its file, section and key.
     NumPy's floating-point warnings stay silent."""
     path = write(tmp_path, text)
+    message = message.format(path=path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["run", path, "--outdir", str(tmp_path)]) == 2
