@@ -1,7 +1,9 @@
 """One sha256 per solver output and per scenario output, for a bitwise
-comparison of two checkouts.
+comparison of two checkouts, and the largest difference of each output
+between two saved runs.
 
-    python scripts/output_digest.py [--src DIR] > digest.txt
+    python scripts/output_digest.py [--src DIR] [--save FILE.npz] > digest.txt
+    python scripts/output_digest.py --compare FIRST.npz SECOND.npz
 
 Prints one ``name sha256`` line per output, imports the package from DIR
 (default: the ``src`` next to this script) and uses numpy and the package
@@ -23,13 +25,25 @@ only, so two checkouts compare with ``diff`` of their two digests:
 An array is hashed with its dtype and shape, a trajectory as its modal
 history and diagnostics.  The calls use only API that has been stable
 across the recent history of the package.
+
+``--save`` also writes what each line hashes to FILE.npz: every array,
+number and string of the output under ``name:path`` (a ``.traj.csv`` as
+its table of numbers).  ``--compare`` reads two such files and prints one
+line per output: its name, the largest absolute difference over the
+numbers both runs hold at the same path and shape (0 when they are
+equal), ``path=difference`` for each path that differs (list indices
+folded into ``[*]``), then ``text-differs`` and the paths of differing
+strings, and ``only-first``/``only-second`` and the paths that one run
+lacks or holds at another shape.
 """
 
 import argparse
 import glob
 import hashlib
+import io
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -60,10 +74,70 @@ def _feed(h, obj):
         h.update(arr.tobytes())
 
 
-def emit(name, obj):
+def _leaves(obj, path=""):
+    """(path, value) of every array, number and string in obj, walked as
+    _feed walks it."""
+    if hasattr(obj, "modal") and hasattr(obj, "diagnostics"):
+        yield from _leaves({"modal": obj.modal, "diagnostics": obj.diagnostics}, path)
+    elif isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _leaves(obj[key], f"{path}.{key}")
+    elif isinstance(obj, (list, tuple)):
+        for i, item in enumerate(obj):
+            yield from _leaves(item, f"{path}[{i}]")
+    elif isinstance(obj, str) or obj is None:
+        yield path, np.array(repr(obj))
+    else:
+        yield path, np.asarray(obj)
+
+
+SAVED = None  # name:path -> array of every emitted output, with --save
+
+
+def emit(name, obj, numbers=None):
+    """Print the line of obj; with --save keep its leaves (of numbers,
+    when given, instead of obj)."""
     h = hashlib.sha256()
     _feed(h, obj)
     print(f"{name} {h.hexdigest()}")
+    if SAVED is not None:
+        for path, value in _leaves(obj if numbers is None else numbers):
+            SAVED[f"{name}:{path}"] = value
+
+
+def compare(first, second):
+    """One line per output of two --save files: the largest absolute
+    difference of the numbers at shared paths, the largest per differing
+    path (list indices folded into [*]), then what else differs."""
+    runs = [{}, {}]
+    for run, path in zip(runs, (first, second)):
+        for key, value in np.load(path, allow_pickle=False).items():
+            name, leaf = key.split(":", 1)
+            run.setdefault(name, {})[leaf] = value
+    for name in dict.fromkeys([*runs[0], *runs[1]]):
+        paths = [run.get(name, {}) for run in runs]
+        gaps, text, only = {}, set(), (set(), set())
+        for path in sorted(set(paths[0]) | set(paths[1])):
+            a, b = (p.get(path) for p in paths)
+            group = re.sub(r"\[\d+\]", "[*]", path) or "."
+            if a is None or b is None or a.shape != b.shape:
+                for side, value in zip(only, (a, b)):
+                    if value is not None:
+                        side.add(group)
+            elif a.dtype.kind == "U" or b.dtype.kind == "U":
+                if not np.array_equal(a, b):
+                    text.add(group)
+            elif a.size:
+                a, b = a.astype(float), b.astype(float)
+                gap = float(np.max(np.where(np.isnan(a) & np.isnan(b), 0.0, np.abs(a - b))))
+                if gap:
+                    gaps[group] = max(gaps.get(group, 0.0), gap)
+        line = [name, f"{max(gaps.values()):.3e}" if gaps else "0"]
+        line += [f"{group}={gap:.3e}" for group, gap in gaps.items()]
+        line += [f"{label} {','.join(sorted(groups))}" for label, groups in
+                 (("text-differs", text), ("only-first", only[0]),
+                  ("only-second", only[1])) if groups]
+        print(" ".join(line))
 
 
 def solver_outputs(tag, grid):
@@ -164,14 +238,25 @@ def scenario_outputs():
             emit(f"scenario.{stem}.report_body", report.body)
             for csv in sorted(glob.glob(os.path.join(out, "*.traj.csv"))):
                 with open(csv, encoding="utf-8") as fh:
-                    emit(f"scenario.{stem}.{os.path.basename(csv)}", fh.read())
+                    text = fh.read()
+                table = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+                emit(f"scenario.{stem}.{os.path.basename(csv)}", text, table)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=os.path.join(REPO, "src"),
                         help="directory that holds the fracdiff package")
+    parser.add_argument("--save", metavar="FILE.npz",
+                        help="also write what every line hashes to FILE.npz")
+    parser.add_argument("--compare", nargs=2, metavar="FILE.npz",
+                        help="print the largest difference per line of two --save files")
     args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return 0
+    global SAVED
+    SAVED = {} if args.save else None
     sys.path.insert(0, os.path.abspath(args.src))
     from fracdiff.fracops import TimeGrid
 
@@ -181,6 +266,8 @@ def main(argv=None):
             solver_outputs(tag, grid)
         steady_output()
         scenario_outputs()
+    if args.save:
+        np.savez(args.save, **SAVED)
     return 0
 
 
