@@ -91,18 +91,20 @@ def _leaves(obj, path=""):
         yield path, np.asarray(obj)
 
 
-SAVED = None  # name:path -> array of every emitted output, with --save
+def _emitter(saved):
+    """emit(name, obj, numbers=None), which prints the line of obj and, when
+    saved is a dict, keeps the leaves of obj (of numbers, when given) there
+    under name:path."""
 
+    def emit(name, obj, numbers=None):
+        h = hashlib.sha256()
+        _feed(h, obj)
+        print(f"{name} {h.hexdigest()}")
+        if saved is not None:
+            for path, value in _leaves(obj if numbers is None else numbers):
+                saved[f"{name}:{path}"] = value
 
-def emit(name, obj, numbers=None):
-    """Print the line of obj; with --save keep its leaves (of numbers,
-    when given, instead of obj)."""
-    h = hashlib.sha256()
-    _feed(h, obj)
-    print(f"{name} {h.hexdigest()}")
-    if SAVED is not None:
-        for path, value in _leaves(obj if numbers is None else numbers):
-            SAVED[f"{name}:{path}"] = value
+    return emit
 
 
 def compare(first, second):
@@ -129,7 +131,8 @@ def compare(first, second):
                     text.add(group)
             elif a.size:
                 a, b = a.astype(float), b.astype(float)
-                gap = float(np.max(np.where(np.isnan(a) & np.isnan(b), 0.0, np.abs(a - b))))
+                same = (a == b) | (np.isnan(a) & np.isnan(b))
+                gap = float(np.max(np.where(same, 0.0, np.abs(a - b))))
                 if gap:
                     gaps[group] = max(gaps.get(group, 0.0), gap)
         line = [name, f"{max(gaps.values()):.3e}" if gaps else "0"]
@@ -140,7 +143,7 @@ def compare(first, second):
         print(" ".join(line))
 
 
-def solver_outputs(tag, grid):
+def solver_outputs(emit, tag, grid):
     from fracdiff.linsolve import LinearProblem, ModalPropagator, convolve_K, solve_linear
     from fracdiff.semilinear import (
         BracketPair,
@@ -214,7 +217,7 @@ def solver_outputs(tag, grid):
     emit(f"{tag}.decay_envelope_check", envelope)
 
 
-def steady_output():
+def steady_output(emit):
     from fracdiff.semilinear import SemilinearTerm, steady_state_solve
     from fracdiff.spectral import EllipticOperator, eigendecompose
 
@@ -225,7 +228,7 @@ def steady_output():
     ))
 
 
-def scenario_outputs():
+def scenario_outputs(emit):
     from fracdiff import harness
 
     bundled = os.path.join(os.path.dirname(harness.__file__), "scenarios")
@@ -255,19 +258,19 @@ def main(argv=None):
     if args.compare:
         compare(*args.compare)
         return 0
-    global SAVED
-    SAVED = {} if args.save else None
+    saved = {} if args.save else None
+    emit = _emitter(saved)
     sys.path.insert(0, os.path.abspath(args.src))
     from fracdiff.fracops import TimeGrid
 
     with np.errstate(all="ignore"):
         for tag, grid in (("uniform", TimeGrid.uniform(1.0, 48)),
                           ("graded", TimeGrid.graded(1.0, 40, 2.0))):
-            solver_outputs(tag, grid)
-        steady_output()
-        scenario_outputs()
+            solver_outputs(emit, tag, grid)
+        steady_output(emit)
+        scenario_outputs(emit)
     if args.save:
-        np.savez(args.save, **SAVED)
+        np.savez(args.save, **saved)
     return 0
 
 

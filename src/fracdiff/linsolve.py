@@ -168,9 +168,8 @@ def sample_history(f, x, tnodes, name):
     f is None, a constant, or a callable f(x, t), called once per node with
     the 1-D grid x and a scalar t.  A non-finite sample is a
     NonFiniteCoefficient naming the coefficient and the first node time
-    where it occurs: the
-    left-endpoint rule never reads the last node's right-hand side, so a
-    solve would not see it there."""
+    where it occurs: the left-endpoint rule never reads the last node's
+    right-hand side, so a solve would not see it there."""
     if f is None:
         return None
     if callable(f):

@@ -6,7 +6,7 @@ import pytest
 from fracdiff.fracops import TimeGrid, l1_weights
 from fracdiff.linsolve import LinearProblem, solve_linear
 from fracdiff.mlf import ml_neg_vec
-from fracdiff.semilinear import SemilinearProblem, SemilinearTerm, picard_solve
+from fracdiff.semilinear import SemilinearProblem, SemilinearTerm
 from fracdiff.spectral import EllipticOperator, eigendecompose
 from fracdiff.systems import (
     MultiOrderSystem,
