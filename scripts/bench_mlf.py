@@ -8,15 +8,18 @@ Measures, in CPU time with BLAS threads capped at 1:
 
 * ns per point of ``ml_neg_vec(alpha, x)`` (beta = 1) in each regime at
   alpha in {0.3, 0.5, 0.9}, on batches of 2048 points, about the size of one
-  graded row-weight call: Taylor x in [0, 1], contour x in (1, deep_cut),
-  asymptotic x in [deep_cut, 1e4 deep_cut] (log-uniform);
+  graded row-weight call before the rows were built in groups: Taylor x in
+  [0, 1], contour x in (1, deep_cut), asymptotic x in [deep_cut, 1e4
+  deep_cut] (log-uniform); and the contour regime on CONTOUR_POINTS points,
+  where its temporaries outgrow the cache unless it is evaluated in blocks;
 * L1: the median CPU seconds (of REPEATS) of one propagator build,
   ``ModalPropagator(basis, 0.5, grid, 2.0)`` with 65 modes, on
   ``TimeGrid.uniform(1, 1024)`` (lag table and its spectrum) and on
-  ``TimeGrid.graded(1, N, 3)`` for N = 256 and 512 (one row per node), and
-  the tracemalloc peak and the bytes still held after the constructor (its
+  ``TimeGrid.graded(1, N, 3)`` for N = 256 and 512 (one row per node), the
+  tracemalloc peak and the bytes still held after the constructor (its
   tables), read around the constructor rather than from the tables, so the
-  same cell measures checkouts whose table attributes differ;
+  same cell measures checkouts whose table attributes differ, and the
+  ``ru_maxrss`` of the process that made these builds;
 * the median CPU seconds of a graded-style ``solve_linear`` triple:
   N = 64/88/112 on ``TimeGrid.graded(1, N, (2 - a)/a)`` with a = 0.4/0.6/0.8,
   17 nodes and the full basis, each solve on a fresh problem (every solve
@@ -48,7 +51,13 @@ Measures, in CPU time with BLAS threads capped at 1:
   iteration, not a forward march, which is one pass over the grid;
 * L4: the CPU seconds and peak RSS (medians of REPEATS) of a fresh
   interpreter that imports fracdiff and runs that uniform solve once, as
-  the process reports them at its end (interpreter start included).
+  the process reports them at its end (interpreter start included);
+* the block sizes, for a checkout that has them: the contour's ns per
+  point at alpha = 0.5 on BATCH and on CONTOUR_POINTS points for
+  ``mlf._CONTOUR_BLOCK`` in CONTOUR_BLOCKS, and for
+  ``linsolve.ROW_GROUP_POINTS`` in ROW_GROUPS the graded solve_linear
+  triple and the graded N = 512 build cell (CPU seconds and
+  ``ru_maxrss``), which chose the two constants.
 
 Every measurement runs in a fresh worker process: glibc's adaptive mmap
 threshold makes the cost of a call's large temporaries depend on what the
@@ -78,6 +87,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALPHAS = (0.3, 0.5, 0.9)
 REGIMES = ("taylor", "contour", "asymptotic")
 BATCH = 2048
+CONTOUR_POINTS = 65536
+CONTOUR_BLOCKS = (128, 256, 512, 1024, 2048, 4096)
+ROW_GROUPS = tuple(2**k for k in range(12, 18))
 REPEATS = 7
 PICARD_N = (64, 128)
 CROSSOVER_N = (1024, 2048, 4096)
@@ -122,16 +134,16 @@ def _median_cpu(fn, repeats):
     return float(np.median(times))
 
 
-def ns_per_point(src, alpha, regime):
+def ns_per_point(src, alpha, regime, n=BATCH):
     sys.path.insert(0, src)
     from fracdiff import mlf
 
     rng = np.random.default_rng([ALPHAS.index(alpha), REGIMES.index(regime)])
     cut = mlf.deep_cut(alpha)
     x = {
-        "taylor": lambda: rng.uniform(0.0, mlf.TAYLOR_CUT, BATCH),
-        "contour": lambda: rng.uniform(np.nextafter(mlf.TAYLOR_CUT, 2.0), cut, BATCH),
-        "asymptotic": lambda: cut * np.exp(rng.uniform(0.0, np.log(1e4), BATCH)),
+        "taylor": lambda: rng.uniform(0.0, mlf.TAYLOR_CUT, n),
+        "contour": lambda: rng.uniform(np.nextafter(mlf.TAYLOR_CUT, 2.0), cut, n),
+        "asymptotic": lambda: cut * np.exp(rng.uniform(0.0, np.log(1e4), n)),
     }[regime]()
     mlf.ml_neg_vec(alpha, x)  # warm-up
     t0 = time.process_time()
@@ -144,12 +156,19 @@ def ns_per_point(src, alpha, regime):
         for _ in range(calls):
             mlf.ml_neg_vec(alpha, x)
 
-    return 1e9 * _median_cpu(batch, REPEATS) / (calls * BATCH)
+    return 1e9 * _median_cpu(batch, REPEATS) / (calls * n)
+
+
+def _max_rss_mb():
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def propagator_build(src, kind, N):
-    """(median CPU s, tracemalloc peak MB, MB held after) of one
-    ModalPropagator build on the (kind, N) grid of BUILD_GRIDS."""
+    """(median CPU s, tracemalloc peak MB, MB held after, ru_maxrss MB of
+    the process) of one ModalPropagator build on the (kind, N) grid of
+    BUILD_GRIDS."""
     sys.path.insert(0, src)
     import tracemalloc
 
@@ -166,7 +185,31 @@ def propagator_build(src, kind, N):
     prop = ModalPropagator(basis, 0.5, grid, 2.0)  # held while measured
     held, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return seconds, (peak - before) / 2**20, (held - before) / 2**20
+    return seconds, (peak - before) / 2**20, (held - before) / 2**20, _max_rss_mb()
+
+
+def contour_block_ns(src, block, n):
+    """ns per point of the alpha = 0.5 contour on n points with
+    mlf._CONTOUR_BLOCK = block, or None for a checkout without it."""
+    sys.path.insert(0, src)
+    from fracdiff import mlf
+
+    if not hasattr(mlf, "_CONTOUR_BLOCK"):
+        return None
+    mlf._CONTOUR_BLOCK = block
+    return ns_per_point(src, 0.5, "contour", n)
+
+
+def row_group_cell(src, points, measure, *args):
+    """measure(src, *args) with linsolve.ROW_GROUP_POINTS = points, or None
+    for a checkout without it."""
+    sys.path.insert(0, src)
+    from fracdiff import linsolve
+
+    if not hasattr(linsolve, "ROW_GROUP_POINTS"):
+        return None
+    linsolve.ROW_GROUP_POINTS = points
+    return measure(src, *args)
 
 
 def graded_triple_s(src):
@@ -320,6 +363,8 @@ def main(argv=None):
     with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
         for alpha in ALPHAS:
             row = {r: round(pool.apply(ns_per_point, (src, alpha, r)), 1) for r in REGIMES}
+            row[f"contour_{CONTOUR_POINTS}"] = round(
+                pool.apply(ns_per_point, (src, alpha, "contour", CONTOUR_POINTS)), 1)
             result["ns_per_point"][f"alpha={alpha}"] = row
             print(f"alpha={alpha}: " + ", ".join(f"{r} {v:.0f} ns/pt" for r, v in row.items()))
         builds = {f"{k} N={N}": pool.apply(propagator_build, (src, k, N)) for k, N in BUILD_GRIDS}
@@ -330,10 +375,27 @@ def main(argv=None):
         solve, sweep = pool.apply(uniform_picard_s, (src,))
         crossover = {N: pool.apply(crossover_picard_s, (src, N)) for N in CROSSOVER_N}
         systems = {k: pool.apply(reaction_system_s, (src, k)) for k in ("system", "pair")}
+        blocks = {(n, b): pool.apply(contour_block_ns, (src, b, n))
+                  for n in (BATCH, CONTOUR_POINTS) for b in CONTOUR_BLOCKS}
+        groups = {p: (pool.apply(row_group_cell, (src, p, graded_triple_s)),
+                      pool.apply(row_group_cell, (src, p, propagator_build, "graded", 512)))
+                  for p in ROW_GROUPS}
     result["propagator_build"] = {
-        k: {"cpu_s": round(v[0], 4), "peak_mb": round(v[1], 2), "held_mb": round(v[2], 2)}
+        k: {"cpu_s": round(v[0], 4), "peak_mb": round(v[1], 2), "held_mb": round(v[2], 2),
+            "ru_maxrss_mb": round(v[3], 1)}
         for k, v in builds.items()
     }
+    if blocks[BATCH, CONTOUR_BLOCKS[0]] is not None:
+        result["contour_block_ns_per_point"] = {
+            f"n={n}": {str(b): round(blocks[n, b], 1) for b in CONTOUR_BLOCKS}
+            for n in (BATCH, CONTOUR_POINTS)
+        }
+    if groups[ROW_GROUPS[0]][0] is not None:
+        result["row_group_points"] = {
+            str(p): {"triple_cpu_s": round(triple, 4), "graded_512_cpu_s": round(b[0], 4),
+                     "graded_512_ru_maxrss_mb": round(b[3], 1)}
+            for p, (triple, b) in groups.items()
+        }
     result["uniform_picard_cpu_s"] = _cell(solve, sweep, 4)
     result["crossover_picard_cpu_s"] = {
         f"N={N}": {"solve": round(v, 4), "sweeps": n} for N, (v, n) in crossover.items()
@@ -343,7 +405,8 @@ def main(argv=None):
     result["fresh_process"] = {"cpu_s": round(cpu, 3), "peak_rss_mb": round(rss, 1)}
     for k, v in result["propagator_build"].items():
         print(f"propagator build, {k}: {v['cpu_s']:.4f} s CPU (median of {REPEATS}), "
-              f"tracemalloc peak {v['peak_mb']:.2f} MB, held {v['held_mb']:.2f} MB")
+              f"tracemalloc peak {v['peak_mb']:.2f} MB, held {v['held_mb']:.2f} MB, "
+              f"ru_maxrss {v['ru_maxrss_mb']:.1f} MB")
     print(f"graded solve_linear triple: {result['graded_solve_linear_triple_cpu_s']:.3f} s CPU (median of {REPEATS})")
     print("graded picard_solve: " + ", ".join(
         f"{k} {v:.3f} s CPU" for k, v in result["graded_picard_cpu_s"].items()
@@ -357,6 +420,13 @@ def main(argv=None):
         print(f"{k} solve: {_said(v, w)} (median of {REPEATS} batches of {SYSTEM_BATCH})")
     print(f"fresh process (import + uniform solve): {cpu:.3f} s CPU (median of {REPEATS}), "
           f"peak RSS {rss:.1f} MB")
+    for n, cells in result.get("contour_block_ns_per_point", {}).items():
+        print(f"contour blocks, alpha=0.5, {n} points: "
+              + ", ".join(f"{b} {v:.0f} ns/pt" for b, v in cells.items()))
+    for p, v in result.get("row_group_points", {}).items():
+        print(f"row group {p} points: triple {v['triple_cpu_s']:.4f} s CPU, graded N=512 "
+              f"build {v['graded_512_cpu_s']:.4f} s CPU, ru_maxrss "
+              f"{v['graded_512_ru_maxrss_mb']:.1f} MB")
     result["environment"] = {
         "python": platform.python_version(), "numpy": np.__version__,
         "scipy": scipy.__version__, "nproc": os.cpu_count(), "cpu": _cpu_model(),
@@ -368,10 +438,12 @@ def main(argv=None):
             data = json.load(fh)
     data["about"] = (
         "scripts/bench_mlf.py: CPU ns per point of ml_neg_vec per regime "
-        f"(beta = 1, batches of {BATCH}); L1 median CPU seconds of {REPEATS} builds of "
+        f"(beta = 1, batches of {BATCH}, and of the contour also {CONTOUR_POINTS}); L1 "
+        f"median CPU seconds of {REPEATS} builds of "
         "ModalPropagator(basis, 0.5, grid, 2.0) with 65 modes on TimeGrid.uniform(1, 1024) "
         "and TimeGrid.graded(1, N, 3), N = 256/512, with the tracemalloc peak and the MB "
-        "held after the constructor; median CPU seconds of a graded "
+        "held after the constructor, and the ru_maxrss of the building process; "
+        "median CPU seconds of a graded "
         f"solve_linear triple (N = 64/88/112, 17 nodes), medians of {REPEATS} repeats; "
         "median CPU seconds of a graded enzyme picard_solve (r = 3, shift 2, 65 modes) "
         f"at N = {'/'.join(map(str, PICARD_N))}, medians of {PICARD_REPEATS}; "
@@ -384,7 +456,11 @@ def main(argv=None):
         "for a solve reporting more than one sweep (a march is one pass), "
         f"medians of {REPEATS} batches of {SYSTEM_BATCH}; "
         "median CPU seconds and peak RSS of a fresh process that imports fracdiff and "
-        "runs that solve once; each measurement in a fresh process"
+        "runs that solve once; for a checkout with them, the contour's ns per point "
+        f"(alpha = 0.5, {BATCH} and {CONTOUR_POINTS} points) per mlf._CONTOUR_BLOCK and the "
+        "triple and "
+        "the graded N = 512 build (CPU s, ru_maxrss) per linsolve.ROW_GROUP_POINTS; "
+        "each measurement in a fresh process"
     )
     data[args.label] = result
     with open(args.out, "w") as fh:

@@ -44,6 +44,7 @@ hold the initial data.
 
 The fields of x (``initial``, ``initials``, ``initial_u``, ``initial_v``,
 ``u_inf`` and ``initial2``) are sampled once at load on the basis grid,
+a bracket's ``lower`` and ``upper`` at every node of the time grid too,
 and a sample that is not finite is a ScenarioError naming the key.  The
 steady state of ``u_inf_mode = steady`` (and of ``fracdiff steady``) is
 that of the solved equation, A_0 u = f(u) with the operator shift c0 in
@@ -265,7 +266,8 @@ class Scenario:
     (name, type, fields) per property section and ``monotone`` the fields
     of [monotone] or None, fields being namespaces of typed values named by
     their keys (the fields of x, and an envelope's u_inf, as samples on the
-    basis grid)."""
+    basis grid; a bracket's lower and upper as their histories on the time
+    grid)."""
 
     def __init__(self, path, parser):
         self.path = str(path)
@@ -350,9 +352,12 @@ class Scenario:
                 + " or ".join(kinds)
             )
         fields = self._read(parser, section, table)
-        if ptype == "bracket" and fields.upper_mode == "expression" \
-                and fields.upper is None:
-            raise ScenarioError(f"{self.path}: [{section}] needs upper")
+        if ptype == "bracket":  # the bounds as histories on the scenario grid
+            fields.lower = self._history(section, "lower", fields.lower)
+            if fields.upper_mode == "expression":
+                if fields.upper is None:
+                    raise ScenarioError(f"{self.path}: [{section}] needs upper")
+                fields.upper = self._history(section, "upper", fields.upper)
         if ptype == "comparison":  # the problem's initial data and term by default
             fields.initial2 = self._field(
                 section, "initial2", fields.initial2 or pv.initial
@@ -375,6 +380,17 @@ class Scenario:
                 f"{self.path}: [{section}] {key}: not finite at x={x[np.argmax(bad)]}"
             )
         return values
+
+    def _history(self, section, key, fn):
+        """The samples of the function fn(x, t) of a key on the basis grid
+        at every node of the scenario grid; a ScenarioError names the key
+        and the first t where it is not finite."""
+        try:
+            return sample_history(fn, self.basis.grid, self.grid.nodes, key)
+        except NonFiniteCoefficient as exc:
+            raise ScenarioError(
+                f"{self.path}: [{section}] {key}: not finite at t={exc.t}"
+            ) from exc
 
     def steady_state(self, where):
         """The steady state of the solved equation, A_0 u = f(u) with the
@@ -528,18 +544,14 @@ def _check_nonneg(scn, trajs, params):
 
 
 def _check_bracket(scn, trajs, params):
-    prob, tol = scn.problem, params.tol
-    x, t = scn.basis.grid, scn.grid.nodes
-    lower = sample_history(params.lower, x, t, "lower")
+    prob, tol, upper = scn.problem, params.tol, params.upper
     detail = []
     if params.upper_mode == "power_barrier":
         rho = power_barrier_rho(prob, scn.grid)
-        upper = prob.a[None, :] + rho * (t**prob.alpha)[:, None]
+        upper = prob.a[None, :] + rho * (scn.grid.nodes**prob.alpha)[:, None]
         detail.append(f"rho={_fmt(rho)}")
-    else:
-        upper = sample_history(params.upper, x, t, "upper")
     fields = trajs[0].fields()
-    lo_gap = float(np.min(fields - lower))
+    lo_gap = float(np.min(fields - params.lower))
     hi_gap = float(np.min(upper - fields))
     verdict = "PASS" if (lo_gap >= -tol and hi_gap >= -tol) else "FAIL"
     detail += [f"lower_gap={_fmt(lo_gap)}", f"upper_gap={_fmt(hi_gap)}"]

@@ -7,7 +7,9 @@ on an eigenbasis of A_0.  The Volterra convolution uses exact kernel
 moments (mlf.kernel_weights_from_e), which absorb the t^(alpha-1)
 singularity.  A ModalPropagator belongs to one time grid and builds its
 tables once, when it is made: a uniform grid's lag table with its real FFT
-spectrum, or one row per node of any other grid.  Each solver makes the
+spectrum, or one row per node of any other grid, packed into one table and
+computed for groups of consecutive rows, one batched Mittag-Leffler call
+per group of about ROW_GROUP_POINTS points.  Each solver makes the
 propagators it needs once per call, so no table outlives its solve.  The
 memory term has two entry points, which alone read the tables: prop.row(i)
 weights the history before one node (the march) and convolve_K(prop, G)
@@ -32,7 +34,7 @@ callables of (x, t) are sampled once per grid by sample_history.
 """
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .mlf import kernel_weights_from_e, ml_neg_vec
 from .spectral import project
@@ -54,6 +56,20 @@ __all__ = [
 
 # largest row table (bytes) ModalPropagator builds for a nonuniform grid
 MAX_ROW_TABLE_BYTES = 2**31
+# Mittag-Leffler points (lags times modes) per batched call of the row build
+ROW_GROUP_POINTS = 2**14
+
+
+def _row_groups(N, M):
+    """Consecutive row ranges [lo, hi) of rows 1..N, each closed once its
+    lags t_i - t_j (i + 1 per row, M modes each) reach ROW_GROUP_POINTS
+    Mittag-Leffler points."""
+    lo, points = 1, 0
+    for i in range(1, N + 1):
+        points += (i + 1) * M
+        if points >= ROW_GROUP_POINTS or i == N:
+            yield lo, i + 1
+            lo, points = i + 1, 0
 
 
 class ModalPropagator:
@@ -66,9 +82,15 @@ class ModalPropagator:
           w_n(lo, hi) = int_lo^hi tau^(alpha-1) E_{alpha,alpha}(-lam_n tau^alpha) dtau,
           read through row(i) and convolve_K only.  A uniform grid keeps
           the lag table (N, M) and its real FFT spectrum; others keep the
-          row of every node, which take 8 M N(N+1)/2 bytes; a grid needing
-          more than MAX_ROW_TABLE_BYTES raises ValueError before any weight
-          is computed.
+          rows of every node in one packed (N(N+1)/2, M) table, row i at
+          offset i(i-1)/2 in ascending lags t_i - t_j, 8 M N(N+1)/2 bytes;
+          a grid needing more than MAX_ROW_TABLE_BYTES raises ValueError
+          before any weight is computed.  The rows are built in groups of
+          consecutive rows holding about ROW_GROUP_POINTS lag-mode points:
+          one e_values and one kernel_weights_from_e call over the
+          group's concatenated lags, less the diffs that cross a row
+          boundary, so a group's temporaries stay small and most graded
+          grids take a few calls instead of one per node.
     """
 
     def __init__(self, basis, alpha, grid, shift=0.0):
@@ -93,11 +115,17 @@ class ModalPropagator:
         self.E = self.e_values(t)
         if grid.kind == "uniform":
             self._W = kernel_weights_from_e(self.alpha, self.lambdas, t, self.E)
-            self._Wf = rfftn(self._W, [next_fast_len(2 * N - 1, True)], axes=[0])
-        else:  # row i from the lags t_i - t_j, j = i..0: one e_values call
-            lags = (t[i] - t[i::-1] for i in range(1, t.size))
-            self._W = [np.empty((0, M))] + [kernel_weights_from_e(
-                self.alpha, self.lambdas, d, self.e_values(d))[::-1] for d in lags]
+            self._Wf = rfft(self._W, n=next_fast_len(2 * N - 1, True), axis=0)
+        else:  # packed rows, lag-ascending, row i at offset i(i-1)/2
+            self._W = np.empty((N * (N + 1) // 2, M))
+            for lo, hi in _row_groups(N, M):
+                rows = np.arange(lo, hi)
+                lags = np.concatenate([t[i] - t[i::-1] for i in rows])
+                w = kernel_weights_from_e(self.alpha, self.lambdas, lags,
+                                          self.e_values(lags))
+                # the last diff of each row but the last crosses into the next
+                cross = np.cumsum(rows + 1)[:-1] - 1
+                self._W[lo * (lo - 1) // 2: hi * (hi - 1) // 2] = np.delete(w, cross, 0)
 
     def e_values(self, tnodes):
         """E_{alpha,1}(-lam_n t^alpha) for every node/mode: (n_t, M)."""
@@ -107,8 +135,9 @@ class ModalPropagator:
 
     def row(self, i):
         """The (i, M) weights of node i, aligned with the forcing at nodes
-        0..i-1: a reversed view of the lag table, or the stored row."""
-        return self._W[:i][::-1] if self.grid.kind == "uniform" else self._W[i]
+        0..i-1: a reversed view of the lag table or of the packed row."""
+        lo = 0 if self.grid.kind == "uniform" else i * (i - 1) // 2
+        return self._W[lo:lo + i][::-1]
 
     def weight_sum_check(self):
         """Invariant: the weights of node i sum to the moments over [0, t_i]."""
@@ -143,8 +172,8 @@ def convolve_K(prop, forcing):
     G = G[:-1]
     out = np.zeros((n, prop.lambdas.size))
     if prop.grid.kind == "uniform":
-        L = [next_fast_len(2 * prop.grid.N - 1, True)]  # the length of _Wf
-        out[1:] = irfftn(rfftn(G, L, axes=[0]) * prop._Wf, L, axes=[0])[: n - 1]
+        L = next_fast_len(2 * prop.grid.N - 1, True)  # the length of _Wf
+        out[1:] = irfft(rfft(G, n=L, axis=0) * prop._Wf, n=L, axis=0)[: n - 1]
     else:
         for i in range(1, n):
             out[i] = np.einsum("jm,jm->m", prop.row(i), G[:i])
@@ -309,8 +338,8 @@ class Trajectory:
         fields = self.fields()
         with open(path, "w") as fh:
             fh.write("t," + ",".join(f"x{i}" for i in range(fields.shape[1])) + "\n")
-            for t, row in zip(self.grid.nodes, fields):
-                fh.write(f"{float(t)!r}," + ",".join(repr(float(v)) for v in row) + "\n")
+            for t, row in zip(self.grid.nodes.tolist(), fields.tolist()):
+                fh.write(",".join(map(repr, [t, *row])) + "\n")
 
     def report(self):
         lines = [f"trajectory: N={self.grid.N}, modes={self.basis.n_modes}"]

@@ -288,6 +288,10 @@ PAIR = """
          "[property:cmp] initial2: not finite at x=0.0"),
         ("run", SEMI + "\n[property:env]\ntype = envelope\nu_inf = 1/x\n",
          "[property:env] u_inf: not finite at x=0.0"),
+        ("run", SEMI.replace("N = 64", "N = 8") + BRACKET + "upper = 1/(1-t)\n",
+         "[property:box] upper: not finite at t=1.0"),
+        ("run", SEMI.replace("N = 64", "N = 8") + BRACKET.replace("lower = 0", "lower = -1/(1-t)")
+         + "upper = 2\n", "[property:box] lower: not finite at t=1.0"),
         ("run", SEMI.replace("term = enzyme(u)", "term = enzyme(u)\n    drift = 0.1")
          + STEADY_ENVELOPE, "[property:env] u_inf_mode: a steady state needs"),
         ("run", SEMI.replace("term = enzyme(u)", "term = enzyme(u)\n    reaction = -0.1")
@@ -331,6 +335,8 @@ PAIR = """
         "pair-initial_u-1/x",
         "comparison-initial2-1/x",
         "envelope-u_inf-1/x",
+        "bracket-upper-1/(1-t)",
+        "bracket-lower--1/(1-t)",
         "steady-envelope-drift",
         "steady-envelope-reaction",
         "steady-envelope-forcing",

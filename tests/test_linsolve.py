@@ -20,7 +20,7 @@ from fracdiff.linsolve import (
     solve_linear,
     solve_linear_l1,
 )
-from fracdiff.mlf import kernel_weight_vec, ml_neg_vec
+from fracdiff.mlf import kernel_weight_vec, kernel_weights_from_e, ml_neg_vec
 from fracdiff.semilinear import SemilinearProblem, SemilinearTerm
 from fracdiff.spectral import EllipticOperator, eigendecompose, project, synthesize
 
@@ -217,6 +217,31 @@ def test_solver_weights_match_kernel_weight_vec():
             want = kernel_weight_vec(alpha, lam, taus)
             tol = 1e-15 * np.maximum(1.0, np.abs(want))
             assert (np.abs(got[:, m] - want) <= tol).all()
+
+
+@pytest.mark.parametrize(
+    "grid, shift",
+    [
+        (TimeGrid.graded(1.0, 64, 3.0), 0.0),
+        (TimeGrid(np.concatenate([[0.0], np.cumsum(np.random.default_rng(7).uniform(
+            0.001, 0.05, 80))])), 1.0),
+        (TimeGrid.graded(1.0, 1, 2.0), 2.0),
+    ],
+    ids=["graded-neumann-shift-0", "custom", "N-1"],
+)
+def test_packed_rows_equal_per_row_construction(grid, shift):
+    """The rows built from the concatenated lags of a row group equal rows
+    built one at a time from their own lags to 1e-15 (the Taylor sum's term
+    count follows the largest argument of its batch), the lambda = 0 mode
+    of a Neumann basis at shift 0 included."""
+    b = neumann_basis(17, 101)
+    prop = ModalPropagator(b, 0.6, grid, shift)
+    assert (prop.lambdas[0] == 0.0) == (shift == 0.0)
+    t = grid.nodes
+    for i in range(1, len(grid)):
+        lags = t[i] - t[i::-1]
+        want = kernel_weights_from_e(prop.alpha, prop.lambdas, lags, prop.e_values(lags))
+        assert np.max(np.abs(prop.row(i) - want[::-1])) <= 1e-15
 
 
 def test_oversize_row_table_refused(monkeypatch):

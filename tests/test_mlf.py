@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+from fracdiff import mlf
 from fracdiff.mlf import (
     TAYLOR_CUT,
     MLParams,
@@ -86,6 +91,31 @@ def test_asymptotic_regime_vs_oracle(alpha, beta):
     xs = np.array([deep_cut(alpha) * (1.0 + 1e-9), 1.5 * deep_cut(alpha), 1e3, 1e5])
     for x, got in zip(xs, ml_neg_vec(alpha, xs, beta)):
         assert got == pytest.approx(ml_oracle(alpha, beta, -float(x)), rel=1e-13)
+
+
+def test_blocked_contour_equals_one_evaluation():
+    """The contour regime taken block by block is bitwise one evaluation of
+    all points, below one block and for several blocks plus a remainder.
+    It runs with BLAS on one thread, whose sums do not depend on how the
+    points are split."""
+    code = textwrap.dedent("""
+        import numpy as np
+        from fracdiff import mlf
+
+        block = mlf._CONTOUR_BLOCK
+        for n in (1, block // 2, 3 * block + 17):
+            x = np.random.default_rng(n).uniform(mlf.TAYLOR_CUT, mlf.deep_cut(0.4), n)
+            blocked = mlf._contour(0.4, 0.7, x)
+            mlf._CONTOUR_BLOCK = n
+            assert np.array_equal(blocked, mlf._contour(0.4, 0.7, x)), n
+            mlf._CONTOUR_BLOCK = block
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mlf.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    one = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, **one, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_taylor_term_limit():

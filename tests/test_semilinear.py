@@ -219,18 +219,19 @@ def test_monotone_iterate_graded_grid():
 
 
 def test_graded_picard_builds_row_table_once(monkeypatch):
-    """A graded Picard solve evaluates the Mittag-Leffler tables once per
-    grid (N rows and the nodes), however many nodes it marches."""
-    calls = []
+    """A graded Picard solve evaluates the Mittag-Leffler function once per
+    point of its grid's tables: the N + 1 nodes and the i + 1 lags of each
+    row i = 1..N, however many nodes it marches."""
+    points = []
     real = ModalPropagator.e_values
     monkeypatch.setattr(
-        ModalPropagator, "e_values", lambda self, t: calls.append(1) or real(self, t)
+        ModalPropagator, "e_values", lambda self, t: points.append(len(t)) or real(self, t)
     )
     prob = enzyme_problem(n_grid=17)
     for N in (16, 32):
-        calls.clear()
+        points.clear()
         picard_solve(prob, TimeGrid.graded(1.0, N, 3.0), shift=2.0)
-        assert len(calls) == N + 1
+        assert sum(points) == (N + 1) + sum(i + 1 for i in range(1, N + 1))
 
 
 def test_monotone_iterate_trivial_bracket():
