@@ -57,7 +57,15 @@ Measures, in CPU time with BLAS threads capped at 1:
   ``mlf._CONTOUR_BLOCK`` in CONTOUR_BLOCKS, and for
   ``linsolve.ROW_GROUP_POINTS`` in ROW_GROUPS the graded solve_linear
   triple and the graded N = 512 build cell (CPU seconds and
-  ``ru_maxrss``), which chose the two constants.
+  ``ru_maxrss``), which chose the two constants;
+* the contour's nodes, for a checkout whose ``mlf._contour_nodes`` takes
+  (mu, h, n): for each node count n in SWEEP_N and vertex mu in SWEEP_MU
+  the spacing h of SWEEP_H with the smallest worst error
+  |E - oracle|/max(1, |oracle|) over the contour-regime rows of
+  ``tests/data/ml_oracle_table.csv`` and the points of
+  ``tests/test_mlf.py::test_contour_regime_vs_oracle`` (mpmath), and per n
+  the ns per point at alpha = 0.5 on CONTOUR_POINTS points with its best
+  (mu, h), which chose the parabola of ``mlf._CONTOUR_S``.
 
 Every measurement runs in a fresh worker process: glibc's adaptive mmap
 threshold makes the cost of a call's large temporaries depend on what the
@@ -90,6 +98,11 @@ BATCH = 2048
 CONTOUR_POINTS = 65536
 CONTOUR_BLOCKS = (128, 256, 512, 1024, 2048, 4096)
 ROW_GROUPS = tuple(2**k for k in range(12, 18))
+SWEEP_N = (14, 15, 16, 17, 18)
+SWEEP_MU = (3.5, 4.0, 4.5, 4.7, 5.0, 5.5)
+SWEEP_H = tuple(round(0.15 + 0.002 * k, 3) for k in range(26))
+# alpha of the accuracy test's points, each at beta = alpha, 1 and 2
+SWEEP_ALPHAS = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
 REPEATS = 7
 PICARD_N = (64, 128)
 CROSSOVER_N = (1024, 2048, 4096)
@@ -198,6 +211,64 @@ def contour_block_ns(src, block, n):
         return None
     mlf._CONTOUR_BLOCK = block
     return ns_per_point(src, 0.5, "contour", n)
+
+
+def _contour_reference(mlf):
+    """(alpha, beta, x, E) rows: the oracle table's contour-regime rows and
+    the accuracy test's points, with their mpmath values."""
+    import csv
+
+    sys.path.insert(0, os.path.join(ROOT, "tests"))
+    from oracles import ml_oracle
+
+    with open(os.path.join(ROOT, "tests", "data", "ml_oracle_table.csv"), newline="") as fh:
+        rows = [(float(r["alpha"]), float(r["beta"]), -float(r["z"]), float(r["value_50digit"]))
+                for r in csv.DictReader(fh)]
+    rows = [r for r in rows if mlf.TAYLOR_CUT < r[2] < mlf.deep_cut(r[0])]
+    for alpha in SWEEP_ALPHAS:
+        cut = mlf.deep_cut(alpha)
+        for x in (mlf.TAYLOR_CUT * (1.0 + 1e-9), 0.5 * (mlf.TAYLOR_CUT + cut), cut * (1.0 - 1e-9)):
+            rows += [(alpha, beta, x, ml_oracle(alpha, beta, -x)) for beta in (alpha, 1.0, 2.0)]
+    return np.array(rows)
+
+
+def contour_sweep(src):
+    """{n: {mu: (h, worst error)}}, the best h of SWEEP_H per (n, mu), or
+    None for a checkout whose _contour_nodes takes no (mu, h, n)."""
+    sys.path.insert(0, src)
+    import inspect
+
+    from fracdiff import mlf
+
+    if list(inspect.signature(mlf._contour_nodes).parameters) != ["mu", "h", "n"]:
+        return None
+    ref = _contour_reference(mlf)
+    pairs = sorted(set(map(tuple, ref[:, :2])))
+    masks = [(a, b, (ref[:, 0] == a) & (ref[:, 1] == b)) for a, b in pairs]
+    scale = np.maximum(1.0, np.abs(ref[:, 3]))
+    sweep = {}
+    for n in SWEEP_N:
+        for mu in SWEEP_MU:
+            errs = []
+            for h in SWEEP_H:
+                mlf._CONTOUR_S, mlf._CONTOUR_W = mlf._contour_nodes(mu, h, n)
+                got = np.empty(len(ref))
+                for a, b, m in masks:
+                    got[m] = mlf._contour(a, b, ref[m, 2])
+                errs.append((float(np.max(np.abs(got - ref[:, 3]) / scale)), h))
+            err, h = min(errs)
+            sweep.setdefault(n, {})[mu] = (h, err)
+    return sweep
+
+
+def contour_nodes_ns(src, mu, h, n):
+    """ns per point of the alpha = 0.5 contour on CONTOUR_POINTS points on
+    the parabola (mu, h, n)."""
+    sys.path.insert(0, src)
+    from fracdiff import mlf
+
+    mlf._CONTOUR_S, mlf._CONTOUR_W = mlf._contour_nodes(mu, h, n)
+    return ns_per_point(src, 0.5, "contour", CONTOUR_POINTS)
 
 
 def row_group_cell(src, points, measure, *args):
@@ -380,6 +451,15 @@ def main(argv=None):
         groups = {p: (pool.apply(row_group_cell, (src, p, graded_triple_s)),
                       pool.apply(row_group_cell, (src, p, propagator_build, "graded", 512)))
                   for p in ROW_GROUPS}
+        nodes = pool.apply(contour_sweep, (src,))
+        if nodes is not None:
+            result["contour_nodes_sweep"] = {}
+            for n, cells in nodes.items():
+                mu, (h, _) = min(cells.items(), key=lambda kv: kv[1][1])
+                row = {f"mu={m}": {"h": v[0], "worst_err": float(f"{v[1]:.3g}")}
+                       for m, v in cells.items()}
+                row["ns_per_point"] = round(pool.apply(contour_nodes_ns, (src, mu, h, n)), 1)
+                result["contour_nodes_sweep"][f"n={n}"] = row
     result["propagator_build"] = {
         k: {"cpu_s": round(v[0], 4), "peak_mb": round(v[1], 2), "held_mb": round(v[2], 2),
             "ru_maxrss_mb": round(v[3], 1)}
@@ -423,6 +503,10 @@ def main(argv=None):
     for n, cells in result.get("contour_block_ns_per_point", {}).items():
         print(f"contour blocks, alpha=0.5, {n} points: "
               + ", ".join(f"{b} {v:.0f} ns/pt" for b, v in cells.items()))
+    for n, row in result.get("contour_nodes_sweep", {}).items():
+        print(f"contour nodes {n}: {row['ns_per_point']:.0f} ns/pt; " + ", ".join(
+            f"{m} h={v['h']} worst {v['worst_err']:.2e}" for m, v in row.items()
+            if m != "ns_per_point"))
     for p, v in result.get("row_group_points", {}).items():
         print(f"row group {p} points: triple {v['triple_cpu_s']:.4f} s CPU, graded N=512 "
               f"build {v['graded_512_cpu_s']:.4f} s CPU, ru_maxrss "
@@ -459,8 +543,11 @@ def main(argv=None):
         "runs that solve once; for a checkout with them, the contour's ns per point "
         f"(alpha = 0.5, {BATCH} and {CONTOUR_POINTS} points) per mlf._CONTOUR_BLOCK and the "
         "triple and "
-        "the graded N = 512 build (CPU s, ru_maxrss) per linsolve.ROW_GROUP_POINTS; "
-        "each measurement in a fresh process"
+        "the graded N = 512 build (CPU s, ru_maxrss) per linsolve.ROW_GROUP_POINTS, "
+        "and per contour node count n the spacing h with the smallest worst error "
+        "|E - oracle|/max(1, |oracle|) per vertex mu (oracle-table contour rows and "
+        "the contour accuracy test's points) and the ns per point (alpha = 0.5, "
+        f"{CONTOUR_POINTS} points) at the best (mu, h); each measurement in a fresh process"
     )
     data[args.label] = result
     with open(args.out, "w") as fh:

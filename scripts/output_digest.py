@@ -22,9 +22,11 @@ only, so two checkouts compare with ``diff`` of their two digests:
   ``.traj.csv`` of ``run_scenario`` on each ``tests/data/*.ini`` and each
   bundled scenario.
 
-An array is hashed with its dtype and shape, a trajectory as its modal
-history and diagnostics.  The calls use only API that has been stable
-across the recent history of the package.
+BLAS and OpenMP run on one thread, so a digest does not depend on the
+thread count of the machine or the environment.  An array is hashed with
+its dtype and shape, a trajectory as its modal history and diagnostics.
+The calls use only API that has been stable across the recent history of
+the package.
 
 ``--save`` also writes what each line hashes to FILE.npz: every array,
 number and string of the output under ``name:path`` (a ``.traj.csv`` as
@@ -47,7 +49,13 @@ import re
 import sys
 import tempfile
 
-import numpy as np
+# BLAS and OpenMP on one thread whatever the environment says: multi-threaded
+# kernels sum in another order, and the digest must not depend on it
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 N_GRID = 17  # nodes of the spatial grid, and modes of the full basis

@@ -266,8 +266,8 @@ class Scenario:
     (name, type, fields) per property section and ``monotone`` the fields
     of [monotone] or None, fields being namespaces of typed values named by
     their keys (the fields of x, and an envelope's u_inf, as samples on the
-    basis grid; a bracket's lower and upper as their histories on the time
-    grid)."""
+    basis grid; the lower and upper of a bracket and of [monotone] as their
+    histories on the time grid)."""
 
     def __init__(self, path, parser):
         self.path = str(path)
@@ -289,8 +289,11 @@ class Scenario:
             if section.startswith("property:")
         ]
         self.monotone = None
-        if parser.has_section("monotone"):
-            self.monotone = self._read(parser, "monotone", _MONOTONE_KEYS)
+        if parser.has_section("monotone"):  # the bounds as histories on the grid
+            mono = self._read(parser, "monotone", _MONOTONE_KEYS)
+            mono.lower = self._history("monotone", "lower", mono.lower)
+            mono.upper = self._history("monotone", "upper", mono.upper)
+            self.monotone = mono
 
     @classmethod
     def load(cls, path):

@@ -292,6 +292,8 @@ PAIR = """
          "[property:box] upper: not finite at t=1.0"),
         ("run", SEMI.replace("N = 64", "N = 8") + BRACKET.replace("lower = 0", "lower = -1/(1-t)")
          + "upper = 2\n", "[property:box] lower: not finite at t=1.0"),
+        ("monotone", SEMI.replace("N = 64", "N = 8").replace("upper = 1.2", "upper = 1/(1-t)"),
+         "[monotone] upper: not finite at t=1.0"),
         ("run", SEMI.replace("term = enzyme(u)", "term = enzyme(u)\n    drift = 0.1")
          + STEADY_ENVELOPE, "[property:env] u_inf_mode: a steady state needs"),
         ("run", SEMI.replace("term = enzyme(u)", "term = enzyme(u)\n    reaction = -0.1")
@@ -337,6 +339,7 @@ PAIR = """
         "envelope-u_inf-1/x",
         "bracket-upper-1/(1-t)",
         "bracket-lower--1/(1-t)",
+        "monotone-upper-1/(1-t)",
         "steady-envelope-drift",
         "steady-envelope-reaction",
         "steady-envelope-forcing",

@@ -93,6 +93,18 @@ def test_asymptotic_regime_vs_oracle(alpha, beta):
         assert got == pytest.approx(ml_oracle(alpha, beta, -float(x)), rel=1e-13)
 
 
+@pytest.mark.parametrize("alpha", [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+def test_contour_regime_vs_oracle(alpha):
+    # just above the Taylor cut, mid-range and just below the deep cut, for
+    # beta = alpha, 1 and 2 (the hat-weight transform); relative to max(1, |E|)
+    cut = deep_cut(alpha)
+    xs = np.array([TAYLOR_CUT * (1.0 + 1e-9), 0.5 * (TAYLOR_CUT + cut), cut * (1.0 - 1e-9)])
+    for beta in (alpha, 1.0, 2.0):
+        for x, got in zip(xs, ml_neg_vec(alpha, xs, beta)):
+            want = ml_oracle(alpha, beta, -float(x))
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (beta, x, got, want)
+
+
 def test_blocked_contour_equals_one_evaluation():
     """The contour regime taken block by block is bitwise one evaluation of
     all points, below one block and for several blocks plus a remainder.
@@ -116,6 +128,15 @@ def test_blocked_contour_equals_one_evaluation():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, **one, "PYTHONPATH": path}, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_contour_one_point_blocks_equal_one_evaluation(monkeypatch):
+    # blocks of a single point, as a remainder of one leaves, sum their nodes
+    # in the order of a wide block, whatever the BLAS thread count
+    x = np.random.default_rng(5).uniform(TAYLOR_CUT, deep_cut(0.4), 2 * mlf._CONTOUR_BLOCK + 1)
+    whole = mlf._contour(0.4, 0.7, x)
+    monkeypatch.setattr(mlf, "_CONTOUR_BLOCK", 1)
+    assert np.array_equal(mlf._contour(0.4, 0.7, x), whole)
 
 
 def test_taylor_term_limit():
