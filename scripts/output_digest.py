@@ -14,7 +14,8 @@ only, so two checkouts compare with ``diff`` of their two digests:
   ``solve_linear`` at shift 0 and 2 with drift, reaction and forcing,
   ``convolve_K`` of a seeded history, the enzyme ``picard_solve`` at shift
   2, every array of ``monotone_iterate``, ``picard_system_solve`` of a
-  3-component system and of a pair, ``compare_solutions`` (its verdict,
+  3-component system and of a pair, the march of that pair
+  (``semilinear_pair_solve``), ``compare_solutions`` (its verdict,
   min_gap, tol and trajectories), the
   ``check_upper_solution`` residual and ``decay_envelope_check``; and
   ``steady_state_solve`` once;
@@ -165,7 +166,12 @@ def solver_outputs(emit, tag, grid):
         picard_solve,
     )
     from fracdiff.spectral import EllipticOperator, eigendecompose
-    from fracdiff.systems import MultiOrderSystem, SemilinearPair, picard_system_solve
+    from fracdiff.systems import (
+        MultiOrderSystem,
+        SemilinearPair,
+        picard_system_solve,
+        semilinear_pair_solve,
+    )
 
     basis = eigendecompose(EllipticOperator(math.pi), N_GRID, N_GRID)
     x = basis.grid
@@ -204,6 +210,7 @@ def solver_outputs(emit, tag, grid):
         0.3 + 0.1 * np.cos(x), 0.2 + 0.1 * np.cos(2 * x),
     )
     emit(f"{tag}.picard_system_solve.pair", picard_system_solve(pair, grid, 2.0))
+    emit(f"{tag}.semilinear_pair_solve", semilinear_pair_solve(pair, grid, 2.0))
 
     raised = SemilinearProblem(
         basis, 0.5, a_enz, SemilinearTerm(lambda x, u: enzyme_kinetics(u) + 0.1)

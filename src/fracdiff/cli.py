@@ -168,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ml-eval")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=1.0,
+                   help="beta > 0 (default 1); for z <= 0 accurate to 1e-13 up to "
+                        "beta = 2, 4.7e-13 at 3, 2.6e-11 at 5 and 4.2e-10 at 8")
     p.add_argument("--z", type=float, required=True)
     p.set_defaults(fn=_cmd_ml_eval)
 

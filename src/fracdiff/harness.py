@@ -66,7 +66,7 @@ import numpy as np
 
 from .expressions import ExpressionError, expression_parse
 from .fracops import TimeGrid
-from .linsolve import LinearProblem, NonFiniteCoefficient, sample_history, solve_linear
+from .linsolve import LinearProblem, NonFiniteCoefficient, sample_history, solve
 from .semilinear import (
     SemilinearProblem,
     SemilinearTerm,
@@ -76,12 +76,7 @@ from .semilinear import (
     steady_state_solve,
 )
 from .spectral import EllipticOperator, eigendecompose
-from .systems import (
-    MultiOrderSystem,
-    SemilinearPair,
-    nonneg_verify,
-    solve_system,
-)
+from .systems import MultiOrderSystem, SemilinearPair, nonneg_verify
 
 __all__ = [
     "Scenario",
@@ -511,9 +506,7 @@ def _solve(scn, grid):
     non-finite sample on the grid is a ScenarioError naming its key (a
     system's p_jk and F_k are entries of couplings and forcings)."""
     try:
-        if scn.kind in _SCALAR:
-            return [solve_linear(scn.problem, grid, scn.solver_shift)]
-        return solve_system(scn.problem, grid, scn.solver_shift)
+        return solve(scn.problem, grid, scn.solver_shift)
     except NonFiniteCoefficient as exc:
         key = {"p": "couplings", "F": "forcings"}.get(exc.name.split("_")[0], exc.name)
         entry = "" if key == exc.name else f"{exc.name} "
@@ -523,27 +516,11 @@ def _solve(scn, grid):
 
 
 def _check_nonneg(scn, trajs, params):
-    prob, tol = scn.problem, params.tol
-    if scn.kind not in _SCALAR:
-        out = nonneg_verify(prob, trajs, scn.grid, tol=tol)
-        if out["verdict"] == "NOT-APPLICABLE":
-            return out["verdict"], f"reason={out['reason']}"
-        case = f" case={out['classification']['case']}" if "classification" in out else ""
-        return out["verdict"], f"min_value={_fmt(out['min_value'])}{case}"
-    # scalar problems: gate on sampled hypotheses a >= 0, F >= 0, f(x,0) >= 0
-    x = scn.basis.grid
-    if float(np.min(prob.a)) < -1e-12:
-        return "NOT-APPLICABLE", "reason=initial data takes negative values"
-    F = sample_history(prob.forcing, x, scn.grid.nodes, "forcing")
-    if F is not None and float(np.min(F)) < -1e-12:
-        return "NOT-APPLICABLE", "reason=forcing takes negative values"
-    if scn.kind == "semilinear":
-        z = np.zeros_like(x)
-        if float(np.min(prob.term(x, z))) < -1e-12:
-            return "NOT-APPLICABLE", "reason=f(x, 0) takes negative values"
-    mn = float(np.min(trajs[0].fields()))
-    verdict = "PASS" if mn >= -tol else "FAIL"
-    return verdict, f"min_value={_fmt(mn)}"
+    out = nonneg_verify(scn.problem, trajs, scn.grid, tol=params.tol)
+    if out["verdict"] == "NOT-APPLICABLE":
+        return out["verdict"], f"reason={out['reason']}"
+    case = f" case={out['classification']['case']}" if "classification" in out else ""
+    return out["verdict"], f"min_value={_fmt(out['min_value'])}{case}"
 
 
 def _check_bracket(scn, trajs, params):

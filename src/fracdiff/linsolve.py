@@ -1,36 +1,48 @@
-"""Solution operators S(t), K(t), the forward march, and mild-solution
-solvers for
+"""Solution operators S(t), K(t), the forward march, and the one solve of
+every problem type of the package, each a case of
 
-    d_t^alpha (u - a) + A_0 u = Q u + F,   Q u = b(x,t) u_x + q(x,t) u,
+    d_t^{alpha_c} (u_c - a_c) + A_0 u_c = R_c(u),   c = 1, ..., C,
 
-on an eigenbasis of A_0.  The Volterra convolution uses exact kernel
-moments (mlf.kernel_weights_from_e), which absorb the t^(alpha-1)
-singularity.  A ModalPropagator belongs to one time grid and builds its
-tables once, when it is made: a uniform grid's lag table with its real FFT
-spectrum, or one row per node of any other grid, packed into one table and
-computed for groups of consecutive rows, one batched Mittag-Leffler call
-per group of about ROW_GROUP_POINTS points.  Each solver makes the
-propagators it needs once per call, so no table outlives its solve.  The
-memory term has two entry points, which alone read the tables: prop.row(i)
-weights the history before one node (the march) and convolve_K(prop, G)
-convolves a whole history (every whole-window sweep).  Both take the
-forcing piecewise constant per step (left endpoint).
+on an eigenbasis of A_0: LinearProblem (C = 1, R = Q u + F with
+Q u = b(x,t) u_x + q(x,t) u) and SemilinearProblem (R = Q u + f(u) + F)
+here, MultiOrderSystem and SemilinearPair in systems.  Each speaks one
+protocol:
 
-A LinearProblem holds the equation only; the spectral shift s >= 0 of
-the discrete scheme is an argument of each solve.  It rewrites the
-equation as d_t^alpha (u - a) + (A_0 + s) u = (Q + s) u + F.  The shifted
-kernel weights are nonnegative, so whenever the effective forcing is
-monotone in u the discrete time-march preserves ordering exactly; the
-monotone and comparison machinery in higher modules relies on this.
+* the attributes alphas (the orders, never decreasing), initials (the
+  fields a_c on the basis grid) and m (the working box |u| <= m, or None);
+* rhs(tnodes, shift): the checked spectral shift s (the problem's default
+  for None) and the closure rhs(U, i) = s U + R(U) over the coefficients
+  sampled once on the nodes, for the fields U (C, n_grid) at the node
+  index i or their histories (C, len(tnodes), n_grid) for i = slice(None);
+* cooperativity(grid, low, high): {} when the sign hypotheses of the
+  non-negativity theorem hold for solutions in [low, high], else a dict
+  whose "reason" names the one that fails.
+
+The shift s belongs to the discrete scheme: it rewrites the equation as
+d_t^alpha (u - a) + (A_0 + s) u = s u + R(u).  The shifted kernel weights
+are nonnegative, so whenever s u + R(u) is monotone in u the discrete map
+preserves ordering exactly; the monotone and comparison machinery in
+higher modules relies on this.
+
+The Volterra convolution uses exact kernel moments
+(mlf.kernel_weights_from_e), which absorb the t^(alpha-1) singularity.  A
+ModalPropagator belongs to one time grid and builds its tables once, when
+it is made: a uniform grid's lag table with its real FFT spectrum, or one
+row per node of any other grid, packed into one table and computed for
+groups of consecutive rows, one batched Mittag-Leffler call per group of
+about ROW_GROUP_POINTS points.  The memory term has two entry points,
+which alone read the tables: prop.row(i) weights the history before one
+node (the march) and convolve_K(prop, G) convolves a whole history (every
+whole-window sweep).  Both take the forcing piecewise constant per step
+(left endpoint).
 
 Under the left-endpoint rule node i reads the right-hand side only at
 nodes j < i, so the discrete map u = S(t) a + K * R(u) is strictly lower
-triangular: march computes its fixed point node by node, for components
-stacked along a component axis, behind every solve (solve_linear, and
-through it picard_solve, and the system solves).  volterra_sweep applies
-the map to a whole window, for the iterations that are checked themselves
-(the monotone sandwich, picard_system_solve).  Coefficients given as
-callables of (x, t) are sampled once per grid by sample_history.
+triangular: march computes its fixed point node by node.  solve samples
+the coefficients, builds one shifted propagator per distinct order and
+marches, behind every solve, so no table outlives its solve.
+volterra_sweep applies the map to a whole window, for the iterations that
+are checked themselves (the monotone sandwich, picard_system_solve).
 """
 
 import numpy as np
@@ -43,13 +55,13 @@ __all__ = [
     "ModalPropagator",
     "LinearProblem",
     "Trajectory",
-    "apply_S",
     "convolve_K",
     "sample_history",
     "NonFiniteCoefficient",
     "volterra_sweep",
     "march",
     "working_box",
+    "solve",
     "solve_linear",
     "solve_linear_l1",
 ]
@@ -148,13 +160,6 @@ class ModalPropagator:
             np.stack([np.zeros_like(t), t]), np.stack([np.ones_like(E), E]),
         )[0]
         return float(np.max(np.abs(sums - want)))
-
-
-def apply_S(prop, t, coeffs):
-    """Modal action of S(t): multiply mode n by E_{alpha,1}(-lam_n t^alpha)."""
-    if t < 0.0:
-        raise ValueError(f"apply_S needs t >= 0, got {t}")
-    return prop.e_values([t])[0] * np.asarray(coeffs, dtype=float)
 
 
 def convolve_K(prop, forcing):
@@ -272,7 +277,8 @@ class LinearProblem:
     """Mild-solution data: initial a (field samples), drift b(x,t),
     reaction q(x,t), forcing F(x,t) (callables of (x, t) arrays, constants,
     or None), and no reaction term f(u) and no working box m, which
-    SemilinearProblem adds."""
+    SemilinearProblem adds.  One component: alphas = [alpha] and
+    initials = [a]."""
 
     term = None
     m = None
@@ -286,6 +292,7 @@ class LinearProblem:
         self.basis = basis
         self.alpha = float(alpha)
         self.a = a
+        self.alphas, self.initials = [self.alpha], [a]
         self.drift = drift
         self.reaction = reaction
         self.forcing = forcing
@@ -300,20 +307,36 @@ class LinearProblem:
                             (self.forcing, "forcing"))
         )
 
-    def rhs(self, U, coeffs, shift):
-        """(Q + shift) u + F in physical space, for fields U whose last axis
-        is the spatial grid and coefficients (q, b, F) that broadcast
-        against them."""
-        q, b, F = coeffs
-        out = np.zeros_like(U)
-        if q is not None:
-            out += q * U
-        if b is not None:
-            out += b * np.gradient(U, self.basis.grid, axis=-1)
-        out = out + shift * U
-        if F is not None:
-            out = out + F
-        return out
+    def rhs(self, tnodes, shift):
+        """The shift s and the closure (Q + s) u + F in physical space, for
+        fields U whose last axis is the spatial grid (leading axes
+        broadcast against the sampled coefficients)."""
+        shift = float(shift)
+        q, b, F = self.coefficients(tnodes)
+        x = self.basis.grid
+
+        def rhs(U, i):
+            out = np.zeros_like(U)
+            if q is not None:
+                out += q[i] * U
+            if b is not None:
+                out += b[i] * np.gradient(U, x, axis=-1)
+            out = out + shift * U
+            if F is not None:
+                out = out + F[i]
+            return out
+
+        return shift, rhs
+
+    def cooperativity(self, grid, low, high):
+        """a >= 0, then F >= 0 sampled on the grid; the reason names the
+        first that fails."""
+        if float(np.min(self.a)) < -1e-12:
+            return {"reason": "initial data takes negative values"}
+        F = sample_history(self.forcing, self.basis.grid, grid.nodes, "forcing")
+        if F is not None and float(np.min(F)) < -1e-12:
+            return {"reason": "forcing takes negative values"}
+        return {}
 
 
 class Trajectory:
@@ -348,20 +371,29 @@ class Trajectory:
         return "\n".join(lines)
 
 
+def _propagators(prob, grid, shift):
+    """The checked shift and the closure rhs(U, i) of prob.rhs on the grid,
+    then one propagator per component shifted by it, built once per
+    distinct order: a coefficient is refused before any table is built."""
+    shift, rhs = prob.rhs(grid.nodes, shift)
+    props = {a: ModalPropagator(prob.basis, a, grid, shift) for a in set(prob.alphas)}
+    return shift, rhs, [props[a] for a in prob.alphas]
+
+
+def solve(prob, grid, shift):
+    """The trajectories of any problem, one per component: the march of
+    u_c(t_i) = S_c(t_i) a_c + sum_{j<i} w^c_ij P[s u + R(u)]_c(t_j) in its
+    box, every propagator shifted by s = shift (None: the problem's
+    default)."""
+    shift, rhs, props = _propagators(prob, grid, shift)
+    modal = march(props, prob.initials, rhs, prob.m)
+    return [Trajectory(grid, prob.basis, mc, {"shift": shift}) for mc in modal]
+
+
 def solve_linear(prob, grid, shift=0.0):
-    """The march of a LinearProblem, or of a SemilinearProblem in its box m:
-    u(t_i) = S(t_i) a + sum_{j<i} w_ij P[(Q + s) u + f(u) + F](t_j), s = shift,
-    with the weights w_ij of prop.row(i)."""
-    basis = prob.basis
-    prop = ModalPropagator(basis, prob.alpha, grid, shift)
-    coeffs = prob.coefficients(grid.nodes)
-
-    def rhs_at(U, i):
-        at = tuple(None if c is None else c[i] for c in coeffs)
-        return prob.rhs(U, at, prop.shift)
-
-    modal = march([prop], prob.a[None], rhs_at, prob.m)
-    return Trajectory(grid, basis, modal[0], {"shift": prop.shift})
+    """The trajectory of solve for a LinearProblem, or a SemilinearProblem
+    in its box m."""
+    return solve(prob, grid, shift)[0]
 
 
 def solve_linear_l1(prob, grid):

@@ -26,6 +26,12 @@ x = -z >= 0 into three regimes and evaluates each in batched numpy:
   call is left, so the values do not depend on the thread count, and its
   blocks of _CONTOUR_BLOCK points are bitwise one evaluation.
 
+Every beta > 0 is accepted, but the contour loses accuracy as beta grows.
+Its worst error against the mpmath oracle, relative to max(1, |E|), at the
+seams and mid-range for alpha from 0.01 to 0.99, is <= 1e-13 for
+beta <= 2 (tested), 4.7e-13 at beta = 3 (tested to 1e-12), 2.6e-11 at
+beta = 5 and 4.2e-10 at beta = 8.  The package itself uses beta <= 2.
+
 The deep cut is calibrated against extended-precision references so that
 both regimes agree to ~1e-11 relative at the seam.  On the negative axis
 alpha = beta = 1 reduces to exp(z).  Arguments whose value would exceed
@@ -47,8 +53,6 @@ __all__ = [
     "ml",
     "ml_neg_vec",
     "ml_e1_bound_check",
-    "kernel_weight",
-    "kernel_weight_vec",
     "kernel_weights_from_e",
 ]
 
@@ -69,7 +73,9 @@ def deep_cut(alpha):
 
 
 class MLParams:
-    """Order pair (alpha, beta) with 0 < alpha <= 1 and beta > 0."""
+    """Order pair (alpha, beta) with 0 < alpha <= 1 and beta > 0; on the
+    negative axis accurate to 1e-13 for beta <= 2, 4.7e-13 at beta = 3,
+    2.6e-11 at beta = 5 and 4.2e-10 at beta = 8 (see the module docstring)."""
 
     def __init__(self, alpha, beta=1.0):
         if not (0.0 < alpha <= 1.0):
@@ -260,20 +266,3 @@ def kernel_weights_from_e(alpha, lam, taus, E):
         m = np.diff(taus**alpha / math.gamma(alpha + 1.0), axis=0)
         w = np.where(small, m.reshape(m.shape + (1,) * lam.ndim), w)
     return np.maximum(w, 0.0)
-
-
-def kernel_weight(alpha, lam, tau_lo, tau_hi):
-    """Exact moment int_{tau_lo}^{tau_hi} tau^(a-1) E_{a,a}(-lam tau^a) dtau."""
-    if tau_hi <= tau_lo:
-        raise ValueError(f"need tau_hi > tau_lo, got [{tau_lo}, {tau_hi}]")
-    if tau_lo < 0.0 or lam < 0.0:
-        raise ValueError("tau_lo and lambda must be nonnegative")
-    return float(kernel_weight_vec(alpha, lam, [tau_lo, tau_hi])[0])
-
-
-def kernel_weight_vec(alpha, lam, taus):
-    """Weights over consecutive intervals of the sorted nonneg array taus."""
-    alpha = MLParams(alpha).alpha
-    taus = np.asarray(taus, dtype=float)
-    E = ml_neg_vec(alpha, lam * taus**alpha)
-    return kernel_weights_from_e(alpha, lam, taus, E)

@@ -10,10 +10,9 @@ Two routes to the mild solution of
   pair of lower/upper solutions, each sweep a whole-window linear solve
   with the reaction shifted by M + 1.
 
-A SemilinearProblem is a LinearProblem plus the term f and a working box.
-Both solvers sample the coefficients and build one shifted propagator
-(its tables) once per solve, and absorb the spectral shift s of the solve
-(picard_solve's shift, M + 1 in the monotone map) into the eigenvalues.
+A SemilinearProblem is a LinearProblem plus the term f and a working box,
+read by both solvers through the problem protocol of linsolve; the
+spectral shift is picard_solve's shift, or M + 1 in the monotone map.
 With the full discrete eigenbasis (n_modes = n_grid) the projection is an
 exact orthogonal transform and the propagator matrices are entrywise
 nonnegative (E_{alpha,beta}(-x) is completely monotone and the stiffness
@@ -34,8 +33,8 @@ import numpy as np
 from .fracops import TimeGrid, l1_weights
 from .linsolve import (
     LinearProblem,
-    ModalPropagator,
     Trajectory,
+    _propagators,
     sample_history,
     solve_linear,
     volterra_sweep,
@@ -132,10 +131,20 @@ class SemilinearProblem(LinearProblem):
         self.term = term if isinstance(term, SemilinearTerm) else SemilinearTerm(term)
         self.m = working_box(self.a, m)
 
-    def rhs(self, U, coeffs, shift):
-        """(Q + shift) u + F + f(u) in physical space, for field histories
-        U and the coefficients sampled by coefficients."""
-        return super().rhs(U, coeffs, shift) + self.term(self.basis.grid, U)
+    def rhs(self, tnodes, shift):
+        """The shift s and the closure (Q + s) u + F + f(u) in physical
+        space."""
+        shift, linear = super().rhs(tnodes, shift)
+        return shift, lambda U, i: linear(U, i) + self.term(self.basis.grid, U)
+
+    def cooperativity(self, grid, low, high):
+        """a >= 0, F >= 0, then f(x, 0) >= 0; the reason names the first
+        that fails."""
+        out = super().cooperativity(grid, low, high)
+        x = self.basis.grid
+        if not out and float(np.min(self.term(x, np.zeros_like(x)))) < -1e-12:
+            return {"reason": "f(x, 0) takes negative values"}
+        return out
 
     def require_pointwise(self, op):
         if self.term.kind == "gradient":
@@ -177,12 +186,11 @@ def _monotone_map(prob, M, grid):
         raise ValueError(
             f"monotone shift M = {M} is below the sampled Lipschitz bound {needed}"
         )
-    coeffs = prob.coefficients(grid.nodes)
-    prop = ModalPropagator(prob.basis, prob.alpha, grid, M + 1.0)
+    _, rhs, props = _propagators(prob, grid, M + 1.0)
 
     def sweep(U):
-        return volterra_sweep([prop] * len(U), [prob.a] * len(U),
-                              prob.rhs(U, coeffs, prop.shift))
+        return volterra_sweep(props * len(U), prob.initials * len(U),
+                              rhs(U, slice(None)))
 
     return M, sweep
 
@@ -286,7 +294,7 @@ def _residual_history(candidate, prob, grid, initial=None):
     a_bar = U[0] if initial is None else np.asarray(initial, dtype=float)
     D = l1_weights(prob.alpha, grid)
     dcap = D @ (U - a_bar[None, :])
-    r = dcap + _a0_apply(basis, U.T).T - prob.rhs(U, prob.coefficients(grid.nodes), 0.0)
+    r = dcap + _a0_apply(basis, U.T).T - prob.rhs(grid.nodes, 0.0)[1](U, slice(None))
     return U, a_bar, r
 
 

@@ -6,15 +6,13 @@ eigenbasis, each of its own order alpha_c, coupled through a reaction R:
 ReactionSystem validates the orders, the initial fields and the working
 box.  Its two constructors, MultiOrderSystem (linear couplings and
 forcings) and SemilinearPair (two components of equal order, bivariate
-reactions f and g), each supply the reaction, the default and check of
-the spectral shift M_1, and the hypotheses of the non-negativity theorem;
-cooperative_classify decides which of the four cooperative cases of a
-pair (or none) applies.  solve_system is the solve of every system: the
-march of the coupled mild formulation (linsolve.march) with the components
-stacked, one propagator per distinct order shifted by M_1, and the
-reaction sampled once per grid; picard_system_solve sweeps the same map
-over the whole window for its increments.  nonneg_verify is the one
-non-negativity gate.
+reactions f and g), complete the problem protocol of linsolve: rhs, whose
+shift is the M_1 of the paper with its default and check, and the
+cooperativity hypotheses; cooperative_classify decides which of the four
+cooperative cases of a pair (or none) applies.  linsolve.solve marches a
+system like any problem (semilinear_pair_solve); picard_system_solve sweeps
+the same map over the whole window for its increments.  nonneg_verify is
+the one non-negativity gate of every problem type.
 """
 
 import math
@@ -25,8 +23,9 @@ from .fracops import SampledSignal, rl_integral
 from .linsolve import (
     ModalPropagator,
     Trajectory,
-    march,
+    _propagators,
     sample_history,
+    solve,
     volterra_sweep,
     working_box,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "ReactionSystem",
     "MultiOrderSystem",
     "SemilinearPair",
-    "solve_system",
     "picard_system_solve",
     "nonneg_verify",
     "increment_recursion_check",
@@ -57,13 +55,8 @@ def _sup(history):
 class ReactionSystem:
     """C >= 2 components with orders in (0, 1) that never decrease,
     initial fields sampled on the basis grid, and the working box |u| <= m
-    of the solve (None: no box).
-
-    A constructor supplies reaction(tnodes, M1): the checked shift M1 (its
-    default for None) and the right-hand side rhs(U, i) = M1 U + R(U) of
-    the fields U (C, ..., n_grid) at the node index i of tnodes (an integer,
-    or slice(None) for a whole history); and cooperativity(grid, low, high),
-    the gate of nonneg_verify for solutions ranging over [low, high].
+    of the solve (None: no box).  A constructor supplies rhs and
+    cooperativity, the rest of the problem protocol of linsolve.
     """
 
     def __init__(self, basis, alphas, initials, m=None):
@@ -118,16 +111,17 @@ class MultiOrderSystem(ReactionSystem):
         return P, [sample_history(f, x, tnodes, f"F_{k + 1}")
                    for k, f in enumerate(self.forcings)]
 
-    def reaction(self, tnodes, M1=None):
-        """M_1 must exceed the diagonal couplings sup|p_ll| and be >= 0; by
-        default it is 1 + max_l sup|p_ll|, or 0 for a decoupled system, so
-        that a decoupled system solves to S_l a_l exactly."""
+    def rhs(self, tnodes, shift):
+        """The shift M_1 and the closure M_1 U + R(U).  M_1 must exceed the
+        diagonal couplings sup|p_ll| and be >= 0; by default it is
+        1 + max_l sup|p_ll|, or 0 for a decoupled system, so that a
+        decoupled system solves to S_l a_l exactly."""
         P, F = self.coefficients(tnodes)
         coupled = any(p is not None for row in P for p in row)
         diagonal_sup = max(_sup(P[l][l]) for l in range(self.N))
-        if M1 is None:
-            M1 = 1.0 + diagonal_sup if coupled else 0.0
-        M1 = float(M1)
+        if shift is None:
+            shift = 1.0 + diagonal_sup if coupled else 0.0
+        M1 = float(shift)
         if coupled and M1 <= diagonal_sup:
             raise ValueError(
                 f"M1 = {M1} must exceed the diagonal coupling bound {diagonal_sup}"
@@ -171,13 +165,12 @@ class SemilinearPair(ReactionSystem):
         self.f = f
         self.g = g
 
-    def reaction(self, tnodes, M1=None):
-        """M_1 defaults to 0.  It rewrites the reactions as M_1 u + f(u, v)
-        and M_1 v + g(u, v); with M_1 >= the sampled Lipschitz bound and
-        cooperative couplings the discrete map preserves
+    def rhs(self, tnodes, shift):
+        """The shift M_1, 0 by default, and the closure of the reactions
+        M_1 u + f(u, v) and M_1 v + g(u, v); with M_1 >= the sampled
+        Lipschitz bound and cooperative couplings the discrete map preserves
         nonnegativity exactly (full-basis grids)."""
-
-        M1 = 0.0 if M1 is None else float(M1)
+        M1 = 0.0 if shift is None else float(shift)
 
         def rhs(U, i):
             u, v = U
@@ -203,27 +196,9 @@ class SemilinearPair(ReactionSystem):
         return {"classification": cls}
 
 
-def _shifted(sys, grid, M1):
-    """The checked shift M1, the right-hand side of the system's reaction
-    and one propagator per component, shifted by M1 (one per order)."""
-    M1, rhs = sys.reaction(grid.nodes, M1)
-    props = {a: ModalPropagator(sys.basis, a, grid, shift=M1) for a in set(sys.alphas)}
-    return M1, rhs, [props[a] for a in sys.alphas]
-
-
-def solve_system(sys, grid, M1):
-    """The trajectories of a reaction system by linsolve.march in its box,
-    every propagator shifted by M_1 (None: the system's default), which the
-    right-hand side M_1 U + R(U) adds back."""
-    M1, rhs, props = _shifted(sys, grid, M1)
-    modal = march(props, sys.initials, rhs, sys.m)
-    return [Trajectory(grid, sys.basis, modal[l], {"component": l, "M1": M1})
-            for l in range(sys.N)]
-
-
 def picard_system_solve(sys, grid, M1=None, tol=1e-10, max_sweeps=200):
-    """Whole-window Picard sweeps of the map of solve_system from
-    U^0 = (a_1, ..., a_N), for the increments U_n(t) = sum_l
+    """Whole-window Picard sweeps of the map that linsolve.solve marches,
+    from U^0 = (a_1, ..., a_N), for the increments U_n(t) = sum_l
     sup_x |u_l^n - u_l^(n-1)|(t) that increment_recursion_check bounds.
 
     Stops once sup_t U_n < tol max(1, sup|u|).  Raises ArithmeticError on a
@@ -237,7 +212,7 @@ def picard_system_solve(sys, grid, M1=None, tol=1e-10, max_sweeps=200):
     if max_sweeps < 1:
         raise ValueError(f"picard_system_solve needs max_sweeps >= 1, got {max_sweeps}")
     basis, m = sys.basis, sys.m
-    M1, rhs, props = _shifted(sys, grid, M1)
+    M1, rhs, props = _propagators(sys, grid, M1)
     a = np.asarray(sys.initials, dtype=float)
     U = np.repeat(a[:, None, :], len(grid), axis=1)
     increments, rhos, growing, last = [], [], 0, None
@@ -272,9 +247,10 @@ def picard_system_solve(sys, grid, M1=None, tol=1e-10, max_sweeps=200):
 
 
 def nonneg_verify(sys, trajectories, grid, tol=1e-8):
-    """Gate on the system's cooperativity hypotheses, then check min value
-    >= -tol.  If a hypothesis fails the verdict is NOT-APPLICABLE with its
-    reason, and the minimum is still reported (but not asserted)."""
+    """Gate on the problem's cooperativity hypotheses, then check that the
+    minimum over its trajectories is >= -tol.  If a hypothesis fails the
+    verdict is NOT-APPLICABLE with its reason, and the minimum is still
+    reported (but not asserted)."""
     fields = [tr.fields() for tr in trajectories]
     low = min(float(np.min(f)) for f in fields)
     high = max(float(np.max(f)) for f in fields)
@@ -327,8 +303,8 @@ def kernel_envelope_check(sys, grid):
 
 
 def semilinear_pair_solve(pair, grid, shift=0.0):
-    """The trajectories (u, v) of solve_system with M_1 = shift."""
-    return tuple(solve_system(pair, grid, shift))
+    """The trajectories (u, v) of linsolve.solve with M_1 = shift."""
+    return tuple(solve(pair, grid, shift))
 
 
 def cooperative_classify(pair, box):

@@ -2,11 +2,13 @@
 
 bench/workloads.py calls the package API with fixed signatures and result
 shapes.  Here the first round of each workload prepares, runs and checks
-every step, and the grid-cache probe passes, so an API change that breaks
-the benchmark fails tier-1.  The module is compiled from its file, which
+every step, and the grid-cache probe passes, and every name that
+bench/tracer.py wraps resolves, so an API change that breaks the benchmark
+fails tier-1.  The module is compiled from its file, which
 is neither changed nor given a bytecode cache.
 """
 
+import importlib
 import os
 import sys
 import types
@@ -40,3 +42,13 @@ def test_benchmark_round_runs_and_checks(workloads, workload, tmp_path):
 
 def test_grid_cache_probe_passes(workloads):
     assert workloads.grid_cache_probe()["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("layer", ["mlf", "fracops", "spectral", "linsolve", "semilinear",
+                                   "systems", "expressions", "harness", "cli"])
+def test_every_public_name_resolves(layer):
+    """bench/tracer.install calls getattr on every __all__ entry of the nine
+    modules, so a stale entry breaks every traced run."""
+    mod = importlib.import_module(f"fracdiff.{layer}")
+    missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
+    assert missing == []

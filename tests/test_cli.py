@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from fracdiff import harness
+from fracdiff import harness, linsolve
 from fracdiff.cli import main
 
 SCENARIO_DIR = os.path.join(
@@ -359,6 +359,13 @@ def test_invalid_scenario_exits_2_at_load(tmp_path, capsys, command, text, secti
     assert section in lines[0]
 
 
+# forcings with a pole at the last node t = 1, which no solve reads
+LINEAR_POLE = LINEAR.replace("N = 16", "N = 8").replace(
+    "forcing = 0.2*(1 + cos(x))*exp(-t)", "forcing = 1/(1-t)")
+SEMI_POLE = SEMI.replace("N = 64", "N = 8").replace(
+    "term = enzyme(u)", "term = enzyme(u)\n    forcing = 1/(1-t)")
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -366,12 +373,8 @@ def test_invalid_scenario_exits_2_at_load(tmp_path, capsys, command, text, secti
          "error: {path}: [problem] forcing: not finite at t=0.0"),
         (LINEAR.replace("reaction = -0.3*(1 + 0.5*cos(x))", "reaction = 1e300"),
          "error: non-finite value at node 2 (t=0.125)"),
-        (LINEAR.replace("N = 16", "N = 8").replace(
-            "forcing = 0.2*(1 + cos(x))*exp(-t)", "forcing = 1/(1-t)"),
-         "error: {path}: [problem] forcing: not finite at t=1.0"),
-        (SEMI.replace("N = 64", "N = 8").replace(
-            "term = enzyme(u)", "term = enzyme(u)\n    forcing = 1/(1-t)"),
-         "error: {path}: [problem] forcing: not finite at t=1.0"),
+        (LINEAR_POLE, "error: {path}: [problem] forcing: not finite at t=1.0"),
+        (SEMI_POLE, "error: {path}: [problem] forcing: not finite at t=1.0"),
         (SEMI.replace("term = enzyme(u)", "term = u/0"),
          "error: non-finite value at node 1 (t=0.015625)"),
         (SEMI.replace("length = 3.141592653589793", "length = 1e-200"),
@@ -399,6 +402,22 @@ def test_non_finite_exits_2_with_one_line_and_no_warning(tmp_path, capsys, text,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and message in lines[0]
+
+
+@pytest.mark.parametrize("text", [LINEAR_POLE, SEMI_POLE], ids=["linear", "semilinear"])
+def test_non_finite_coefficient_refused_before_any_table(tmp_path, capsys, monkeypatch,
+                                                        text):
+    """A coefficient refused by its samples stops the command before any
+    propagator is built: the solve samples first."""
+    built = []
+    real = linsolve.ModalPropagator
+    monkeypatch.setattr(linsolve, "ModalPropagator",
+                        lambda *args: built.append(args[1]) or real(*args))
+    path = write(tmp_path, text)
+    assert main(["run", path, "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: [problem] forcing: not finite at t=1.0\n"
+    assert built == []
 
 
 def test_oversize_graded_table_exits_2(tmp_path, capsys):

@@ -15,12 +15,11 @@ from fracdiff.linsolve import (
     MAX_ROW_TABLE_BYTES,
     LinearProblem,
     ModalPropagator,
-    apply_S,
     convolve_K,
     solve_linear,
     solve_linear_l1,
 )
-from fracdiff.mlf import kernel_weight_vec, kernel_weights_from_e, ml_neg_vec
+from fracdiff.mlf import kernel_weights_from_e, ml_neg_vec
 from fracdiff.semilinear import SemilinearProblem, SemilinearTerm
 from fracdiff.spectral import EllipticOperator, eigendecompose, project, synthesize
 
@@ -58,15 +57,15 @@ def test_weight_sum_invariant(alpha):
 
 
 def test_apply_s_identity_and_decay():
+    """S(t) multiplies mode n by E_{alpha,1}(-lam_n t^alpha): the identity at
+    t = 0, the decay at the node t = 2 and at any time through e_values."""
     b = neumann_basis(6, 201, c0=1.0)
     prop = ModalPropagator(b, 0.5, TimeGrid.uniform(2.0, 1))
     c = np.arange(1.0, 7.0)
-    np.testing.assert_allclose(apply_S(prop, 0.0, c), c)
-    out = apply_S(prop, 2.0, c)
+    np.testing.assert_allclose(prop.E[0] * c, c)
     want = ml_neg_vec(0.5, b.lambdas * 2.0**0.5) * c
-    np.testing.assert_allclose(out, want, rtol=1e-12)
-    with pytest.raises(ValueError):
-        apply_S(prop, -1.0, c)
+    np.testing.assert_allclose(prop.E[1] * c, want, rtol=1e-12)
+    np.testing.assert_array_equal(prop.e_values([2.0])[0], prop.E[1])
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
@@ -134,7 +133,7 @@ def test_flat_mode_forcing_power_law():
     ids=["uniform", "graded"],
 )
 def test_duhamel_consistency(grid):
-    """Q = 0: solve_linear equals apply_S(a) + convolve_K(F) node by node,
+    """Q = 0: solve_linear equals S(t) a + convolve_K(F) node by node,
     through the lag table (uniform) and the per-row weights (graded)."""
     alpha = 0.5
     b = neumann_basis(6, 201)
@@ -149,7 +148,7 @@ def test_duhamel_consistency(grid):
     G = np.array([project(b, F(b.grid, t) * np.ones_like(b.grid)) for t in grid.nodes])
     conv = convolve_K(prop, G)
     a_modal = project(b, a)
-    duhamel = np.array([apply_S(prop, t, a_modal) for t in grid.nodes]) + conv
+    duhamel = prop.E * a_modal + conv
     assert np.max(np.abs(traj.modal - duhamel)) < 1e-10
 
 
@@ -195,9 +194,10 @@ def test_package_does_not_import_scipy_signal():
     assert done.returncode == 0, done.stderr
 
 
-def test_solver_weights_match_kernel_weight_vec():
+def test_solver_weights_match_kernel_moments():
     """The uniform lag table and the graded row table the solvers use are
-    the kernel_weight_vec moments, mode by mode, including lambda = 0."""
+    the kernel moments of each lag interval, mode by mode, including
+    lambda = 0."""
     alpha = 0.6
     b = neumann_basis(6, 101)
     uniform = TimeGrid.uniform(1.0, 32)
@@ -214,7 +214,8 @@ def test_solver_weights_match_kernel_weight_vec():
         cases.append((rows[i][::-1], t_i - earlier[::-1]))
     for got, taus in cases:
         for m, lam in enumerate(prop.lambdas):
-            want = kernel_weight_vec(alpha, lam, taus)
+            want = kernel_weights_from_e(alpha, lam, taus,
+                                         ml_neg_vec(alpha, lam * taus**alpha))
             tol = 1e-15 * np.maximum(1.0, np.abs(want))
             assert (np.abs(got[:, m] - want) <= tol).all()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracdiff.fracops import TimeGrid, l1_weights
-from fracdiff.linsolve import LinearProblem, solve_linear
+from fracdiff.linsolve import LinearProblem, solve, solve_linear
 from fracdiff.mlf import ml_neg_vec
 from fracdiff.semilinear import SemilinearProblem, SemilinearTerm
 from fracdiff.spectral import EllipticOperator, eigendecompose
@@ -18,7 +18,6 @@ from fracdiff.systems import (
     pair_nonneg_verify,
     picard_system_solve,
     semilinear_pair_solve,
-    solve_system,
 )
 
 
@@ -76,7 +75,7 @@ def test_max_sweeps_below_one_refused(solver, max_sweeps):
 
 
 def test_march_equals_whole_window_iteration():
-    """The march of solve_system is the fixed point that the whole-window
+    """The march of solve is the fixed point that the whole-window
     Picard iteration converges to: the two engines agree to 10 tol on a
     multi-order system and on a pair, for every component."""
     b = full_neumann_basis(17)
@@ -94,10 +93,10 @@ def test_march_equals_whole_window_iteration():
     for sys, M1, grid in ((system, None, TimeGrid.uniform(1.0, 48)),
                           (pair, 2.0, TimeGrid.graded(0.5, 40, 2.0))):
         iterated = picard_system_solve(sys, grid, M1, tol=tol)["trajectories"]
-        marched = solve_system(sys, grid, M1)
+        marched = solve(sys, grid, M1)
         assert len(marched) == sys.N
         for it, ma in zip(iterated, marched):
-            assert ma.diagnostics["M1"] == it.diagnostics["M1"]
+            assert ma.diagnostics["shift"] == it.diagnostics["M1"]
             assert np.max(np.abs(ma.fields() - it.fields())) <= 10 * tol
 
 
@@ -186,6 +185,35 @@ def test_nonneg_verify_gate_and_pass():
     assert "p_12" in v2["reason"]
 
 
+def test_nonneg_verify_scalar_problems():
+    """nonneg_verify gates a linear and a semilinear problem like a system:
+    NOT-APPLICABLE naming the first failing hypothesis in the order a >= 0,
+    F >= 0, f(x, 0) >= 0, and PASS on a clean problem."""
+    b = full_neumann_basis(17)
+    x = b.grid
+    grid = TimeGrid.uniform(1.0, 16)
+    a = 0.5 + 0.2 * np.cos(x)
+    growth = SemilinearTerm(lambda x_, u: 0.1 + 0.0 * u)
+    decay = SemilinearTerm(lambda x_, u: -0.1 + 0.0 * u)
+    negative_a, negative_F = "initial data", "forcing"
+    cases = [
+        (LinearProblem(b, 0.5, a - 1.0, forcing=-1.0), negative_a),
+        (LinearProblem(b, 0.5, a, forcing=lambda x_, t: 0.1 - t), negative_F),
+        (SemilinearProblem(b, 0.5, -a, decay), negative_a),
+        (SemilinearProblem(b, 0.5, a, decay, forcing=-0.1), negative_F),
+        (SemilinearProblem(b, 0.5, a, decay), "f(x, 0)"),
+        (LinearProblem(b, 0.5, a, forcing=0.1), None),
+        (SemilinearProblem(b, 0.5, a, growth), None),
+    ]
+    for prob, reason in cases:
+        out = nonneg_verify(prob, solve(prob, grid, 1.0), grid)
+        if reason is None:
+            assert out["verdict"] == "PASS" and out["min_value"] > 0.0, out
+        else:
+            assert out == {"verdict": "NOT-APPLICABLE", "min_value": out["min_value"],
+                           "reason": f"{reason} takes negative values"}
+
+
 def test_equal_order_agrees_with_linsolve():
     """A component that nothing feeds back into is a scalar linear run,
     whether the other component's order is higher or exactly equal."""
@@ -227,22 +255,28 @@ def test_working_box_refused():
 
 
 def test_pair_builds_one_propagator(monkeypatch):
-    """The two components of a pair have one order, so its solve builds one
-    propagator; a system with a repeated order builds one per distinct
-    order."""
-    import fracdiff.systems as systems
+    """Propagators are built in one place, once per distinct order: one for
+    a scalar problem and for the two equal orders of a pair, and one per
+    distinct order of a system with a repeated order."""
+    import fracdiff.linsolve as linsolve
 
     built = []
 
-    class Counting(systems.ModalPropagator):
+    class Counting(linsolve.ModalPropagator):
         def __init__(self, *args, **kwargs):
             built.append(args[1])
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(systems, "ModalPropagator", Counting)
+    monkeypatch.setattr(linsolve, "ModalPropagator", Counting)
     b = full_neumann_basis(9)
     a = 0.5 + 0.2 * np.cos(b.grid)
     grid = TimeGrid.uniform(0.5, 8)
+    solve_linear(LinearProblem(b, 0.4, a, forcing=0.1), grid)
+    assert built == [0.4]
+    built.clear()
+    solve_linear(SemilinearProblem(b, 0.4, a, SemilinearTerm.enzyme()), grid, 2.0)
+    assert built == [0.4]
+    built.clear()
     semilinear_pair_solve(
         SemilinearPair(b, 0.5, lambda u, v: v * v, lambda u, v: u * u, a, a), grid)
     assert built == [0.5]
