@@ -10,13 +10,15 @@ protocol:
 
 * the attributes alphas (the orders, never decreasing), initials (the
   fields a_c on the basis grid) and m (the working box |u| <= m, or None);
-* rhs(tnodes, shift): the checked spectral shift s (the problem's default
-  for None) and the closure rhs(U, i) = s U + R(U) over the coefficients
-  sampled once on the nodes, for the fields U (C, n_grid) at the node
-  index i or their histories (C, len(tnodes), n_grid) for i = slice(None);
-* cooperativity(grid, low, high): {} when the sign hypotheses of the
-  non-negativity theorem hold for solutions in [low, high], else a dict
-  whose "reason" names the one that fails.
+* coefficients(tnodes): the one sampler, the problem's coefficients on the
+  basis grid at every node (None: nothing to sample);
+* rhs(coeffs, shift): the checked spectral shift s (the problem's default
+  for None) and the closure rhs(U, i) = s U + R(U) over those samples,
+  for the fields U (C, n_grid) at the node index i or their histories
+  (C, len(tnodes), n_grid) for i = slice(None);
+* cooperativity(coeffs, low, high): {} when the sign hypotheses of the
+  non-negativity theorem hold on those samples for solutions in
+  [low, high], else a dict whose "reason" names the first that fails.
 
 The shift s belongs to the discrete scheme: it rewrites the equation as
 d_t^alpha (u - a) + (A_0 + s) u = s u + R(u).  The shifted kernel weights
@@ -39,8 +41,9 @@ whole-window sweep).  Both take the forcing piecewise constant per step
 Under the left-endpoint rule node i reads the right-hand side only at
 nodes j < i, so the discrete map u = S(t) a + K * R(u) is strictly lower
 triangular: march computes its fixed point node by node.  solve samples
-the coefficients, builds one shifted propagator per distinct order and
-marches, behind every solve, so no table outlives its solve.
+the coefficients once, builds one shifted propagator per distinct order and
+marches, behind every solve, so no table outlives its solve; each
+trajectory it returns carries the samples, for the gates that read them.
 volterra_sweep applies the map to a whole window, for the iterations that
 are checked themselves (the monotone sandwich, picard_system_solve).
 """
@@ -263,6 +266,21 @@ def march(props, a, rhs_at, m):
     return modal
 
 
+def _lattice(lo, hi, points, width):
+    """points amplitude levels equally spaced over [lo, hi], and the
+    (points, width) lattice whose row k holds level k."""
+    levels = np.linspace(lo, hi, points)
+    return levels, np.repeat(levels[:, None], width, axis=1)
+
+
+def _first_negative(named):
+    """{"reason"} naming the first (name, samples or None) below -1e-12, or {}."""
+    for name, h in named:
+        if h is not None and float(np.min(h)) < -1e-12:
+            return {"reason": f"{name} takes negative values"}
+    return {}
+
+
 def working_box(a, m=None):
     """The working box |u| <= m of a solve from the initial fields a, by
     default 2 (1 + sup|a|); a ValueError unless it is finite and holds a."""
@@ -307,13 +325,13 @@ class LinearProblem:
                             (self.forcing, "forcing"))
         )
 
-    def rhs(self, tnodes, shift):
-        """The shift s and the closure (Q + s) u + F in physical space, for
-        fields U whose last axis is the spatial grid (leading axes
-        broadcast against the sampled coefficients)."""
+    def rhs(self, coeffs, shift):
+        """The shift s and the closure (Q + s) u + F (+ f(u) with a term f)
+        over the samples (q, b, F), for fields U whose last axis is the
+        spatial grid (leading axes broadcast against the samples)."""
         shift = float(shift)
-        q, b, F = self.coefficients(tnodes)
-        x = self.basis.grid
+        q, b, F = coeffs
+        x, term = self.basis.grid, self.term
 
         def rhs(U, i):
             out = np.zeros_like(U)
@@ -324,28 +342,27 @@ class LinearProblem:
             out = out + shift * U
             if F is not None:
                 out = out + F[i]
-            return out
+            return out if term is None else out + term(x, U)
 
         return shift, rhs
 
-    def cooperativity(self, grid, low, high):
-        """a >= 0, then F >= 0 sampled on the grid; the reason names the
-        first that fails."""
-        if float(np.min(self.a)) < -1e-12:
-            return {"reason": "initial data takes negative values"}
-        F = sample_history(self.forcing, self.basis.grid, grid.nodes, "forcing")
-        if F is not None and float(np.min(F)) < -1e-12:
-            return {"reason": "forcing takes negative values"}
-        return {}
+    def cooperativity(self, coeffs, low, high):
+        """a >= 0, then the sampled F >= 0, then f(x, 0) >= 0 for a
+        reaction term f; the reason names the first that fails."""
+        x = self.basis.grid
+        f0 = None if self.term is None else self.term(x, np.zeros_like(x))
+        return _first_negative([("initial data", self.a), ("forcing", coeffs[2]),
+                                ("f(x, 0)", f0)])
 
 
 class Trajectory:
-    """Modal solution history plus diagnostics."""
+    """Modal solution history, the samples its solve read (or None), diagnostics."""
 
-    def __init__(self, grid, basis, modal, diagnostics=None):
+    def __init__(self, grid, basis, modal, samples, diagnostics=None):
         self.grid = grid
         self.basis = basis
         self.modal = np.asarray(modal, dtype=float)  # (N+1, M)
+        self.samples = samples
         self.diagnostics = dict(diagnostics or {})
 
     def fields(self):
@@ -372,22 +389,23 @@ class Trajectory:
 
 
 def _propagators(prob, grid, shift):
-    """The checked shift and the closure rhs(U, i) of prob.rhs on the grid,
-    then one propagator per component shifted by it, built once per
-    distinct order: a coefficient is refused before any table is built."""
-    shift, rhs = prob.rhs(grid.nodes, shift)
+    """prob's coefficients sampled once on the grid (a bad one is refused
+    before any table is built), the checked shift and closure rhs(U, i) of
+    prob.rhs over them, then one shifted propagator per distinct order."""
+    coeffs = prob.coefficients(grid.nodes)
+    shift, rhs = prob.rhs(coeffs, shift)
     props = {a: ModalPropagator(prob.basis, a, grid, shift) for a in set(prob.alphas)}
-    return shift, rhs, [props[a] for a in prob.alphas]
+    return coeffs, shift, rhs, [props[a] for a in prob.alphas]
 
 
 def solve(prob, grid, shift):
     """The trajectories of any problem, one per component: the march of
     u_c(t_i) = S_c(t_i) a_c + sum_{j<i} w^c_ij P[s u + R(u)]_c(t_j) in its
     box, every propagator shifted by s = shift (None: the problem's
-    default)."""
-    shift, rhs, props = _propagators(prob, grid, shift)
+    default), each carrying the samples of the coefficients."""
+    coeffs, shift, rhs, props = _propagators(prob, grid, shift)
     modal = march(props, prob.initials, rhs, prob.m)
-    return [Trajectory(grid, prob.basis, mc, {"shift": shift}) for mc in modal]
+    return [Trajectory(grid, prob.basis, mc, coeffs, {"shift": shift}) for mc in modal]
 
 
 def solve_linear(prob, grid, shift=0.0):
@@ -450,4 +468,5 @@ def solve_linear_l1(prob, grid):
             fields[i] = lu_solve(lu, rhs)
         else:
             fields[i] = np.linalg.solve(mat, rhs)
-    return Trajectory(grid, basis, project(basis, fields.T).T, {"scheme": "implicit-L1"})
+    modal = project(basis, fields.T).T
+    return Trajectory(grid, basis, modal, None, {"scheme": "implicit-L1"})

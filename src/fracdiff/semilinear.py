@@ -34,6 +34,7 @@ from .fracops import TimeGrid, l1_weights
 from .linsolve import (
     LinearProblem,
     Trajectory,
+    _lattice,
     _propagators,
     sample_history,
     solve_linear,
@@ -112,8 +113,7 @@ class SemilinearTerm:
 
     def lipschitz(self, x, m):
         """max sampled |df/du| on grid x times [-m, m], inflated by 10%."""
-        levels = np.linspace(-m, m, 201)
-        U = np.repeat(levels[:, None], x.size, axis=1)
+        levels, U = _lattice(-m, m, 201, x.size)
         vals = self(x, U, du=np.zeros_like(U))
         slopes = np.abs(np.diff(vals, axis=0)) / (levels[1] - levels[0])
         return 1.1 * float(np.max(slopes))
@@ -130,21 +130,6 @@ class SemilinearProblem(LinearProblem):
                          forcing=forcing)
         self.term = term if isinstance(term, SemilinearTerm) else SemilinearTerm(term)
         self.m = working_box(self.a, m)
-
-    def rhs(self, tnodes, shift):
-        """The shift s and the closure (Q + s) u + F + f(u) in physical
-        space."""
-        shift, linear = super().rhs(tnodes, shift)
-        return shift, lambda U, i: linear(U, i) + self.term(self.basis.grid, U)
-
-    def cooperativity(self, grid, low, high):
-        """a >= 0, F >= 0, then f(x, 0) >= 0; the reason names the first
-        that fails."""
-        out = super().cooperativity(grid, low, high)
-        x = self.basis.grid
-        if not out and float(np.min(self.term(x, np.zeros_like(x)))) < -1e-12:
-            return {"reason": "f(x, 0) takes negative values"}
-        return out
 
     def require_pointwise(self, op):
         if self.term.kind == "gradient":
@@ -186,7 +171,7 @@ def _monotone_map(prob, M, grid):
         raise ValueError(
             f"monotone shift M = {M} is below the sampled Lipschitz bound {needed}"
         )
-    _, rhs, props = _propagators(prob, grid, M + 1.0)
+    _, _, rhs, props = _propagators(prob, grid, M + 1.0)
 
     def sweep(U):
         return volterra_sweep(props * len(U), prob.initials * len(U),
@@ -206,7 +191,7 @@ def monotone_step(state, prob, M, grid):
     prob.require_pointwise("monotone_step")
     M, sweep = _monotone_map(prob, M, grid)
     U = _as_field_history(state, prob.basis, grid)
-    return Trajectory(grid, prob.basis, sweep(U[None])[0], {"shift": M + 1.0})
+    return Trajectory(grid, prob.basis, sweep(U[None])[0], None, {"shift": M + 1.0})
 
 
 class BracketPair:
@@ -270,7 +255,7 @@ def monotone_iterate(pair, prob, grid, k_max=200, M=None, gap_tol=1e-6):
         mid = (0.5 * (modal[0] + modal[1]) if sweeps
                else project(basis, (0.5 * (lo + hi)).T).T)
         u_star = Trajectory(
-            grid, basis, mid, {"sweeps": sweeps, "gap": gap_history[-1], "M": M}
+            grid, basis, mid, None, {"sweeps": sweeps, "gap": gap_history[-1], "M": M}
         )
     return {
         "lower_seq": lower_seq,
@@ -294,7 +279,8 @@ def _residual_history(candidate, prob, grid, initial=None):
     a_bar = U[0] if initial is None else np.asarray(initial, dtype=float)
     D = l1_weights(prob.alpha, grid)
     dcap = D @ (U - a_bar[None, :])
-    r = dcap + _a0_apply(basis, U.T).T - prob.rhs(grid.nodes, 0.0)[1](U, slice(None))
+    _, rhs = prob.rhs(prob.coefficients(grid.nodes), 0.0)
+    r = dcap + _a0_apply(basis, U.T).T - rhs(U, slice(None))
     return U, a_bar, r
 
 
@@ -349,8 +335,7 @@ def compare_solutions(prob1, prob2, grid, tol=1e-8):
     m = max(prob1.m, prob2.m)
     if float(np.min(prob1.a - prob2.a)) < -1e-12:
         return {"verdict": "NOT-APPLICABLE", "reason": "a_1 >= a_2 fails"}
-    levels = np.linspace(-m, m, COMPARISON_LEVELS)
-    U = np.repeat(levels[:, None], x.size, axis=1)
+    levels, U = _lattice(-m, m, COMPARISON_LEVELS, x.size)
     bad = np.min(prob1.term(x, U) - prob2.term(x, U), axis=1) < -1e-12
     if bad.any():
         return {

@@ -6,13 +6,15 @@ eigenbasis, each of its own order alpha_c, coupled through a reaction R:
 ReactionSystem validates the orders, the initial fields and the working
 box.  Its two constructors, MultiOrderSystem (linear couplings and
 forcings) and SemilinearPair (two components of equal order, bivariate
-reactions f and g), complete the problem protocol of linsolve: rhs, whose
-shift is the M_1 of the paper with its default and check, and the
-cooperativity hypotheses; cooperative_classify decides which of the four
-cooperative cases of a pair (or none) applies.  linsolve.solve marches a
-system like any problem (semilinear_pair_solve); picard_system_solve sweeps
-the same map over the whole window for its increments.  nonneg_verify is
-the one non-negativity gate of every problem type.
+reactions f and g, nothing to sample), complete the problem protocol of
+linsolve: coefficients, rhs, whose shift is the M_1 of the paper with its
+default and check, and the cooperativity hypotheses; cooperative_classify
+decides which of the four cooperative cases of a pair (or none) applies.
+linsolve.solve marches a system like any problem (semilinear_pair_solve);
+picard_system_solve sweeps the same map over the whole window for its
+increments.  Both sample the coefficients once and hand the samples on with
+their trajectories.  nonneg_verify is the one non-negativity gate of every
+problem type; it and increment_recursion_check read those samples.
 """
 
 import math
@@ -23,6 +25,8 @@ from .fracops import SampledSignal, rl_integral
 from .linsolve import (
     ModalPropagator,
     Trajectory,
+    _first_negative,
+    _lattice,
     _propagators,
     sample_history,
     solve,
@@ -71,9 +75,8 @@ class ReactionSystem:
         initials = [np.asarray(a, dtype=float) for a in initials]
         if len(initials) != n:
             raise ValueError(f"{len(initials)} initial fields for {n} components")
-        for a in initials:
-            if a.shape != basis.grid.shape:
-                raise ValueError("initial fields must be sampled on the basis grid")
+        if any(a.shape != basis.grid.shape for a in initials):
+            raise ValueError("initial fields must be sampled on the basis grid")
         self.basis = basis
         self.alphas = alphas
         self.N = n
@@ -111,12 +114,12 @@ class MultiOrderSystem(ReactionSystem):
         return P, [sample_history(f, x, tnodes, f"F_{k + 1}")
                    for k, f in enumerate(self.forcings)]
 
-    def rhs(self, tnodes, shift):
-        """The shift M_1 and the closure M_1 U + R(U).  M_1 must exceed the
-        diagonal couplings sup|p_ll| and be >= 0; by default it is
-        1 + max_l sup|p_ll|, or 0 for a decoupled system, so that a
-        decoupled system solves to S_l a_l exactly."""
-        P, F = self.coefficients(tnodes)
+    def rhs(self, coeffs, shift):
+        """The shift M_1 and the closure M_1 U + R(U) over the samples
+        (P, F).  M_1 must exceed the diagonal couplings sup|p_ll| and be
+        >= 0; by default it is 1 + max_l sup|p_ll|, or 0 for a decoupled
+        system, so that a decoupled system solves to S_l a_l exactly."""
+        P, F = coeffs
         coupled = any(p is not None for row in P for p in row)
         diagonal_sup = max(_sup(P[l][l]) for l in range(self.N))
         if shift is None:
@@ -141,16 +144,15 @@ class MultiOrderSystem(ReactionSystem):
 
         return M1, rhs
 
-    def cooperativity(self, grid, low, high):
-        """Off-diagonal p_jk >= 0, F_k >= 0, a_k >= 0, all sampled on the
-        grid; the reason names the last one that fails."""
-        P, F = self.coefficients(grid.nodes)
+    def cooperativity(self, coeffs, low, high):
+        """a_k >= 0, then the sampled F_k >= 0, then the sampled
+        off-diagonal p_jk >= 0; the reason names the first that fails."""
+        P, F = coeffs
         idx = range(self.N)
         named = [(f"a_{k + 1}", a) for k, a in enumerate(self.initials)]
         named += [(f"F_{k + 1}", f) for k, f in enumerate(F)]
         named += [(f"p_{j + 1}{k + 1}", P[j][k]) for j in idx for k in idx if j != k]
-        failed = [name for name, h in named if h is not None and np.min(h) < -1e-12]
-        return {"reason": f"{failed[-1]} takes negative values"} if failed else {}
+        return _first_negative(named)
 
 
 class SemilinearPair(ReactionSystem):
@@ -160,12 +162,15 @@ class SemilinearPair(ReactionSystem):
 
     def __init__(self, basis, alpha, f, g, a, b, m=None):
         super().__init__(basis, [alpha, alpha], [a, b], m)
-        if m is None:
-            self.m = working_box(self.initials)
+        self.m = working_box(self.initials, m)
         self.f = f
         self.g = g
 
-    def rhs(self, tnodes, shift):
+    def coefficients(self, tnodes):
+        """None: the reactions f and g are functions of u and v alone."""
+        return None
+
+    def rhs(self, coeffs, shift):
         """The shift M_1, 0 by default, and the closure of the reactions
         M_1 u + f(u, v) and M_1 v + g(u, v); with M_1 >= the sampled
         Lipschitz bound and cooperative couplings the discrete map preserves
@@ -181,7 +186,7 @@ class SemilinearPair(ReactionSystem):
 
         return M1, rhs
 
-    def cooperativity(self, grid, low, high):
+    def cooperativity(self, coeffs, low, high):
         """a >= 0, b >= 0 and a successful classification over the observed
         range [low, high] inflated by 25%."""
         if min(float(np.min(a)) for a in self.initials) < -1e-12:
@@ -212,7 +217,7 @@ def picard_system_solve(sys, grid, M1=None, tol=1e-10, max_sweeps=200):
     if max_sweeps < 1:
         raise ValueError(f"picard_system_solve needs max_sweeps >= 1, got {max_sweeps}")
     basis, m = sys.basis, sys.m
-    M1, rhs, props = _propagators(sys, grid, M1)
+    coeffs, M1, rhs, props = _propagators(sys, grid, M1)
     a = np.asarray(sys.initials, dtype=float)
     U = np.repeat(a[:, None, :], len(grid), axis=1)
     increments, rhos, growing, last = [], [], 0, None
@@ -241,20 +246,20 @@ def picard_system_solve(sys, grid, M1=None, tol=1e-10, max_sweeps=200):
                               f"sweeps (last increment {sup})")
     diag = {"sweeps": sweep, "rhos": rhos, "max_rho": max(rhos) if rhos else 0.0,
             "contraction_flag": bool(rhos and max(rhos) >= 1.0)}
-    trajs = [Trajectory(grid, basis, modal[l], {"component": l, "M1": M1, **diag})
+    trajs = [Trajectory(grid, basis, modal[l], coeffs, {"component": l, "M1": M1, **diag})
              for l in range(sys.N)]
     return {"trajectories": trajs, "increments": increments, "M1": M1, "sweeps": sweep}
 
 
 def nonneg_verify(sys, trajectories, grid, tol=1e-8):
-    """Gate on the problem's cooperativity hypotheses, then check that the
-    minimum over its trajectories is >= -tol.  If a hypothesis fails the
-    verdict is NOT-APPLICABLE with its reason, and the minimum is still
-    reported (but not asserted)."""
+    """Gate on the problem's cooperativity hypotheses over the samples its
+    trajectories carry, then check that the minimum over them is >= -tol.
+    If a hypothesis fails the verdict is NOT-APPLICABLE with its reason, and
+    the minimum is still reported (but not asserted)."""
     fields = [tr.fields() for tr in trajectories]
     low = min(float(np.min(f)) for f in fields)
     high = max(float(np.max(f)) for f in fields)
-    out = {"min_value": low, **sys.cooperativity(grid, low, high)}
+    out = {"min_value": low, **sys.cooperativity(trajectories[0].samples, low, high)}
     if "reason" in out:
         return {"verdict": "NOT-APPLICABLE", **out}
     return {"verdict": "PASS" if low >= -tol else "FAIL", **out, "tol": tol}
@@ -266,7 +271,7 @@ def increment_recursion_check(result, sys, grid):
     Gamma(a_1)/Gamma(a_l); returns the worst ratio against that bound."""
     alpha1 = sys.alphas[0]
     T = grid.T
-    P, _ = sys.coefficients(grid.nodes)
+    P, _ = result["trajectories"][0].samples
     coup = max(sum(_sup(p) for p in row) for row in P)
     kernel = max(
         T ** (a - alpha1) * math.gamma(alpha1) / math.gamma(a) for a in sys.alphas
@@ -316,10 +321,8 @@ def cooperative_classify(pair, box):
     Cases: 1 = (A, A), 2 = (A, B), 3 = (B, A), 4 = (B, B); 'none' when a
     condition fails both ways, with the violating lattice points reported.
     """
-    lo, hi = float(box[0]), float(box[1])
-    xi = np.linspace(lo, hi, CLASSIFY_POINTS)
-    U, V = np.meshgrid(xi, xi, indexing="ij")
-    h = xi[1] - xi[0]
+    xi, U = _lattice(float(box[0]), float(box[1]), CLASSIFY_POINTS, CLASSIFY_POINTS)
+    V, h = U.T, xi[1] - xi[0]
     witnesses = {}
 
     def disjuncts(fn, label, axis):
@@ -344,15 +347,8 @@ def cooperative_classify(pair, box):
 
     fA, fB = disjuncts(pair.f, "f", 1)
     gA, gB = disjuncts(pair.g, "g", 0)
-    case = "none"
-    if fA and gA:
-        case = 1
-    elif fA and gB:
-        case = 2
-    elif fB and gA:
-        case = 3
-    elif fB and gB:
-        case = 4
+    pairs = ((fA, gA), (fA, gB), (fB, gA), (fB, gB))
+    case = next((k for k, (f, g) in enumerate(pairs, 1) if f and g), "none")
     return {
         "case": case,
         "f_disjuncts": (fA, fB),

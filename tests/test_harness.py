@@ -1,10 +1,12 @@
 import os
 import textwrap
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from fracdiff import harness, linsolve, semilinear, systems
 from fracdiff.harness import (
     Report,
     Scenario,
@@ -300,3 +302,43 @@ def test_pinned_reaction_system_bodies(tmp_path, name):
     assert report.ok, report.body
     with open(os.path.join(DATA_DIR, f"{name}.report.txt"), encoding="utf-8") as fh:
         assert report.body == fh.read()
+
+
+def _count_samples(monkeypatch):
+    """Count sample_history calls by (coefficient name, node count) and
+    linsolve.solve calls of the harness by node count, in every module that
+    imports either."""
+    samples, solves = Counter(), Counter()
+    real_sample, real_solve = linsolve.sample_history, linsolve.solve
+
+    def sample(f, x, tnodes, name):
+        samples[name, len(tnodes)] += 1
+        return real_sample(f, x, tnodes, name)
+
+    def solve(prob, grid, shift):
+        solves[len(grid)] += 1
+        return real_solve(prob, grid, shift)
+
+    for mod in (linsolve, semilinear, systems, harness):
+        monkeypatch.setattr(mod, "sample_history", sample)
+    monkeypatch.setattr(harness, "solve", solve)
+    return samples, solves
+
+
+def test_system_run_samples_each_coefficient_once(tmp_path, monkeypatch):
+    """The solve samples the couplings and forcings, and the nonneg gate
+    reads those samples: each is sampled once."""
+    samples, _ = _count_samples(monkeypatch)
+    run_scenario(os.path.join(DATA_DIR, "coop_system.ini"), outdir=str(tmp_path))
+    names = [f"p_{j}{k}" for j in (1, 2, 3) for k in (1, 2, 3)] + ["F_1", "F_2", "F_3"]
+    assert dict(samples) == {(name, 65): 1 for name in names}
+
+
+def test_linear_run_samples_once_per_solve(tmp_path, monkeypatch):
+    """forcing, reaction and drift are sampled once per solve on the 33-node
+    grid of graded_linear.ini (the run and the first convergence level), the
+    nonneg gate reading the run's samples."""
+    samples, solves = _count_samples(monkeypatch)
+    run_scenario(os.path.join(DATA_DIR, "graded_linear.ini"), outdir=str(tmp_path))
+    assert solves[33] == 2
+    assert [samples[name, 33] for name in ("forcing", "reaction", "drift")] == [2, 2, 2]
