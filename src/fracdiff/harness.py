@@ -37,7 +37,8 @@ section and the key.  Numbers are finite; defaults are in parentheses::
                 gap_tol (1e-6) >= 0
 
 Bracket, envelope and convergence properties need kind linear or
-semilinear, comparison semilinear.  The linear ``shift`` and the
+semilinear, comparison semilinear; with n_modes < n_grid the nonneg and
+comparison verdicts are NOT-APPLICABLE.  The linear ``shift`` and the
 ``solver_shift`` are one solve argument, the scheme's spectral shift.  The
 working box m, and its default 2 (1 + sup|initial|), must be finite and
 hold the initial data.

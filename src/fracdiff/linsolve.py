@@ -22,9 +22,11 @@ protocol:
 
 The shift s belongs to the discrete scheme: it rewrites the equation as
 d_t^alpha (u - a) + (A_0 + s) u = s u + R(u).  The shifted kernel weights
-are nonnegative, so whenever s u + R(u) is monotone in u the discrete map
-preserves ordering exactly; the monotone and comparison machinery in
-higher modules relies on this.
+are nonnegative, and with the full eigenbasis (n_modes = n_grid) so are
+the physical matrices of the map; so whenever s u + R(u) is monotone in u
+the discrete map preserves ordering exactly.  The monotone and comparison
+machinery in higher modules relies on this, and the order gates give
+NOT-APPLICABLE on a truncated basis.
 
 The Volterra convolution uses exact kernel moments
 (mlf.kernel_weights_from_e), which absorb the t^(alpha-1) singularity.  A
@@ -271,6 +273,14 @@ def _lattice(lo, hi, points, width):
     (points, width) lattice whose row k holds level k."""
     levels = np.linspace(lo, hi, points)
     return levels, np.repeat(levels[:, None], width, axis=1)
+
+
+def _order_hypothesis(basis):
+    """{} when the basis is full (n_modes = n_grid), where the discrete map
+    preserves order, else the reason of a NOT-APPLICABLE order verdict."""
+    if basis.n_modes < basis.grid.size:
+        return {"reason": "truncated basis: the discrete map need not preserve order"}
+    return {}
 
 
 def _first_negative(named):

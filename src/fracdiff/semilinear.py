@@ -18,7 +18,9 @@ exact orthogonal transform and the propagator matrices are entrywise
 nonnegative (E_{alpha,beta}(-x) is completely monotone and the stiffness
 matrix is an M-matrix), so the shifted map preserves node-wise ordering
 exactly: the monotone sandwich and the comparison principle hold on the
-grid to rounding, not just up to truncation.
+grid to rounding, not just up to truncation.  On a truncated basis the
+order verdicts (compare_solutions, systems.nonneg_verify) are
+NOT-APPLICABLE.
 
 Also here: residual checks for upper/lower solutions, the comparison
 principle, steady states by damped Newton, decay envelopes, and the
@@ -35,6 +37,7 @@ from .linsolve import (
     LinearProblem,
     Trajectory,
     _lattice,
+    _order_hypothesis,
     _propagators,
     sample_history,
     solve_linear,
@@ -323,8 +326,9 @@ def check_lower_solution(candidate, prob, grid):
 
 def compare_solutions(prob1, prob2, grid, tol=1e-8):
     """Comparison principle: f_1 >= f_2 on the sampled box and a_1 >= a_2
-    imply u_1 >= u_2.  Hypotheses are checked first (verdict NOT-APPLICABLE
-    when violated); both problems are then solved with a common spectral
+    imply u_1 >= u_2.  A full basis, so that the discrete map preserves
+    order, and the hypotheses are checked first (verdict NOT-APPLICABLE
+    when one fails); both problems are then solved with a common spectral
     shift that makes the discrete map order-preserving, each in its box
     (picard_solve raises on amplitude escape), so both stay bounded."""
     for p in (prob1, prob2):
@@ -333,6 +337,9 @@ def compare_solutions(prob1, prob2, grid, tol=1e-8):
         raise ValueError("compare_solutions needs a shared eigenbasis")
     x = prob1.basis.grid
     m = max(prob1.m, prob2.m)
+    order = _order_hypothesis(prob1.basis)
+    if order:
+        return {"verdict": "NOT-APPLICABLE", **order}
     if float(np.min(prob1.a - prob2.a)) < -1e-12:
         return {"verdict": "NOT-APPLICABLE", "reason": "a_1 >= a_2 fails"}
     levels, U = _lattice(-m, m, COMPARISON_LEVELS, x.size)

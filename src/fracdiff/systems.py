@@ -1,7 +1,8 @@
-"""Reaction systems: C >= 2 components on one Neumann Laplacian
-eigenbasis, each of its own order alpha_c, coupled through a reaction R:
+"""Reaction systems: C >= 2 components on one eigenbasis of the [space]
+operator A_0 (Neumann or Robin conditions), each of its own order alpha_c,
+coupled through a reaction R:
 
-    d_t^{alpha_c} (u_c - a_c) - Lap u_c = R_c(u),   c = 1, ..., C.
+    d_t^{alpha_c} (u_c - a_c) + A_0 u_c = R_c(u),   c = 1, ..., C.
 
 ReactionSystem validates the orders, the initial fields and the working
 box.  Its two constructors, MultiOrderSystem (linear couplings and
@@ -27,6 +28,7 @@ from .linsolve import (
     Trajectory,
     _first_negative,
     _lattice,
+    _order_hypothesis,
     _propagators,
     sample_history,
     solve,
@@ -252,14 +254,22 @@ def picard_system_solve(sys, grid, M1=None, tol=1e-10, max_sweeps=200):
 
 
 def nonneg_verify(sys, trajectories, grid, tol=1e-8):
-    """Gate on the problem's cooperativity hypotheses over the samples its
-    trajectories carry, then check that the minimum over them is >= -tol.
+    """Gate on a full basis, where the discrete map preserves order, then
+    on the problem's cooperativity hypotheses over the samples its
+    trajectories carry; then check that the minimum over them is >= -tol.
     If a hypothesis fails the verdict is NOT-APPLICABLE with its reason, and
-    the minimum is still reported (but not asserted)."""
+    the minimum is still reported (but not asserted).  grid must be the
+    trajectories' grid (ValueError otherwise)."""
+    own = trajectories[0].grid
+    if not np.array_equal(grid.nodes, own.nodes):
+        raise ValueError(f"nonneg_verify: grid has N = {grid.N}, "
+                         f"its trajectories N = {own.N}")
     fields = [tr.fields() for tr in trajectories]
     low = min(float(np.min(f)) for f in fields)
     high = max(float(np.max(f)) for f in fields)
-    out = {"min_value": low, **sys.cooperativity(trajectories[0].samples, low, high)}
+    gate = _order_hypothesis(sys.basis) or sys.cooperativity(
+        trajectories[0].samples, low, high)
+    out = {"min_value": low, **gate}
     if "reason" in out:
         return {"verdict": "NOT-APPLICABLE", **out}
     return {"verdict": "PASS" if low >= -tol else "FAIL", **out, "tol": tol}

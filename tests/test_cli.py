@@ -161,6 +161,52 @@ def test_comparison_initial2_outside_the_box_is_not_applicable(tmp_path, capsys)
     assert verdict in captured.out
 
 
+TRUNCATED = """
+    [scenario]
+    name = truncated
+    kind = linear
+
+    [space]
+    length = 2
+    n_grid = 33
+    n_modes = 17
+
+    [time]
+    T = 1
+    N = 64
+
+    [problem]
+    alpha = 0.5
+    initial = exp(-20*(x-1)^2)
+
+    [property:pos]
+    type = nonneg
+"""
+TRUNCATION = "reason=truncated basis: the discrete map need not preserve order"
+
+
+@pytest.mark.parametrize("n_modes, line", [
+    (17, f"property pos [nonneg]: NOT-APPLICABLE {TRUNCATION}"),
+    (33, "property pos [nonneg]: PASS min_value=2.061151e-09"),
+], ids=["truncated", "full"])
+def test_order_verdict_needs_the_full_basis(tmp_path, capsys, n_modes, line):
+    """On 17 of 33 modes the discrete map need not preserve order (its
+    solution dips to -1.5e-5 with a >= 0 and no forcing), so the nonneg
+    verdict is NOT-APPLICABLE; the full basis gives PASS."""
+    path = write(tmp_path, TRUNCATED.replace("n_modes = 17", f"n_modes = {n_modes}"))
+    assert main(["run", path, "--outdir", str(tmp_path)]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def test_comparison_on_a_truncated_basis_is_not_applicable(tmp_path, capsys):
+    text = SEMI.replace("n_grid = 33", "n_grid = 33\n    n_modes = 17")
+    path = write(tmp_path, text + "\n[property:order]\ntype = comparison\n"
+                 "initial2 = 0.9 + 0.1*cos(x)\nterm2 = enzyme(u) - 0.1\n")
+    assert main(["compare", path, "--outdir", str(tmp_path)]) == 0
+    assert f"property order [comparison]: NOT-APPLICABLE {TRUNCATION}" \
+        in capsys.readouterr().out.splitlines()
+
+
 def test_system_subcommand_needs_system_kind(tmp_path, capsys):
     path = write(tmp_path, SEMI)
     assert main(["system", path, "--outdir", str(tmp_path)]) == 2

@@ -490,3 +490,30 @@ def test_linear_solvers_refuse_a_reaction_term():
     prob = SemilinearProblem(b, 0.5, np.ones(33), SemilinearTerm.enzyme())
     with pytest.raises(TypeError, match="use solve_linear"):
         solve_linear_l1(prob, TimeGrid.uniform(1.0, 4))
+
+
+@pytest.mark.parametrize("sigma", [(0.0, 0.0), (1.0, 0.5)], ids=["neumann", "robin"])
+def test_full_basis_physical_matrices_are_nonnegative(sigma):
+    """With the full basis (n_modes = n_grid) the physical matrices of the
+    discrete map, Phi E(t_i) Phi^T W and Phi diag(w) Phi^T W for every row
+    weight w, are entrywise nonnegative to rounding, so the map preserves
+    order; a truncated basis (17 of 33 modes) breaks this, which is why the
+    order gates refuse it."""
+    grids = (TimeGrid.uniform(1.0, 64), TimeGrid.graded(1.0, 32, 2.0))
+
+    def worst(n_modes):
+        basis = eigendecompose(EllipticOperator(2.0, sigma=sigma), n_modes, 33)
+        out = np.inf
+        for grid in grids:
+            for alpha in (0.5, 0.9):
+                prop = ModalPropagator(basis, alpha, grid)
+                diagonals = [prop.E[1:]] + [prop.row(i) for i in range(1, len(grid))]
+                for D in diagonals:
+                    P = np.einsum("xm,km,ym->kxy", basis.modes, D, basis.modes)
+                    P *= basis.weights
+                    out = min(out, float(np.min(P / np.max(np.abs(P), axis=(1, 2),
+                                                           keepdims=True))))
+        return out
+
+    assert worst(33) >= -1e-13
+    assert worst(17) < -1e-3

@@ -184,6 +184,26 @@ def test_nonneg_verify_gate_and_pass():
     assert v2["verdict"] == "NOT-APPLICABLE"
     assert "p_12" in v2["reason"]
 
+    # a_1 and p_12 both fail: the reason names the first in the order a, F, p
+    sys3 = MultiOrderSystem(
+        b, [0.45, 0.7], [a[0] - 1.0, a[1]], couplings=[[-0.3, -5.0], [0.2, -0.1]]
+    )
+    v3 = nonneg_verify(sys3, picard_system_solve(sys3, grid)["trajectories"], grid)
+    assert v3["reason"] == "a_1 takes negative values", v3
+
+
+def test_nonneg_verify_refuses_another_grid():
+    """The hypotheses are read from the samples of the trajectories' grid,
+    so a grid other than theirs is refused, naming both N."""
+    b = full_neumann_basis()
+    sys = MultiOrderSystem(b, [0.4, 0.6], [np.ones_like(b.grid)] * 2,
+                           couplings=[[None, 0.2], [0.1, None]])
+    grid = TimeGrid.uniform(1.0, 32)
+    trajs = picard_system_solve(sys, grid)["trajectories"]
+    assert nonneg_verify(sys, trajs, TimeGrid.uniform(1.0, 32))["verdict"] == "PASS"
+    with pytest.raises(ValueError, match="grid has N = 16, its trajectories N = 32"):
+        nonneg_verify(sys, trajs, TimeGrid.uniform(1.0, 16))
+
 
 def test_nonneg_verify_scalar_problems():
     """nonneg_verify gates a linear and a semilinear problem like a system:
