@@ -11,7 +11,7 @@ protocol:
 * the attributes alphas (the orders, never decreasing), initials (the
   fields a_c on the basis grid) and m (the working box |u| <= m, or None);
 * coefficients(tnodes): the one sampler, the problem's coefficients on the
-  basis grid at every node (None: nothing to sample);
+  basis grid at every node (an empty tuple: nothing to sample);
 * rhs(coeffs, shift): the checked spectral shift s (the problem's default
   for None) and the closure rhs(U, i) = s U + R(U) over those samples,
   for the fields U (C, n_grid) at the node index i or their histories
@@ -366,7 +366,8 @@ class LinearProblem:
 
 
 class Trajectory:
-    """Modal solution history, the samples its solve read (or None), diagnostics."""
+    """Modal solution history, the samples its solve read (None: not from a
+    solve) and diagnostics."""
 
     def __init__(self, grid, basis, modal, samples, diagnostics=None):
         self.grid = grid

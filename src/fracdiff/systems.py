@@ -169,8 +169,8 @@ class SemilinearPair(ReactionSystem):
         self.g = g
 
     def coefficients(self, tnodes):
-        """None: the reactions f and g are functions of u and v alone."""
-        return None
+        """Nothing to sample (an empty tuple): f and g are functions of u, v."""
+        return ()
 
     def rhs(self, coeffs, shift):
         """The shift M_1, 0 by default, and the closure of the reactions
@@ -253,22 +253,29 @@ def picard_system_solve(sys, grid, M1=None, tol=1e-10, max_sweeps=200):
     return {"trajectories": trajs, "increments": increments, "M1": M1, "sweeps": sweep}
 
 
+def _samples_on(trajectories, grid, who):
+    """The samples that the trajectories of a solve carry; a ValueError for
+    trajectories without samples or on a grid other than grid."""
+    own, samples = trajectories[0].grid, trajectories[0].samples
+    if samples is None:
+        raise ValueError(f"{who} needs the trajectories of a solve, which carry its samples")
+    if not np.array_equal(grid.nodes, own.nodes):
+        raise ValueError(f"{who}: grid {grid!r} is not the trajectories' grid {own!r}")
+    return samples
+
+
 def nonneg_verify(sys, trajectories, grid, tol=1e-8):
     """Gate on a full basis, where the discrete map preserves order, then
     on the problem's cooperativity hypotheses over the samples its
     trajectories carry; then check that the minimum over them is >= -tol.
     If a hypothesis fails the verdict is NOT-APPLICABLE with its reason, and
     the minimum is still reported (but not asserted).  grid must be the
-    trajectories' grid (ValueError otherwise)."""
-    own = trajectories[0].grid
-    if not np.array_equal(grid.nodes, own.nodes):
-        raise ValueError(f"nonneg_verify: grid has N = {grid.N}, "
-                         f"its trajectories N = {own.N}")
+    trajectories' grid (see _samples_on)."""
+    samples = _samples_on(trajectories, grid, "nonneg_verify")
     fields = [tr.fields() for tr in trajectories]
     low = min(float(np.min(f)) for f in fields)
     high = max(float(np.max(f)) for f in fields)
-    gate = _order_hypothesis(sys.basis) or sys.cooperativity(
-        trajectories[0].samples, low, high)
+    gate = _order_hypothesis(sys.basis) or sys.cooperativity(samples, low, high)
     out = {"min_value": low, **gate}
     if "reason" in out:
         return {"verdict": "NOT-APPLICABLE", **out}
@@ -278,10 +285,11 @@ def nonneg_verify(sys, trajectories, grid, tol=1e-8):
 def increment_recursion_check(result, sys, grid):
     """Verify U_n <= C (J^{alpha_1} U_{n-1}) node-wise for the constructive
     constant C = (M_1 + max_l sum_j sup|p_lj|) max_l T^(a_l - a_1)
-    Gamma(a_1)/Gamma(a_l); returns the worst ratio against that bound."""
+    Gamma(a_1)/Gamma(a_l); returns the worst ratio against that bound.
+    grid must be the grid of the result's trajectories (see _samples_on)."""
     alpha1 = sys.alphas[0]
     T = grid.T
-    P, _ = result["trajectories"][0].samples
+    P, _ = _samples_on(result["trajectories"], grid, "increment_recursion_check")
     coup = max(sum(_sup(p) for p in row) for row in P)
     kernel = max(
         T ** (a - alpha1) * math.gamma(alpha1) / math.gamma(a) for a in sys.alphas

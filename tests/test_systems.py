@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracdiff.fracops import TimeGrid, l1_weights
-from fracdiff.linsolve import LinearProblem, solve, solve_linear
+from fracdiff.linsolve import LinearProblem, solve, solve_linear, solve_linear_l1
 from fracdiff.mlf import ml_neg_vec
 from fracdiff.semilinear import SemilinearProblem, SemilinearTerm
 from fracdiff.spectral import EllipticOperator, eigendecompose
@@ -192,17 +192,25 @@ def test_nonneg_verify_gate_and_pass():
     assert v3["reason"] == "a_1 takes negative values", v3
 
 
-def test_nonneg_verify_refuses_another_grid():
-    """The hypotheses are read from the samples of the trajectories' grid,
-    so a grid other than theirs is refused, naming both N."""
+def test_gates_refuse_trajectories_they_cannot_read():
+    """nonneg_verify and increment_recursion_check read the samples that
+    the trajectories carry, so a grid other than theirs is refused, naming
+    both, and so are trajectories that no solve sampled for (the implicit
+    L1 oracle's)."""
     b = full_neumann_basis()
     sys = MultiOrderSystem(b, [0.4, 0.6], [np.ones_like(b.grid)] * 2,
                            couplings=[[None, 0.2], [0.1, None]])
     grid = TimeGrid.uniform(1.0, 32)
-    trajs = picard_system_solve(sys, grid)["trajectories"]
+    out = picard_system_solve(sys, grid)
+    trajs = out["trajectories"]
     assert nonneg_verify(sys, trajs, TimeGrid.uniform(1.0, 32))["verdict"] == "PASS"
-    with pytest.raises(ValueError, match="grid has N = 16, its trajectories N = 32"):
+    with pytest.raises(ValueError, match=r"grid TimeGrid\(N=16.* grid TimeGrid\(N=32"):
         nonneg_verify(sys, trajs, TimeGrid.uniform(1.0, 16))
+    with pytest.raises(ValueError, match=r"grid TimeGrid\(N=32, T=0.05"):
+        increment_recursion_check(out, sys, TimeGrid.uniform(0.05, 32))
+    prob = LinearProblem(b, 0.5, np.ones_like(b.grid))
+    with pytest.raises(ValueError, match="trajectories of a solve"):
+        nonneg_verify(prob, [solve_linear_l1(prob, grid)], grid)
 
 
 def test_nonneg_verify_scalar_problems():
