@@ -46,6 +46,12 @@ Measures, in CPU time with BLAS threads capped at 1:
   the case-4 pair f = v (1 + u^2), g = u (1 + v^2) (alpha = 0.6, shift 2)
   on 33 nodes and ``TimeGrid.uniform(0.5, 64)``, the sizes of the
   benchmark's fixed_point system and pair steps;
+* the median CPU seconds of ``monotone_iterate`` (L3) per solve, medians of
+  REPEATS batches of SYSTEM_BATCH solves after one warm-up: enzyme term,
+  alpha = 0.5, a = 1 + 0.1 cos x on 21 nodes (full basis, c0 = 0),
+  ``TimeGrid.uniform(1, 40)``, the bracket [0, a + rho t^alpha] with
+  rho = 0.1/Gamma(alpha + 1), k_max 60 and gap tolerance 1e-6, the sizes
+  of the benchmark's fixed_point monotone step;
 * per sweep (the solve divided by its sweeps) only for a solve that
   reports more than one sweep in its diagnostics: a whole-window
   iteration, not a forward march, which is one pass over the grid;
@@ -396,6 +402,43 @@ def reaction_system_s(src, kind):
     return seconds, _per_sweep(seconds, diagnostics)
 
 
+def monotone_s(src):
+    """(CPU s per solve, per sweep) of the monotone sandwich."""
+    sys.path.insert(0, src)
+    import math
+
+    from fracdiff.fracops import TimeGrid
+    from fracdiff.semilinear import (
+        BracketPair,
+        SemilinearProblem,
+        SemilinearTerm,
+        monotone_iterate,
+    )
+    from fracdiff.spectral import EllipticOperator, eigendecompose
+
+    basis = eigendecompose(EllipticOperator(np.pi, c0=0.0), 21, 21)
+    alpha, rho = 0.5, 0.1 / math.gamma(1.5)
+    prob = SemilinearProblem(basis, alpha, 1.0 + 0.1 * np.cos(basis.grid),
+                             SemilinearTerm.enzyme())
+    pair = BracketPair(lambda x, t: np.zeros_like(x),
+                       lambda x, t: 1.0 + 0.1 * np.cos(x) + rho * t**alpha)
+    grid = TimeGrid.uniform(1.0, 40)
+
+    def solve():
+        return monotone_iterate(pair, prob, grid, k_max=60, gap_tol=1e-6)
+
+    out = solve()  # warm-up
+    if not out["converged"]:
+        raise ArithmeticError(f"bracket did not close in {out['sweeps']} sweeps")
+
+    def batch():
+        for _ in range(SYSTEM_BATCH):
+            solve()
+
+    seconds = _median_cpu(batch, REPEATS) / SYSTEM_BATCH
+    return seconds, _per_sweep(seconds, out)
+
+
 def _cell(solve, sweep, digits):
     """The JSON cell of a solve: per solve, and per sweep when it has one."""
     cell = {"solve": round(solve, digits)}
@@ -446,6 +489,7 @@ def main(argv=None):
         solve, sweep = pool.apply(uniform_picard_s, (src,))
         crossover = {N: pool.apply(crossover_picard_s, (src, N)) for N in CROSSOVER_N}
         systems = {k: pool.apply(reaction_system_s, (src, k)) for k in ("system", "pair")}
+        monotone = pool.apply(monotone_s, (src,))
         blocks = {(n, b): pool.apply(contour_block_ns, (src, b, n))
                   for n in (BATCH, CONTOUR_POINTS) for b in CONTOUR_BLOCKS}
         groups = {p: (pool.apply(row_group_cell, (src, p, graded_triple_s)),
@@ -481,6 +525,7 @@ def main(argv=None):
         f"N={N}": {"solve": round(v, 4), "sweeps": n} for N, (v, n) in crossover.items()
     }
     result["reaction_system_cpu_s"] = {k: _cell(*v, 5) for k, v in systems.items()}
+    result["monotone_cpu_s"] = _cell(*monotone, 5)
     cpu, rss = fresh_process(src)
     result["fresh_process"] = {"cpu_s": round(cpu, 3), "peak_rss_mb": round(rss, 1)}
     for k, v in result["propagator_build"].items():
@@ -498,6 +543,7 @@ def main(argv=None):
     ) + f" (median of {PICARD_REPEATS})")
     for k, (v, w) in systems.items():
         print(f"{k} solve: {_said(v, w)} (median of {REPEATS} batches of {SYSTEM_BATCH})")
+    print(f"monotone_iterate: {_said(*monotone)} (median of {REPEATS} batches of {SYSTEM_BATCH})")
     print(f"fresh process (import + uniform solve): {cpu:.3f} s CPU (median of {REPEATS}), "
           f"peak RSS {rss:.1f} MB")
     for n, cells in result.get("contour_block_ns_per_point", {}).items():
@@ -539,6 +585,9 @@ def main(argv=None):
         "a semilinear_pair_solve (33 nodes, N = 64, T = 0.5) per solve; per sweep only "
         "for a solve reporting more than one sweep (a march is one pass), "
         f"medians of {REPEATS} batches of {SYSTEM_BATCH}; "
+        "median CPU seconds of an enzyme monotone_iterate (21 nodes, N = 40, bracket "
+        "[0, a + rho t^alpha], k_max 60) per solve and per sweep, medians of "
+        f"{REPEATS} batches of {SYSTEM_BATCH}; "
         "median CPU seconds and peak RSS of a fresh process that imports fracdiff and "
         "runs that solve once; for a checkout with them, the contour's ns per point "
         f"(alpha = 0.5, {BATCH} and {CONTOUR_POINTS} points) per mlf._CONTOUR_BLOCK and the "

@@ -13,7 +13,8 @@ Subcommands::
     fracdiff steady <scenario.ini>      steady-state solve, CSV output
     fracdiff system <scenario.ini>      multi-order system run + verdicts
 
-Exit status is 0 iff every verdict is PASS or NOT-APPLICABLE.  Output files
+Exit status is 0 iff every verdict is PASS or NOT-APPLICABLE (monotone: iff
+the bracket closes within k_max; else it writes no trajectory).  Output files
 go to --outdir, else $FRACDIFF_OUTPUT_DIR, else the working directory.
 """
 
@@ -113,8 +114,8 @@ def _cmd_monotone(args) -> int:
         BracketPair(mono.lower, mono.upper), scn.problem, scn.grid,
         k_max=mono.k_max, gap_tol=mono.gap_tol,
     )
-    outdir = _output_dir(args.outdir)
-    out["u_star"].to_csv(os.path.join(outdir, f"{scn.name}.traj.csv"))
+    if out["converged"]:
+        out["u_star"].to_csv(os.path.join(_output_dir(args.outdir), f"{scn.name}.traj.csv"))
     sys.stdout.write(
         f"scenario: {scn.name}\n"
         f"monotone: converged={out['converged']} sweeps={out['sweeps']} "

@@ -15,7 +15,7 @@ protocol:
 * rhs(coeffs, shift): the checked spectral shift s (the problem's default
   for None) and the closure rhs(U, i) = s U + R(U) over those samples,
   for the fields U (C, n_grid) at the node index i or their histories
-  (C, len(tnodes), n_grid) for i = slice(None);
+  (C, len(tnodes), n_grid), or stacks (C, S, ...) of them, for i = slice(None);
 * cooperativity(coeffs, low, high): {} when the sign hypotheses of the
   non-negativity theorem hold on those samples for solutions in
   [low, high], else a dict whose "reason" names the first that fails.
@@ -46,9 +46,11 @@ triangular: march computes its fixed point node by node.  solve samples
 the coefficients once, builds one shifted propagator per distinct order and
 marches, behind every solve, so no table outlives its solve; each
 trajectory it returns carries the samples, for the gates that read them.
-volterra_sweep applies the map to a whole window, for the iterations that
-are checked themselves (the monotone sandwich, picard_system_solve).
+_sweeps iterates the same map over the whole window, for the iterations
+that are checked themselves (the monotone sandwich, picard_system_solve).
 """
+
+import itertools
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -63,7 +65,6 @@ __all__ = [
     "convolve_K",
     "sample_history",
     "NonFiniteCoefficient",
-    "volterra_sweep",
     "march",
     "working_box",
     "solve",
@@ -223,20 +224,15 @@ def sample_history(f, x, tnodes, name):
     return out
 
 
-def volterra_sweep(props, a, R):
-    """One application of the mild-solution map to C stacked components
-    over the whole window: E_c P a_c + K_c * (P R_c), with one propagator
-    per component, all on one grid.
-
-    a holds the initial fields (C, n_grid); R the right-hand-side field
-    histories (C, N+1, n_grid), projected in one product.  Returns the
-    modal histories (C, N+1, M)."""
-    basis = props[0].basis
-    G = (R * basis.weights) @ basis.modes
-    out = np.empty_like(G)
-    for c, prop in enumerate(props):
-        out[c] = prop.E * project(basis, a[c]) + convolve_K(prop, G[c])
-    return out
+def _check_box(U, m, where):
+    """ArithmeticError at where() unless every value of U is finite and,
+    with a box m (None: no box), sup|U| <= m; where is called only then, so
+    a march formats no text per node."""
+    if not np.isfinite(U).all():
+        raise ArithmeticError(f"non-finite value at {where()}")
+    if m is not None and np.max(np.abs(U)) > m:
+        raise ArithmeticError(f"amplitude escape at {where()}: "
+                              f"sup|u| = {float(np.max(np.abs(U)))} > m = {m}")
 
 
 def march(props, a, rhs_at, m):
@@ -258,11 +254,7 @@ def march(props, a, rhs_at, m):
             for c, prop in enumerate(props):
                 modal[c, i] += np.einsum("jm,jm->m", prop.row(i), G[c, :i])
             U = modal[:, i] @ basis.modes.T
-        if not np.isfinite(U).all():
-            raise ArithmeticError(f"non-finite value at node {i} (t={nodes[i]})")
-        if m is not None and np.max(np.abs(U)) > m:
-            raise ArithmeticError(f"amplitude escape at node {i} (t={nodes[i]}): "
-                                  f"sup|u| = {float(np.max(np.abs(U)))} > m = {m}")
+        _check_box(U, m, lambda: f"node {i} (t={nodes[i]})")
         if i < len(nodes) - 1:
             G[:, i] = (rhs_at(U, i) * basis.weights) @ basis.modes
     return modal
@@ -417,6 +409,29 @@ def solve(prob, grid, shift):
     coeffs, shift, rhs, props = _propagators(prob, grid, shift)
     modal = march(props, prob.initials, rhs, prob.m)
     return [Trajectory(grid, prob.basis, mc, coeffs, {"shift": shift}) for mc in modal]
+
+
+def _sweeps(prob, grid, shift, U):
+    """The whole-window sweeps of the map that solve marches, for S stacked
+    starts U (C, S, N+1, n_grid): prob's samples, the checked shift s and an
+    iterator over sweeps k = 1, 2, ..., each applying
+    u_c -> S_c(t) a_c + K_c * P[s u + R(u)]_c to the fields of the last and
+    yielding its modal histories (C, S, N+1, M) and fields after _check_box
+    in the box m.  Samples, propagators and S_c(t) a_c are made once."""
+    coeffs, shift, rhs, props = _propagators(prob, grid, shift)
+    basis = prob.basis
+    free = [prop.E * project(basis, a) for prop, a in zip(props, prob.initials)]
+
+    def sweeps(U):
+        for k in itertools.count(1):
+            G = (rhs(U, slice(None)) * basis.weights) @ basis.modes
+            modal = np.array([[f + convolve_K(p, g) for g in gc]
+                              for f, p, gc in zip(free, props, G)])
+            U = modal @ basis.modes.T
+            _check_box(U, prob.m, lambda: f"sweep {k}")
+            yield modal, U
+
+    return coeffs, shift, sweeps(np.asarray(U, dtype=float))
 
 
 def solve_linear(prob, grid, shift=0.0):

@@ -7,8 +7,8 @@ Two routes to the mild solution of
 * picard_solve: the fixed point of the contraction map
   L u = S a + K * ((Q + s) u + f(u) + F), one forward march (solve_linear);
 * monotone_iterate: the increasing/decreasing sandwich between an ordered
-  pair of lower/upper solutions, each sweep a whole-window linear solve
-  with the reaction shifted by M + 1.
+  pair of lower/upper solutions, whole-window sweeps of the map shifted by
+  M + 1, M the sampled Lipschitz bound of f on the box m.
 
 A SemilinearProblem is a LinearProblem plus the term f and a working box,
 read by both solvers through the problem protocol of linsolve; the
@@ -35,13 +35,13 @@ import numpy as np
 from .fracops import TimeGrid, l1_weights
 from .linsolve import (
     LinearProblem,
+    NonFiniteCoefficient,
     Trajectory,
     _lattice,
     _order_hypothesis,
-    _propagators,
+    _sweeps,
     sample_history,
     solve_linear,
-    volterra_sweep,
     working_box,
 )
 from .mlf import ml_neg_vec
@@ -94,7 +94,8 @@ class SemilinearTerm:
 
     The Lipschitz/C1 bound on the working box [-m, m] is estimated from
     sampled difference quotients on a 201-point amplitude lattice crossed
-    with the spatial grid, inflated by 10%.
+    with the spatial grid, inflated by 10%; a ValueError names the first
+    amplitude of the lattice where f is not finite.
     """
 
     def __init__(self, evaluator, kind="pointwise"):
@@ -118,6 +119,10 @@ class SemilinearTerm:
         """max sampled |df/du| on grid x times [-m, m], inflated by 10%."""
         levels, U = _lattice(-m, m, 201, x.size)
         vals = self(x, U, du=np.zeros_like(U))
+        bad = ~np.isfinite(vals).all(axis=1)
+        if bad.any():
+            raise ValueError(f"reaction term is not finite at u = {levels[np.argmax(bad)]} "
+                             f"(box m = {m})")
         slopes = np.abs(np.diff(vals, axis=0)) / (levels[1] - levels[0])
         return 1.1 * float(np.max(slopes))
 
@@ -161,40 +166,25 @@ def _as_field_history(state, basis, grid):
             f"field history has shape {arr.shape}, expected "
             f"{(len(grid), basis.grid.size)}"
         )
+    bad = ~np.isfinite(arr).all(axis=1)
+    if bad.any():
+        raise NonFiniteCoefficient("field history", grid.nodes[np.argmax(bad)])
     return arr
 
 
-def _monotone_map(prob, M, grid):
-    """The checked shift M (default: the sampled Lipschitz bound) and the
-    monotone map, which sends stacked field histories (C, N+1, n_grid) to
-    their modal images (C, N+1, n_modes) through one shifted propagator."""
-    needed = prob.term.lipschitz(prob.basis.grid, prob.m)
-    M = needed if M is None else float(M)
-    if M < needed - 1e-12:
-        raise ValueError(
-            f"monotone shift M = {M} is below the sampled Lipschitz bound {needed}"
-        )
-    _, _, rhs, props = _propagators(prob, grid, M + 1.0)
-
-    def sweep(U):
-        return volterra_sweep(props * len(U), prob.initials * len(U),
-                              rhs(U, slice(None)))
-
-    return M, sweep
-
-
-def monotone_step(state, prob, M, grid):
+def monotone_step(state, prob, grid):
     """One monotone-operator application: the linear solve
 
         d_t^alpha (v - a) + A_0 v + (M + 1) v = (M + 1) u + f(u) + Q u + F
 
-    realized as a shifted-propagator convolution of the known history u.
-    Order-preserving on the grid whenever M >= the sampled Lipschitz bound.
-    """
+    realized as a shifted-propagator convolution of the known history u,
+    with M the sampled Lipschitz bound, so order-preserving on the grid:
+    the first sweep of monotone_iterate's map."""
     prob.require_pointwise("monotone_step")
-    M, sweep = _monotone_map(prob, M, grid)
+    M = prob.term.lipschitz(prob.basis.grid, prob.m)
     U = _as_field_history(state, prob.basis, grid)
-    return Trajectory(grid, prob.basis, sweep(U[None])[0], None, {"shift": M + 1.0})
+    modal, _ = next(_sweeps(prob, grid, M + 1.0, U[None, None])[2])
+    return Trajectory(grid, prob.basis, modal[0, 0], None, {"shift": M + 1.0})
 
 
 class BracketPair:
@@ -212,28 +202,29 @@ class BracketPair:
         return lo, hi
 
 
-def monotone_iterate(pair, prob, grid, k_max=200, M=None, gap_tol=1e-6):
+def monotone_iterate(pair, prob, grid, k_max=200, gap_tol=1e-6):
     """Monotone sandwich between an ordered bracket.
 
     Each sweep applies the monotone map of monotone_step to both ends at
-    once (one shifted propagator, the two histories stacked); the lower
-    sequence must ascend and the upper descend (within MONOTONE_RTOL times
-    the bracket's scale), else an ArithmeticError reports the worst node (M
-    too small or a bad bracket).
+    once (one shifted propagator, the two histories stacked) in the box m
+    on which M is sampled; the lower sequence must ascend and the upper
+    descend (within MONOTONE_RTOL times the bracket's scale), else an
+    ArithmeticError reports the worst node (M too small or a bad bracket).
     Declares convergence when sup|upper - lower| < gap_tol.
     """
     prob.require_pointwise("monotone_iterate")
     basis = prob.basis
-    M, sweep = _monotone_map(prob, M, grid)
+    M = prob.term.lipschitz(basis.grid, prob.m)
     lo, hi = pair.histories(basis, grid)
+    _, _, iterates = _sweeps(prob, grid, M + 1.0, np.stack([lo, hi])[None])
     scale = max(1.0, float(np.max(np.abs(hi))), float(np.max(np.abs(lo))))
     lower_seq, upper_seq = [lo], [hi]
     gap_history = [float(np.max(np.abs(hi - lo)))]
     converged = gap_history[0] < gap_tol
     sweeps = 0
     while not converged and sweeps < k_max:
-        modal = sweep(np.stack([lo, hi]))
-        new_lo, new_hi = modal @ basis.modes.T
+        modal, fields = next(iterates)
+        new_lo, new_hi = fields[0]
         for name, bad in (
             ("lower sequence decreased", lo - new_lo),
             ("upper sequence increased", new_hi - hi),
@@ -255,7 +246,7 @@ def monotone_iterate(pair, prob, grid, k_max=200, M=None, gap_tol=1e-6):
         sweeps += 1
     u_star = None
     if converged:
-        mid = (0.5 * (modal[0] + modal[1]) if sweeps
+        mid = (0.5 * (modal[0, 0] + modal[0, 1]) if sweeps
                else project(basis, (0.5 * (lo + hi)).T).T)
         u_star = Trajectory(
             grid, basis, mid, None, {"sweeps": sweeps, "gap": gap_history[-1], "M": M}

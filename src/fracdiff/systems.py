@@ -29,10 +29,9 @@ from .linsolve import (
     _first_negative,
     _lattice,
     _order_hypothesis,
-    _propagators,
+    _sweeps,
     sample_history,
     solve,
-    volterra_sweep,
     working_box,
 )
 
@@ -218,20 +217,13 @@ def picard_system_solve(sys, grid, M1=None, tol=1e-10, max_sweeps=200):
     """
     if max_sweeps < 1:
         raise ValueError(f"picard_system_solve needs max_sweeps >= 1, got {max_sweeps}")
-    basis, m = sys.basis, sys.m
-    coeffs, M1, rhs, props = _propagators(sys, grid, M1)
     a = np.asarray(sys.initials, dtype=float)
     U = np.repeat(a[:, None, :], len(grid), axis=1)
+    coeffs, M1, iterates = _sweeps(sys, grid, M1, U[:, None])
     increments, rhos, growing, last = [], [], 0, None
-    for sweep in range(1, max_sweeps + 1):
-        modal = volterra_sweep(props, a, rhs(U, slice(None)))
-        new = modal @ basis.modes.T
-        if not np.isfinite(new).all():
-            raise ArithmeticError(f"non-finite value at sweep {sweep}")
+    for sweep, (modal, fields) in zip(range(1, max_sweeps + 1), iterates):
+        new = fields[:, 0]
         peak = float(np.max(np.abs(new)))
-        if m is not None and peak > m:
-            raise ArithmeticError(f"amplitude escape at sweep {sweep}: "
-                                  f"sup|u| = {peak} > m = {m}")
         increments.append(np.max(np.abs(new - U), axis=-1).sum(axis=0))
         U, sup = new, float(np.max(increments[-1]))
         if last:
@@ -239,7 +231,7 @@ def picard_system_solve(sys, grid, M1=None, tol=1e-10, max_sweeps=200):
         if sup < tol * max(1.0, peak):
             break
         growing = growing + 1 if last is not None and sup > last else 0
-        if m is None and growing >= 5:
+        if sys.m is None and growing >= 5:
             raise ArithmeticError(f"divergence: increments grew over 5 consecutive sweeps "
                                   f"(last {sup})")
         last = sup
@@ -248,8 +240,8 @@ def picard_system_solve(sys, grid, M1=None, tol=1e-10, max_sweeps=200):
                               f"sweeps (last increment {sup})")
     diag = {"sweeps": sweep, "rhos": rhos, "max_rho": max(rhos) if rhos else 0.0,
             "contraction_flag": bool(rhos and max(rhos) >= 1.0)}
-    trajs = [Trajectory(grid, basis, modal[l], coeffs, {"component": l, "M1": M1, **diag})
-             for l in range(sys.N)]
+    trajs = [Trajectory(grid, sys.basis, mc, coeffs, {"component": l, "M1": M1, **diag})
+             for l, mc in enumerate(modal[:, 0])]
     return {"trajectories": trajs, "increments": increments, "M1": M1, "sweeps": sweep}
 
 

@@ -128,6 +128,24 @@ def test_monotone_subcommand(tmp_path, capsys):
     assert (tmp_path / "clidemo.traj.csv").exists()
 
 
+def test_monotone_bracket_not_closed_exits_1(tmp_path, capsys):
+    """A bracket that does not close within k_max prints its line with
+    converged=False, writes no trajectory and exits 1."""
+    path = write(tmp_path, SEMI.replace("upper = 1.2", "upper = 1.2\n    k_max = 1"))
+    assert main(["monotone", path, "--outdir", str(tmp_path)]) == 1
+    assert "monotone: converged=False sweeps=1 " in capsys.readouterr().out
+    assert not (tmp_path / "clidemo.traj.csv").exists()
+
+
+def test_monotone_term_not_finite_on_the_box_exits_2(tmp_path, capsys):
+    """-(u^0.5) is not finite below u = 0 in the box [-4.2, 4.2]: exit 2
+    naming the amplitude, not a nan monotone shift."""
+    text = SEMI.replace("term = enzyme(u)", "term = -(u^0.5)")
+    path = write(tmp_path, text.replace("upper = 1.2", "upper = 1.2\n    k_max = 5"))
+    assert main(["monotone", path, "--outdir", str(tmp_path)]) == 2
+    assert "reaction term is not finite at u = -4.2 " in capsys.readouterr().err
+
+
 def test_steady_subcommand(tmp_path, capsys):
     path = write(tmp_path, SEMI)
     assert main(["steady", path, "--outdir", str(tmp_path)]) == 0

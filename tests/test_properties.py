@@ -36,9 +36,8 @@ def test_monotone_step_preserves_order(alpha, seed, spread):
     rng = np.random.default_rng(seed)
     lower = rng.uniform(-1.0, 1.0, (len(grid), b.grid.size))
     upper = lower + spread * rng.uniform(0.0, 1.0, lower.shape)
-    M = prob.term.lipschitz(b.grid, prob.m)
-    gap = (monotone_step(upper, prob, M, grid).fields()
-           - monotone_step(lower, prob, M, grid).fields())
+    gap = (monotone_step(upper, prob, grid).fields()
+           - monotone_step(lower, prob, grid).fields())
     assert float(np.min(gap)) >= -1e-12
 
 

@@ -144,16 +144,13 @@ def test_monotone_step_fixed_point_and_ordering():
     grid = TimeGrid.uniform(1.0, 64)
     M = prob.term.lipschitz(prob.basis.grid, prob.m)
     u_fix = picard_solve(prob, grid, shift=M + 1.0)
-    stepped = monotone_step(u_fix, prob, M, grid)
+    stepped = monotone_step(u_fix, prob, grid)
     assert np.max(np.abs(stepped.fields() - u_fix.fields())) < 1e-9
-
-    with pytest.raises(ValueError, match="below the sampled Lipschitz"):
-        monotone_step(u_fix, prob, 0.01, grid)
 
     w = u_fix.fields()
     v = w + 0.2 * (1.0 + np.cos(prob.basis.grid))[None, :]
-    Lw = monotone_step(w, prob, M, grid).fields()
-    Lv = monotone_step(v, prob, M, grid).fields()
+    Lw = monotone_step(w, prob, grid).fields()
+    Lv = monotone_step(v, prob, grid).fields()
     assert float(np.min(Lv - Lw)) > -1e-12
 
 
@@ -250,6 +247,46 @@ def test_bracket_validation():
     pair = BracketPair(lambda x, t: 1.0 + 0.0 * x, lambda x, t: 0.0 * x)
     with pytest.raises(ValueError, match="not ordered"):
         monotone_iterate(pair, prob, grid)
+
+
+def test_bracket_with_a_non_finite_entry_is_refused():
+    """An array bracket is checked for finite values like a callable one:
+    NaN passes the order checks, so it would run every sweep on NaN."""
+    prob = enzyme_problem(n_grid=21)
+    grid = TimeGrid.uniform(0.5, 8)
+    upper = np.full((9, 21), 1.2)
+    upper[3, 5] = np.nan
+    with pytest.raises(ValueError, match=r"field history is not finite at t=0\.1875"):
+        monotone_iterate(BracketPair(np.zeros((9, 21)), upper), prob, grid)
+
+
+def test_sandwich_leaving_the_box_stops():
+    """M is sampled on the box m, so an iterate outside it stops the
+    sandwich with the march's amplitude-escape error."""
+    b = full_neumann_basis(21)
+    prob = SemilinearProblem(b, 0.5, 1.0 + 0.1 * np.cos(b.grid), SemilinearTerm.enzyme(),
+                             m=1.15)
+    grid = TimeGrid.uniform(1.0, 16)
+    pair = BracketPair(np.zeros((17, 21)), np.full((17, 21), 3.0))
+    with pytest.raises(ArithmeticError, match=r"amplitude escape at sweep 1: sup\|u\| = "):
+        monotone_iterate(pair, prob, grid)
+
+
+def test_term_not_finite_on_the_box_is_refused():
+    """f = -sqrt(u) is not finite below u = 0 in the box [-m, m], m = 4.2:
+    its sampled Lipschitz bound, the monotone and comparison shift, would
+    be nan."""
+    b = full_neumann_basis(21)
+    prob = SemilinearProblem(b, 0.5, 1.0 + 0.1 * np.cos(b.grid),
+                             SemilinearTerm(lambda x, u: -np.sqrt(u)))
+    grid = TimeGrid.uniform(1.0, 16)
+    pair = BracketPair(np.zeros((17, 21)), np.full((17, 21), 1.2))
+    match = r"reaction term is not finite at u = -4\.2 "
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match=match):
+            monotone_iterate(pair, prob, grid, k_max=5)
+        with pytest.raises(ValueError, match=match):
+            compare_solutions(prob, prob, grid)
 
 
 def test_check_upper_lower_solutions():
@@ -436,7 +473,7 @@ def test_gradient_rejected_by_pointwise_ops():
     )
     grid = TimeGrid.uniform(0.5, 8)
     with pytest.raises(TypeError):
-        monotone_step(np.zeros((9, 21)), g, 2.0, grid)
+        monotone_step(np.zeros((9, 21)), g, grid)
     with pytest.raises(TypeError):
         monotone_iterate(BracketPair(np.zeros((9, 21)), np.zeros((9, 21))), g, grid)
     with pytest.raises(TypeError):

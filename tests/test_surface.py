@@ -16,7 +16,7 @@ import os
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "fracdiff")
 UNCALLED_EXPORTS = 16
-DEFAULTED_PARAMETERS = 39
+DEFAULTED_PARAMETERS = 38
 
 
 def _trees():

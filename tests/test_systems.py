@@ -381,6 +381,8 @@ def test_pair_amplitude_escape():
                           lambda u, v: 0.0 * v, a, a.copy(), m=1.2)
     with pytest.raises(ArithmeticError, match="amplitude escape"):
         semilinear_pair_solve(pair, TimeGrid.uniform(2.0, 64))
+    with pytest.raises(ArithmeticError, match=r"amplitude escape at sweep 1: sup\|u\| = "):
+        picard_system_solve(pair, TimeGrid.uniform(2.0, 64))
 
 
 def test_pair_non_finite_reaction_stops_at_first_sweep():
