@@ -2,7 +2,7 @@
 solvers that feed on it, and a fresh process's set-up, written to
 BENCH_mlf.json.
 
-    python scripts/bench_mlf.py [--label NAME] [--src DIR] [--out FILE]
+    python scripts/bench_mlf.py [--label NAME --src DIR]... [--out FILE]
 
 Measures, in CPU time with BLAS threads capped at 1:
 
@@ -55,9 +55,16 @@ Measures, in CPU time with BLAS threads capped at 1:
 * per sweep (the solve divided by its sweeps) only for a solve that
   reports more than one sweep in its diagnostics: a whole-window
   iteration, not a forward march, which is one pass over the grid;
-* L4: the CPU seconds and peak RSS (medians of REPEATS) of a fresh
+* L3: the CPU microseconds per node of ``linsolve.march`` on that uniform
+  solve (its propagator and right-hand side made once, outside the timer),
+  medians of REPEATS batches of UNIFORM_BATCH marches;
+* L4: the CPU seconds and peak RSS (medians of ROUNDS) of a fresh
   interpreter that imports fracdiff and runs that uniform solve once, as
   the process reports them at its end (interpreter start included);
+* L4: the CPU seconds of an in-process ``cli.main(["run", f, "--outdir",
+  tmp])`` for each ``tests/data/*.ini`` and each bundled scenario of the
+  measured checkout, after one warm call of each, medians of REPEATS
+  rounds that take every file once;
 * the block sizes, for a checkout that has them: the contour's ns per
   point at alpha = 0.5 on BATCH and on CONTOUR_POINTS points for
   ``mlf._CONTOUR_BLOCK`` in CONTOUR_BLOCKS, and for
@@ -77,10 +84,16 @@ Every measurement runs in a fresh worker process: glibc's adaptive mmap
 threshold makes the cost of a call's large temporaries depend on what the
 process freed before (a contour call ran 2-3 times faster after a call that
 had freed a larger block), so cells measured in one process depend on order.
+A cell is the median of ROUNDS such processes, and the rounds alternate:
+each round runs every timed cell once, in turn, so a slow spell of a
+shared host falls on every cell rather than on the few measured in it.  The
+contour's accuracy sweep, which times nothing, runs once.
 
-The numbers are stored under ``--label`` in ``--out``; other labels in that
-file are kept, so one script measures two checkouts on the same machine by
-running once with ``--src`` pointing at each checkout's ``src``.
+The numbers of each ``--src`` are stored under its ``--label`` in ``--out``;
+other labels in that file are kept.  Several checkouts given in one run
+(``--label parent --src A/src --label change --src B/src``) are measured in
+the same rounds, each cell of one checkout next to the same cell of the
+others, so a parent and a change share every spell of the host.
 """
 
 import argparse
@@ -117,6 +130,8 @@ BUILD_GRIDS = (("uniform", 1024), ("graded", 256), ("graded", 512))
 PICARD_REPEATS = 3
 UNIFORM_BATCH = 20
 SYSTEM_BATCH = 10
+# fresh-process samples of each timed cell, taken in alternating rounds
+ROUNDS = 5
 # the uniform solve of the L3 and L4 cells, as source that a fresh
 # interpreter runs with nothing else imported
 UNIFORM_PICARD = """
@@ -452,58 +467,144 @@ def _said(solve, sweep):
     return f"{solve:.4f} s CPU per solve{per_sweep}"
 
 
+def march_node_us(src):
+    """CPU microseconds per node of linsolve.march on the UNIFORM_PICARD
+    problem, its propagator and right-hand side closure made once."""
+    sys.path.insert(0, src)
+    ns = {}
+    exec(UNIFORM_PICARD, ns)  # warm-up
+    from fracdiff import linsolve
+
+    prob, grid = ns["prob"], ns["grid"]
+    shift, rhs = prob.rhs(prob.coefficients(grid.nodes), 2.0)
+    props = [linsolve.ModalPropagator(prob.basis, prob.alpha, grid, shift)]
+
+    def batch():
+        for _ in range(UNIFORM_BATCH):
+            linsolve.march(props, prob.initials, rhs, prob.m)
+
+    return 1e6 * _median_cpu(batch, REPEATS) / (UNIFORM_BATCH * len(grid))
+
+
+def scenario_files(src):
+    """The scenario files of the L4 cli cell: tests/data/*.ini of this
+    checkout, then the bundled scenarios of the measured one."""
+    import glob
+
+    return (sorted(glob.glob(os.path.join(ROOT, "tests", "data", "*.ini")))
+            + sorted(glob.glob(os.path.join(src, "fracdiff", "scenarios", "*.ini"))))
+
+
+def cli_run_s(src):
+    """{file name: median CPU s} of an in-process cli.main run of each of
+    scenario_files, after one warm call each; a round runs every file once."""
+    sys.path.insert(0, src)
+    import contextlib
+    import io
+    import tempfile
+
+    from fracdiff import cli
+
+    files = scenario_files(src)
+    times = {f: [] for f in files}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for f in files:
+            cli.main(["run", f, "--outdir", tmp])  # warm-up
+        for _ in range(REPEATS):
+            for f in files:
+                t0 = time.process_time()
+                cli.main(["run", f, "--outdir", tmp])
+                times[f].append(time.process_time() - t0)
+    return {os.path.basename(f): float(np.median(t)) for f, t in times.items()}
+
+
+def _median(samples):
+    """The median of a cell's samples, elementwise through tuples and dicts
+    (None stays None, an int count stays an int)."""
+    first = samples[0]
+    if first is None:
+        return None
+    if isinstance(first, tuple):
+        return tuple(_median(list(column)) for column in zip(*samples))
+    if isinstance(first, dict):
+        return {k: _median([s[k] for s in samples]) for k in first}
+    m = float(np.median(samples))
+    return int(m) if isinstance(first, int) and m.is_integer() else m
+
+
+def _alternating(pool, cells):
+    """{key: median of ROUNDS samples} of cells {key: (fn, args)}, each
+    sample a fresh worker process; every round runs every cell once, in
+    reverse order after a forward round."""
+    samples = {key: [] for key in cells}
+    for r in range(ROUNDS):
+        order = list(cells.items())
+        for key, (fn, args) in order[::-1] if r % 2 else order:
+            samples[key].append(pool.apply(fn, args))
+        print(f"round {r + 1} of {ROUNDS}: {len(cells)} cells", flush=True)
+    return {key: _median(v) for key, v in samples.items()}
+
+
 def fresh_process(src):
-    """(CPU s, peak RSS MB) of a fresh interpreter running UNIFORM_PICARD."""
+    """(CPU s, peak RSS MB) of one fresh interpreter running UNIFORM_PICARD."""
     code = (f"import sys\nsys.path.insert(0, {src!r})\n{UNIFORM_PICARD}"
             "import resource\nr = resource.getrusage(resource.RUSAGE_SELF)\n"
             "print(r.ru_utime + r.ru_stime, r.ru_maxrss)\n")
-    runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           check=True).stdout.split() for _ in range(REPEATS)]
-    cpu, kb = np.median(np.array(runs, dtype=float), axis=0)
+    cpu, kb = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout.split()
     return float(cpu), float(kb) / 1024
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--label", default="current", help="key of this run in the output file")
-    ap.add_argument("--src", default=os.path.join(ROOT, "src"),
-                    help="directory holding the fracdiff package to measure")
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_mlf.json"))
-    args = ap.parse_args(argv)
-    src = os.path.abspath(args.src)
-    import scipy
+def _cells(src):
+    """{key: (fn, args)} of every timed cell of the checkout src."""
+    cells = {("ns", alpha, r): (ns_per_point, (src, alpha, r))
+             for alpha in ALPHAS for r in REGIMES}
+    cells.update({("ns", alpha, "contour_big"):
+                  (ns_per_point, (src, alpha, "contour", CONTOUR_POINTS)) for alpha in ALPHAS})
+    cells.update({("build", k, N): (propagator_build, (src, k, N)) for k, N in BUILD_GRIDS})
+    cells["triple"] = (graded_triple_s, (src,))
+    cells.update({("graded_picard", N): (graded_picard_s, (src, N)) for N in PICARD_N})
+    cells["uniform"] = (uniform_picard_s, (src,))
+    cells["march"] = (march_node_us, (src,))
+    cells.update({("crossover", N): (crossover_picard_s, (src, N)) for N in CROSSOVER_N})
+    cells.update({("system", k): (reaction_system_s, (src, k)) for k in ("system", "pair")})
+    cells["monotone"] = (monotone_s, (src,))
+    cells["cli"] = (cli_run_s, (src,))
+    cells.update({("block", n, b): (contour_block_ns, (src, b, n))
+                  for n in (BATCH, CONTOUR_POINTS) for b in CONTOUR_BLOCKS})
+    cells.update({("group", p): (row_group_cell, (src, p, graded_triple_s)) for p in ROW_GROUPS})
+    cells.update({("group_build", p): (row_group_cell, (src, p, propagator_build, "graded", 512))
+                  for p in ROW_GROUPS})
+    cells["fresh"] = (fresh_process, (src,))
+    return cells
 
+
+def _result(got, nodes, nodes_ns):
+    """The JSON cells of one checkout from its medians got, its contour
+    sweep nodes and the ns per point nodes_ns at each n's best (mu, h);
+    prints them too."""
     result = {"ns_per_point": {}}
-    with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
-        for alpha in ALPHAS:
-            row = {r: round(pool.apply(ns_per_point, (src, alpha, r)), 1) for r in REGIMES}
-            row[f"contour_{CONTOUR_POINTS}"] = round(
-                pool.apply(ns_per_point, (src, alpha, "contour", CONTOUR_POINTS)), 1)
-            result["ns_per_point"][f"alpha={alpha}"] = row
-            print(f"alpha={alpha}: " + ", ".join(f"{r} {v:.0f} ns/pt" for r, v in row.items()))
-        builds = {f"{k} N={N}": pool.apply(propagator_build, (src, k, N)) for k, N in BUILD_GRIDS}
-        result["graded_solve_linear_triple_cpu_s"] = round(pool.apply(graded_triple_s, (src,)), 4)
-        result["graded_picard_cpu_s"] = {
-            f"N={N}": round(pool.apply(graded_picard_s, (src, N)), 4) for N in PICARD_N
-        }
-        solve, sweep = pool.apply(uniform_picard_s, (src,))
-        crossover = {N: pool.apply(crossover_picard_s, (src, N)) for N in CROSSOVER_N}
-        systems = {k: pool.apply(reaction_system_s, (src, k)) for k in ("system", "pair")}
-        monotone = pool.apply(monotone_s, (src,))
-        blocks = {(n, b): pool.apply(contour_block_ns, (src, b, n))
-                  for n in (BATCH, CONTOUR_POINTS) for b in CONTOUR_BLOCKS}
-        groups = {p: (pool.apply(row_group_cell, (src, p, graded_triple_s)),
-                      pool.apply(row_group_cell, (src, p, propagator_build, "graded", 512)))
-                  for p in ROW_GROUPS}
-        nodes = pool.apply(contour_sweep, (src,))
-        if nodes is not None:
-            result["contour_nodes_sweep"] = {}
-            for n, cells in nodes.items():
-                mu, (h, _) = min(cells.items(), key=lambda kv: kv[1][1])
-                row = {f"mu={m}": {"h": v[0], "worst_err": float(f"{v[1]:.3g}")}
-                       for m, v in cells.items()}
-                row["ns_per_point"] = round(pool.apply(contour_nodes_ns, (src, mu, h, n)), 1)
-                result["contour_nodes_sweep"][f"n={n}"] = row
+    for alpha in ALPHAS:
+        row = {r: round(got["ns", alpha, r], 1) for r in REGIMES}
+        row[f"contour_{CONTOUR_POINTS}"] = round(got["ns", alpha, "contour_big"], 1)
+        result["ns_per_point"][f"alpha={alpha}"] = row
+        print(f"alpha={alpha}: " + ", ".join(f"{r} {v:.0f} ns/pt" for r, v in row.items()))
+    builds = {f"{k} N={N}": got["build", k, N] for k, N in BUILD_GRIDS}
+    result["graded_solve_linear_triple_cpu_s"] = round(got["triple"], 4)
+    result["graded_picard_cpu_s"] = {f"N={N}": round(got["graded_picard", N], 4) for N in PICARD_N}
+    solve, sweep = got["uniform"]
+    crossover = {N: got["crossover", N] for N in CROSSOVER_N}
+    systems = {k: got["system", k] for k in ("system", "pair")}
+    monotone = got["monotone"]
+    blocks = {(n, b): got["block", n, b] for n in (BATCH, CONTOUR_POINTS) for b in CONTOUR_BLOCKS}
+    groups = {p: (got["group", p], got["group_build", p]) for p in ROW_GROUPS}
+    if nodes is not None:
+        result["contour_nodes_sweep"] = {}
+        for n, per_mu in nodes.items():
+            row = {f"mu={m}": {"h": v[0], "worst_err": float(f"{v[1]:.3g}")}
+                   for m, v in per_mu.items()}
+            row["ns_per_point"] = round(nodes_ns[n], 1)
+            result["contour_nodes_sweep"][f"n={n}"] = row
     result["propagator_build"] = {
         k: {"cpu_s": round(v[0], 4), "peak_mb": round(v[1], 2), "held_mb": round(v[2], 2),
             "ru_maxrss_mb": round(v[3], 1)}
@@ -526,13 +627,16 @@ def main(argv=None):
     }
     result["reaction_system_cpu_s"] = {k: _cell(*v, 5) for k, v in systems.items()}
     result["monotone_cpu_s"] = _cell(*monotone, 5)
-    cpu, rss = fresh_process(src)
+    result["march_us_per_node"] = round(got["march"], 2)
+    result["cli_run_cpu_s"] = {k: round(v, 4) for k, v in got["cli"].items()}
+    cpu, rss = got["fresh"]
     result["fresh_process"] = {"cpu_s": round(cpu, 3), "peak_rss_mb": round(rss, 1)}
     for k, v in result["propagator_build"].items():
         print(f"propagator build, {k}: {v['cpu_s']:.4f} s CPU (median of {REPEATS}), "
               f"tracemalloc peak {v['peak_mb']:.2f} MB, held {v['held_mb']:.2f} MB, "
               f"ru_maxrss {v['ru_maxrss_mb']:.1f} MB")
-    print(f"graded solve_linear triple: {result['graded_solve_linear_triple_cpu_s']:.3f} s CPU (median of {REPEATS})")
+    print(f"graded solve_linear triple: {result['graded_solve_linear_triple_cpu_s']:.3f} s CPU "
+          f"(median of {REPEATS})")
     print("graded picard_solve: " + ", ".join(
         f"{k} {v:.3f} s CPU" for k, v in result["graded_picard_cpu_s"].items()
     ) + f" (median of {PICARD_REPEATS})")
@@ -544,8 +648,10 @@ def main(argv=None):
     for k, (v, w) in systems.items():
         print(f"{k} solve: {_said(v, w)} (median of {REPEATS} batches of {SYSTEM_BATCH})")
     print(f"monotone_iterate: {_said(*monotone)} (median of {REPEATS} batches of {SYSTEM_BATCH})")
-    print(f"fresh process (import + uniform solve): {cpu:.3f} s CPU (median of {REPEATS}), "
-          f"peak RSS {rss:.1f} MB")
+    print(f"march: {got['march']:.2f} us CPU per node (uniform, N = 96, 33 modes)")
+    print("cli run: " + ", ".join(f"{k} {v:.4f} s CPU" for k, v in got["cli"].items())
+          + f" (median of {REPEATS} rounds)")
+    print(f"fresh process (import + uniform solve): {cpu:.3f} s CPU, peak RSS {rss:.1f} MB")
     for n, cells in result.get("contour_block_ns_per_point", {}).items():
         print(f"contour blocks, alpha=0.5, {n} points: "
               + ", ".join(f"{b} {v:.0f} ns/pt" for b, v in cells.items()))
@@ -557,7 +663,41 @@ def main(argv=None):
         print(f"row group {p} points: triple {v['triple_cpu_s']:.4f} s CPU, graded N=512 "
               f"build {v['graded_512_cpu_s']:.4f} s CPU, ru_maxrss "
               f"{v['graded_512_ru_maxrss_mb']:.1f} MB")
-    result["environment"] = {
+    return result
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--label", action="append",
+                    help="key of a run in the output file (default: current), once per --src")
+    ap.add_argument("--src", action="append",
+                    help="directory holding a fracdiff package to measure (default: the src "
+                         "next to this script); several are measured in the same rounds")
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_mlf.json"))
+    args = ap.parse_args(argv)
+    labels = args.label or ["current"]
+    srcs = [os.path.abspath(s) for s in args.src or [os.path.join(ROOT, "src")]]
+    if len(labels) != len(srcs):
+        ap.error(f"{len(labels)} labels for {len(srcs)} --src directories")
+    import scipy
+
+    cells = [_cells(src) for src in srcs]
+    with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+        # cell after cell, each checkout in turn, so the checkouts share every spell
+        got = _alternating(pool, {(k, key): c[key]
+                                  for key in cells[0] for k, c in enumerate(cells)})
+        nodes = [pool.apply(contour_sweep, (src,)) for src in srcs]
+        best = {(k, n): min(per_mu.items(), key=lambda kv: kv[1][1])
+                for k, sweep in enumerate(nodes) if sweep is not None
+                for n, per_mu in sweep.items()}
+        nodes_ns = _alternating(pool, {(k, n): (contour_nodes_ns, (srcs[k], mu, h, n))
+                                       for (k, n), (mu, (h, _)) in best.items()})
+    results = {}
+    for k, label in enumerate(labels):
+        print(f"== {label} ({srcs[k]})")
+        results[label] = _result({key: v for (j, key), v in got.items() if j == k}, nodes[k],
+                                 {n: v for (j, n), v in nodes_ns.items() if j == k})
+    environment = {
         "python": platform.python_version(), "numpy": np.__version__,
         "scipy": scipy.__version__, "nproc": os.cpu_count(), "cpu": _cpu_model(),
     }
@@ -589,16 +729,23 @@ def main(argv=None):
         "[0, a + rho t^alpha], k_max 60) per solve and per sweep, medians of "
         f"{REPEATS} batches of {SYSTEM_BATCH}; "
         "median CPU seconds and peak RSS of a fresh process that imports fracdiff and "
-        "runs that solve once; for a checkout with them, the contour's ns per point "
+        "runs that solve once; CPU microseconds per node of linsolve.march on that "
+        f"solve, medians of {REPEATS} batches of {UNIFORM_BATCH}; median CPU seconds of an "
+        "in-process cli.main(['run', f]) per tests/data/*.ini and bundled scenario after "
+        f"one warm call, {REPEATS} rounds over the files; for a checkout with them, "
+        "the contour's ns per point "
         f"(alpha = 0.5, {BATCH} and {CONTOUR_POINTS} points) per mlf._CONTOUR_BLOCK and the "
         "triple and "
         "the graded N = 512 build (CPU s, ru_maxrss) per linsolve.ROW_GROUP_POINTS, "
         "and per contour node count n the spacing h with the smallest worst error "
         "|E - oracle|/max(1, |oracle|) per vertex mu (oracle-table contour rows and "
         "the contour accuracy test's points) and the ns per point (alpha = 0.5, "
-        f"{CONTOUR_POINTS} points) at the best (mu, h); each measurement in a fresh process"
+        f"{CONTOUR_POINTS} points) at the best (mu, h); each timed cell the median of "
+        f"{ROUNDS} fresh processes in alternating rounds over every cell and every "
+        "checkout measured in the same run"
     )
-    data[args.label] = result
+    for label, result in results.items():
+        data[label] = {**result, "environment": environment}
     with open(args.out, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -21,6 +21,7 @@ go to --outdir, else $FRACDIFF_OUTPUT_DIR, else the working directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -140,7 +141,9 @@ def _cmd_steady(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of main, built on the first call in a process, then shared."""
     parser = argparse.ArgumentParser(
         prog="fracdiff",
         description="Time-fractional diffusion solvers and property checks",

@@ -60,6 +60,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
+import shutil
 import time
 from types import SimpleNamespace
 
@@ -353,6 +354,9 @@ class Scenario:
         fields = self._read(parser, section, table)
         if ptype == "bracket":  # the bounds as histories on the scenario grid
             fields.lower = self._history(section, "lower", fields.lower)
+            if fields.upper_mode == "power_barrier" and self.kind != "semilinear":
+                raise ScenarioError(f"{self.path}: [{section}] upper_mode: "
+                                    "power_barrier needs kind = semilinear")
             if fields.upper_mode == "expression":
                 if fields.upper is None:
                     raise ScenarioError(f"{self.path}: [{section}] needs upper")
@@ -503,9 +507,9 @@ def _write_atomic(path, text):
 
 def _solve(scn, grid):
     """The trajectories of the scenario's march on the grid, one per
-    component; the first is the report's primary one.  A coefficient with a
-    non-finite sample on the grid is a ScenarioError naming its key (a
-    system's p_jk and F_k are entries of couplings and forcings)."""
+    component, the first the report's primary one.  A non-finite coefficient
+    sample is a ScenarioError naming its key (a system's p_jk and F_k are
+    entries of couplings and forcings), a solve that stops one naming the file."""
     try:
         return solve(scn.problem, grid, scn.solver_shift)
     except NonFiniteCoefficient as exc:
@@ -514,6 +518,8 @@ def _solve(scn, grid):
         raise ScenarioError(
             f"{scn.path}: [problem] {key}: {entry}not finite at t={exc.t}"
         ) from exc
+    except ArithmeticError as exc:
+        raise ScenarioError(f"{scn.path}: {exc}") from exc
 
 
 def _check_nonneg(scn, trajs, params):
@@ -628,11 +634,13 @@ def run_scenario(scenario, outdir=None, property_types=None):
     report = Report(scn.name, lines, verdicts, time.perf_counter() - t0)
 
     out = _output_dir(outdir)
-    parts = {"system": [f"comp{i}" for i in range(1, len(trajs) + 1)],
-             "pair": ["u", "v"]}
-    for part, tr in zip(parts.get(scn.kind, []), trajs):
-        tr.to_csv(os.path.join(out, f"{scn.name}.{part}.traj.csv"))
-    trajs[0].to_csv(os.path.join(out, f"{scn.name}.traj.csv"))
+    parts = {"system": [f"comp{i}" for i in range(1, len(trajs) + 1)], "pair": ["u", "v"]}
+    names = [f"{scn.name}.{part}.traj.csv" for part in parts.get(scn.kind, [])]
+    for name, tr in zip(names or [f"{scn.name}.traj.csv"], trajs):
+        tr.to_csv(os.path.join(out, name))
+    if names:  # the primary trajectory: component 1's text, formatted once
+        shutil.copyfile(os.path.join(out, names[0]),
+                        os.path.join(out, f"{scn.name}.traj.csv"))
     _write_atomic(os.path.join(out, f"{scn.name}.report.txt"), report.render())
     return report
 

@@ -36,9 +36,9 @@ row per node of any other grid, packed into one table and computed for
 groups of consecutive rows, one batched Mittag-Leffler call per group of
 about ROW_GROUP_POINTS points.  The memory term has two entry points,
 which alone read the tables: prop.row(i) weights the history before one
-node (the march) and convolve_K(prop, G) convolves a whole history (every
-whole-window sweep).  Both take the forcing piecewise constant per step
-(left endpoint).
+node (the march); _convolution(props) convolves every history of a sweep
+by one real FFT pair on a uniform grid, and convolve_K one history.  Both
+take the forcing piecewise constant per step (left endpoint).
 
 Under the left-endpoint rule node i reads the right-hand side only at
 nodes j < i, so the discrete map u = S(t) a + K * R(u) is strictly lower
@@ -158,8 +158,8 @@ class ModalPropagator:
         return self._W[lo:lo + i][::-1]
 
     def weight_sum_check(self):
-        """Invariant: the weights of node i sum to the moments over [0, t_i]."""
-        sums = [self.row(i).sum(axis=0) for i in range(1, len(self.grid))]
+        """Invariant: convolve_K of a constant forcing is the moments over [0, t_i]."""
+        sums = convolve_K(self, np.ones_like(self.E))[1:]
         t, E = self.grid.nodes[1:], self.E[1:]
         want = kernel_weights_from_e(
             self.alpha, self.lambdas,
@@ -168,27 +168,39 @@ class ModalPropagator:
         return float(np.max(np.abs(sums - want)))
 
 
+def _convolution(props):
+    """The function G -> K_c * G[c, s] of propagators props of one grid for
+    stacked modal forcing histories G (C, S, N+1, M): one real FFT pair
+    against lag spectra stacked here once on a uniform grid, else row(i)."""
+    grid, n = props[0].grid, len(props[0].grid)
+    if grid.kind == "uniform":
+        L = next_fast_len(2 * grid.N - 1, True)  # the length of _Wf
+        Wf = np.stack([prop._Wf for prop in props])[:, None]
+
+    def convolve(G):
+        if G.shape[-2] != n:
+            raise ValueError(f"forcing history has {G.shape[-2]} rows, grid {n} nodes")
+        out = np.zeros(G.shape)
+        if grid.kind == "uniform":
+            spectrum = rfft(G[..., :-1, :], n=L, axis=-2) * Wf
+            out[..., 1:, :] = irfft(spectrum, n=L, axis=-2)[..., : n - 1, :]
+        else:
+            for c, prop in enumerate(props):
+                for i in range(1, n):
+                    out[c, :, i] = np.einsum("jm,sjm->sm", prop.row(i), G[c, :, :i])
+        return out
+
+    return convolve
+
+
 def convolve_K(prop, forcing):
     """Discrete (K * forcing)(t_i) on prop's grid for a modal forcing
-    history (N+1, M), taking the forcing at the left endpoint of each step.
-    Exact kernel moments make a constant single-mode forcing g reproduce
-    (1 - E_{alpha,1}(-lam t^alpha))/lam * g to ml accuracy.  A uniform
-    grid convolves by one real FFT pair against the lag table's spectrum,
-    any other grid node by node through prop.row(i).
-    """
-    G = np.asarray(forcing, dtype=float)
-    n = len(prop.grid)
-    if G.shape[0] != n:
-        raise ValueError(f"forcing history has {G.shape[0]} rows, grid {n} nodes")
-    G = G[:-1]
-    out = np.zeros((n, prop.lambdas.size))
-    if prop.grid.kind == "uniform":
-        L = next_fast_len(2 * prop.grid.N - 1, True)  # the length of _Wf
-        out[1:] = irfft(rfft(G, n=L, axis=0) * prop._Wf, n=L, axis=0)[: n - 1]
-    else:
-        for i in range(1, n):
-            out[i] = np.einsum("jm,jm->m", prop.row(i), G[:i])
-    return out
+    history (N+1, M), taking the forcing at the left endpoint of each step:
+    the one-history case of _convolution, which stacks every history of a
+    sweep into one real FFT pair on a uniform grid.  Exact kernel moments
+    make a constant single-mode forcing g reproduce
+    (1 - E_{alpha,1}(-lam t^alpha))/lam * g to ml accuracy."""
+    return _convolution([prop])(np.asarray(forcing, dtype=float)[None, None])[0, 0]
 
 
 class NonFiniteCoefficient(ValueError):
@@ -226,13 +238,14 @@ def sample_history(f, x, tnodes, name):
 
 def _check_box(U, m, where):
     """ArithmeticError at where() unless every value of U is finite and,
-    with a box m (None: no box), sup|U| <= m; where is called only then, so
-    a march formats no text per node."""
-    if not np.isfinite(U).all():
+    with a box m (None: no box), sup|U| <= m: one reduction, which a NaN
+    fails too; where() and the diagnosis run only on a failure."""
+    sup = np.abs(U).max()
+    if not sup < np.inf:  # a NaN or an infinity
         raise ArithmeticError(f"non-finite value at {where()}")
-    if m is not None and np.max(np.abs(U)) > m:
+    if m is not None and sup > m:
         raise ArithmeticError(f"amplitude escape at {where()}: "
-                              f"sup|u| = {float(np.max(np.abs(U)))} > m = {m}")
+                              f"sup|u| = {float(sup)} > m = {m}")
 
 
 def march(props, a, rhs_at, m):
@@ -248,6 +261,7 @@ def march(props, a, rhs_at, m):
     # one 1-D projection per component keeps row 0 equal to project(basis, a)
     modal = np.array([prop.E * project(basis, ac) for prop, ac in zip(props, a)])
     G = np.zeros_like(modal)  # modal right-hand sides at the nodes
+    P = basis.weights[:, None] * basis.modes  # the projection
     U = np.asarray(a, dtype=float)
     for i in range(len(nodes)):
         if i:
@@ -256,7 +270,7 @@ def march(props, a, rhs_at, m):
             U = modal[:, i] @ basis.modes.T
         _check_box(U, m, lambda: f"node {i} (t={nodes[i]})")
         if i < len(nodes) - 1:
-            G[:, i] = (rhs_at(U, i) * basis.weights) @ basis.modes
+            G[:, i] = rhs_at(U, i) @ P
     return modal
 
 
@@ -336,11 +350,9 @@ class LinearProblem:
         x, term = self.basis.grid, self.term
 
         def rhs(U, i):
-            out = np.zeros_like(U)
-            if q is not None:
-                out += q[i] * U
+            out = 0.0 if q is None else q[i] * U
             if b is not None:
-                out += b[i] * np.gradient(U, x, axis=-1)
+                out = out + b[i] * np.gradient(U, x, axis=-1)
             out = out + shift * U
             if F is not None:
                 out = out + F[i]
@@ -419,14 +431,13 @@ def _sweeps(prob, grid, shift, U):
     yielding its modal histories (C, S, N+1, M) and fields after _check_box
     in the box m.  Samples, propagators and S_c(t) a_c are made once."""
     coeffs, shift, rhs, props = _propagators(prob, grid, shift)
-    basis = prob.basis
-    free = [prop.E * project(basis, a) for prop, a in zip(props, prob.initials)]
+    basis, convolve = prob.basis, _convolution(props)
+    free = np.array([prop.E * project(basis, a) for prop, a in zip(props, prob.initials)])
 
     def sweeps(U):
         for k in itertools.count(1):
             G = (rhs(U, slice(None)) * basis.weights) @ basis.modes
-            modal = np.array([[f + convolve_K(p, g) for g in gc]
-                              for f, p, gc in zip(free, props, G)])
+            modal = free[:, None] + convolve(G)
             U = modal @ basis.modes.T
             _check_box(U, prob.m, lambda: f"sweep {k}")
             yield modal, U

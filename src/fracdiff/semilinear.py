@@ -109,11 +109,11 @@ class SemilinearTerm:
         return cls(lambda x, u: enzyme_kinetics(u))
 
     def __call__(self, x, u, du=None):
+        args = (x, u)
         if self.kind == "gradient":
-            if du is None:
-                du = np.gradient(u, x, axis=-1)
-            return np.asarray(self.evaluator(x, u, du), dtype=float) * np.ones_like(u)
-        return np.asarray(self.evaluator(x, u), dtype=float) * np.ones_like(u)
+            args += (np.gradient(u, x, axis=-1) if du is None else du,)
+        f = np.asarray(self.evaluator(*args), dtype=float)
+        return f if f.shape == np.shape(u) else f * np.ones_like(u)  # a constant in u
 
     def lipschitz(self, x, m):
         """max sampled |df/du| on grid x times [-m, m], inflated by 10%."""

@@ -9,8 +9,6 @@ trapezoid weight matrix W; self-adjointness of the continuous operator is
 therefore preserved exactly on the grid.
 """
 
-import math
-
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 

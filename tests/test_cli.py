@@ -11,6 +11,7 @@ from fracdiff.cli import main
 SCENARIO_DIR = os.path.join(
     os.path.dirname(__file__), "..", "src", "fracdiff", "scenarios"
 )
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def write(tmp_path, text, name="scn.ini"):
@@ -366,6 +367,9 @@ PAIR = """
          + STEADY_ENVELOPE, "[property:env] u_inf_mode: a steady state needs"),
         ("steady", SEMI.replace("term = enzyme(u)", "term = enzyme(u)\n    forcing = 0.1"),
          "steady: a steady state needs"),
+        ("run", LINEAR.replace("n_grid = 17", "n_grid = 9").replace("N = 16", "N = 8")
+         + BRACKET + "upper_mode = power_barrier\n",
+         "[property:box] upper_mode: power_barrier needs kind = semilinear"),
     ],
     ids=[
         "problem-term-missing",
@@ -408,6 +412,7 @@ PAIR = """
         "steady-envelope-reaction",
         "steady-envelope-forcing",
         "steady-command-forcing",
+        "linear-bracket-power_barrier",
     ],
 )
 def test_invalid_scenario_exits_2_at_load(tmp_path, capsys, command, text, section):
@@ -436,11 +441,11 @@ SEMI_POLE = SEMI.replace("N = 64", "N = 8").replace(
         (LINEAR.replace("forcing = 0.2*(1 + cos(x))*exp(-t)", "forcing = 1/x"),
          "error: {path}: [problem] forcing: not finite at t=0.0"),
         (LINEAR.replace("reaction = -0.3*(1 + 0.5*cos(x))", "reaction = 1e300"),
-         "error: non-finite value at node 2 (t=0.125)"),
+         "error: {path}: non-finite value at node 2 (t=0.125)"),
         (LINEAR_POLE, "error: {path}: [problem] forcing: not finite at t=1.0"),
         (SEMI_POLE, "error: {path}: [problem] forcing: not finite at t=1.0"),
         (SEMI.replace("term = enzyme(u)", "term = u/0"),
-         "error: non-finite value at node 1 (t=0.015625)"),
+         "error: {path}: non-finite value at node 1 (t=0.015625)"),
         (SEMI.replace("length = 3.141592653589793", "length = 1e-200"),
          "[space] length: stiffness overflows"),
         (SYSTEM.replace("-0.05, 0.2; 0.3, -0.05",
@@ -599,3 +604,61 @@ def test_steady_subcommand_includes_operator_shift(tmp_path, capsys):
     rows = (tmp_path / "relaxing.steady.csv").read_text().splitlines()[1:]
     u = [float(row.split(",")[1]) for row in rows]
     assert max(abs(v - 0.5) for v in u) < 1e-10
+
+
+def test_amplitude_escape_names_the_file(tmp_path, capsys):
+    """A solve that leaves its box stops with exit 2 and one stderr line
+    naming the file, as load errors do: coop_pair.ini with reactions five
+    times as strong escapes its default box."""
+    with open(os.path.join(DATA_DIR, "coop_pair.ini"), encoding="utf-8") as fh:
+        text = fh.read()
+    text = text.replace("f = 0.8*v*(1 + u^2)", "f = 5*v*(1 + u^2)")
+    text = text.replace("g = 1.2*u*(1 + v^2)", "g = 5*u*(1 + v^2)")
+    path = tmp_path / "escape.ini"
+    path.write_text(text)
+    assert main(["run", str(path), "--outdir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {path}: amplitude escape at node ")
+
+
+@pytest.mark.parametrize("text, parts", [(SYSTEM, ["comp1", "comp2"]), (PAIR, ["u", "v"])],
+                         ids=["system", "pair"])
+def test_component_csv_formatted_once(tmp_path, capsys, monkeypatch, text, parts):
+    """<name>.traj.csv of a system or pair is the first component's file,
+    byte for byte, and each component's text is formatted once."""
+    formatted = []
+    real = linsolve.Trajectory.to_csv
+    monkeypatch.setattr(linsolve.Trajectory, "to_csv",
+                        lambda tr, path: formatted.append(id(tr)) or real(tr, path))
+    path = write(tmp_path, text)
+    assert main(["run", path, "--outdir", str(tmp_path)]) == 0
+    name = "sysdemo" if text is SYSTEM else "pairdemo"
+    first = (tmp_path / f"{name}.{parts[0]}.traj.csv").read_bytes()
+    assert (tmp_path / f"{name}.traj.csv").read_bytes() == first
+    assert (tmp_path / f"{name}.{parts[1]}.traj.csv").exists()
+    assert len(formatted) == len(set(formatted)) == len(parts)
+
+
+def test_successive_calls_share_no_state(tmp_path, capsys, monkeypatch):
+    """In-process calls of main reuse one parser but no arguments: an
+    --outdir, --levels or a refused argv leaves the next call as it would
+    be in a fresh process."""
+    path = write(tmp_path, LINEAR)
+    first, later = tmp_path / "first", tmp_path / "later"
+    assert main(["run", path, "--outdir", str(first)]) == 0
+    assert (first / "lindemo.traj.csv").exists()
+    capsys.readouterr()
+    assert main(["converge", path, "--levels", "4"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4
+    with pytest.raises(SystemExit) as exc:
+        main(["run", path, "--levels", "4"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    monkeypatch.setenv("FRACDIFF_OUTPUT_DIR", str(later))
+    assert main(["run", path]) == 0
+    assert "summary:" in capsys.readouterr().out
+    assert (later / "lindemo.traj.csv").exists()
+    assert sorted(os.listdir(first)) == ["lindemo.report.txt", "lindemo.traj.csv"]

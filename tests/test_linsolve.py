@@ -15,6 +15,8 @@ from fracdiff.linsolve import (
     MAX_ROW_TABLE_BYTES,
     LinearProblem,
     ModalPropagator,
+    _check_box,
+    _convolution,
     convolve_K,
     solve_linear,
     solve_linear_l1,
@@ -434,6 +436,43 @@ def test_non_finite_value_stops_the_march():
             prob = LinearProblem(b, 0.5, a, reaction=reaction)
             with pytest.raises(ArithmeticError, match=where):
                 solve_linear(prob, grid)
+
+
+@pytest.mark.parametrize(
+    "U, m, message",
+    [
+        (np.array([[1.0, np.nan]]), None, "non-finite value at here"),
+        (np.array([[1.0, np.inf]]), None, "non-finite value at here"),
+        (np.array([[-np.inf, 0.0]]), None, "non-finite value at here"),
+        (np.array([[1.0, np.nan]]), 2.0, "non-finite value at here"),
+        (np.array([[1.0, np.inf]]), 2.0, "non-finite value at here"),
+        (np.array([[1.0, -2.5]]), 2.0, "amplitude escape at here: sup|u| = 2.5 > m = 2.0"),
+    ],
+    ids=["nan", "inf", "-inf", "nan-in-box", "inf-in-box", "escape"],
+)
+def test_check_box_messages(U, m, message):
+    """The one-reduction box check tells a non-finite value from an escape
+    from the box m, and formats where only when it fails."""
+    with pytest.raises(ArithmeticError) as exc:
+        _check_box(U, m, lambda: "here")
+    assert str(exc.value) == message
+    _check_box(np.array([[1.0, -2.0]]), 2.0, lambda: pytest.fail("formatted"))
+    _check_box(np.array([[1e308, -1e308]]), None, lambda: pytest.fail("formatted"))
+
+
+@pytest.mark.parametrize(
+    "grid", [TimeGrid.uniform(1.0, 40), TimeGrid.graded(1.0, 24, 2.0)],
+    ids=["uniform", "graded"],
+)
+def test_stacked_convolution_equals_convolve_K(grid):
+    """Three components of distinct orders and two starts convolved at once
+    equal convolve_K of each component and start, bit for bit."""
+    b = neumann_basis(9, 33)
+    props = [ModalPropagator(b, alpha, grid, shift=1.0) for alpha in (0.3, 0.6, 0.9)]
+    G = np.random.default_rng(7).standard_normal((3, 2, len(grid), 9))
+    got = _convolution(props)(G)
+    want = np.array([[convolve_K(p, g) for g in gc] for p, gc in zip(props, G)])
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize(
