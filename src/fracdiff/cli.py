@@ -111,10 +111,11 @@ def _cmd_monotone(args) -> int:
     mono = scn.monotone
     if mono is None:
         raise ScenarioError(f"{scn.path}: missing [monotone] section")
-    out = monotone_iterate(
-        BracketPair(mono.lower, mono.upper), scn.problem, scn.grid,
-        k_max=mono.k_max, gap_tol=mono.gap_tol,
-    )
+    try:
+        out = monotone_iterate(BracketPair(mono.lower, mono.upper), scn.problem,
+                               scn.grid, k_max=mono.k_max, gap_tol=mono.gap_tol)
+    except ArithmeticError as exc:  # a solver stop, named like harness._solve's
+        raise ScenarioError(f"{scn.path}: {exc}") from exc
     if out["converged"]:
         out["u_star"].to_csv(os.path.join(_output_dir(args.outdir), f"{scn.name}.traj.csv"))
     sys.stdout.write(

@@ -407,12 +407,8 @@ class Scenario:
                 f"{self.path}: {where}: a steady state needs a problem "
                 "without drift, reaction or forcing"
             )
-        _, _, c0 = basis.operator.coefficients(basis.grid)
-        if prob.term is None:
-            return steady_state_solve(basis, lambda x, u: -c0 * u, prob.a)
-        return steady_state_solve(
-            basis, lambda x, u: prob.term(x, u) - c0 * u, prob.a
-        )
+        f, c0 = prob.term or (lambda x, u: 0.0), basis.c0
+        return steady_state_solve(basis, lambda x, u: f(x, u) - c0 * u, prob.a)
 
     # -- solver inputs -----------------------------------------------------
 

@@ -48,6 +48,8 @@ marches, behind every solve, so no table outlives its solve; each
 trajectory it returns carries the samples, for the gates that read them.
 _sweeps iterates the same map over the whole window, for the iterations
 that are checked themselves (the monotone sandwich, picard_system_solve).
+Fields keep the grid on their last axis; every projection, synthesis, A_0
+and d/dx here is spectral's.
 """
 
 import itertools
@@ -56,7 +58,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .mlf import kernel_weights_from_e, ml_neg_vec
-from .spectral import project
+from .spectral import apply_a0, derivative, project, synthesize
 
 __all__ = [
     "ModalPropagator",
@@ -98,10 +100,10 @@ class ModalPropagator:
           it at every node.
     K*g:  discrete convolution with exact kernel moments
           w_n(lo, hi) = int_lo^hi tau^(alpha-1) E_{alpha,alpha}(-lam_n tau^alpha) dtau,
-          read through row(i) and convolve_K only.  A uniform grid keeps
-          the lag table (N, M) and its real FFT spectrum; others keep the
-          rows of every node in one packed (N(N+1)/2, M) table, row i at
-          offset i(i-1)/2 in ascending lags t_i - t_j, 8 M N(N+1)/2 bytes;
+          read through row(i) and _convolution only.  A uniform grid keeps
+          the lag table (N, M); others keep the rows of every node in one
+          packed (N(N+1)/2, M) table, row i at offset i(i-1)/2 in
+          ascending lags t_i - t_j, 8 M N(N+1)/2 bytes;
           a grid needing more than MAX_ROW_TABLE_BYTES raises ValueError
           before any weight is computed.  The rows are built in groups of
           consecutive rows holding about ROW_GROUP_POINTS lag-mode points:
@@ -133,7 +135,6 @@ class ModalPropagator:
         self.E = self.e_values(t)
         if grid.kind == "uniform":
             self._W = kernel_weights_from_e(self.alpha, self.lambdas, t, self.E)
-            self._Wf = rfft(self._W, n=next_fast_len(2 * N - 1, True), axis=0)
         else:  # packed rows, lag-ascending, row i at offset i(i-1)/2
             self._W = np.empty((N * (N + 1) // 2, M))
             for lo, hi in _row_groups(N, M):
@@ -171,11 +172,12 @@ class ModalPropagator:
 def _convolution(props):
     """The function G -> K_c * G[c, s] of propagators props of one grid for
     stacked modal forcing histories G (C, S, N+1, M): one real FFT pair
-    against lag spectra stacked here once on a uniform grid, else row(i)."""
+    against the real FFT spectra of the lag tables, made here once, on a
+    uniform grid, else row(i)."""
     grid, n = props[0].grid, len(props[0].grid)
     if grid.kind == "uniform":
-        L = next_fast_len(2 * grid.N - 1, True)  # the length of _Wf
-        Wf = np.stack([prop._Wf for prop in props])[:, None]
+        L = next_fast_len(2 * grid.N - 1, True)
+        Wf = rfft(np.stack([prop._W for prop in props]), n=L, axis=-2)[:, None]
 
     def convolve(G):
         if G.shape[-2] != n:
@@ -258,19 +260,17 @@ def march(props, a, rhs_at, m):
     or, with a box m (None: no box), where sup|u| > m.  Returns the modal
     histories (C, N+1, M)."""
     basis, nodes = props[0].basis, props[0].grid.nodes
-    # one 1-D projection per component keeps row 0 equal to project(basis, a)
-    modal = np.array([prop.E * project(basis, ac) for prop, ac in zip(props, a)])
-    G = np.zeros_like(modal)  # modal right-hand sides at the nodes
-    P = basis.weights[:, None] * basis.modes  # the projection
     U = np.asarray(a, dtype=float)
+    modal = np.array([prop.E * ac for prop, ac in zip(props, project(basis, U))])
+    G = np.zeros_like(modal)  # modal right-hand sides at the nodes
     for i in range(len(nodes)):
         if i:
             for c, prop in enumerate(props):
                 modal[c, i] += np.einsum("jm,jm->m", prop.row(i), G[c, :i])
-            U = modal[:, i] @ basis.modes.T
+            U = synthesize(basis, modal[:, i])
         _check_box(U, m, lambda: f"node {i} (t={nodes[i]})")
         if i < len(nodes) - 1:
-            G[:, i] = rhs_at(U, i) @ P
+            G[:, i] = project(basis, rhs_at(U, i))
     return modal
 
 
@@ -344,15 +344,16 @@ class LinearProblem:
     def rhs(self, coeffs, shift):
         """The shift s and the closure (Q + s) u + F (+ f(u) with a term f)
         over the samples (q, b, F), for fields U whose last axis is the
-        spatial grid (leading axes broadcast against the samples)."""
-        shift = float(shift)
+        spatial grid (leading axes broadcast against the samples); the
+        shift defaults to 0."""
+        shift = 0.0 if shift is None else float(shift)
         q, b, F = coeffs
         x, term = self.basis.grid, self.term
 
         def rhs(U, i):
             out = 0.0 if q is None else q[i] * U
             if b is not None:
-                out = out + b[i] * np.gradient(U, x, axis=-1)
+                out = out + b[i] * derivative(x, U)
             out = out + shift * U
             if F is not None:
                 out = out + F[i]
@@ -381,10 +382,7 @@ class Trajectory:
         self.diagnostics = dict(diagnostics or {})
 
     def fields(self):
-        return self.modal @ self.basis.modes.T
-
-    def field_at(self, i):
-        return self.basis.modes @ self.modal[i]
+        return synthesize(self.basis, self.modal)
 
     def sup_norm(self):
         return float(np.max(np.abs(self.fields())))
@@ -432,13 +430,12 @@ def _sweeps(prob, grid, shift, U):
     in the box m.  Samples, propagators and S_c(t) a_c are made once."""
     coeffs, shift, rhs, props = _propagators(prob, grid, shift)
     basis, convolve = prob.basis, _convolution(props)
-    free = np.array([prop.E * project(basis, a) for prop, a in zip(props, prob.initials)])
+    free = np.array([prop.E * a for prop, a in zip(props, project(basis, prob.initials))])
 
     def sweeps(U):
         for k in itertools.count(1):
-            G = (rhs(U, slice(None)) * basis.weights) @ basis.modes
-            modal = free[:, None] + convolve(G)
-            U = modal @ basis.modes.T
+            modal = free[:, None] + convolve(project(basis, rhs(U, slice(None))))
+            U = synthesize(basis, modal)
             _check_box(U, prob.m, lambda: f"sweep {k}")
             yield modal, U
 
@@ -454,10 +451,10 @@ def solve_linear(prob, grid, shift=0.0):
 def solve_linear_l1(prob, grid):
     """Implicit L1 cross-oracle: same spectral operator, L1 time stepping.
 
-    At each node, (r I + A0 - Q) u_i = F_i + r a - history, with A0 the
-    span-truncated operator (so both solvers discretize the identical
-    spatial dynamics) and r the diagonal L1 coefficient.  Unconditionally
-    stable; used for cross-validation only.
+    At each node, (r I + A0 - Q) u_i = F_i + r a - history, with r the
+    diagonal L1 coefficient and A0 and Q spectral's operators restricted to
+    the span (so both solvers discretize the identical spatial dynamics).
+    Unconditionally stable; used for cross-validation only.
     """
     from scipy.linalg import lu_factor, lu_solve
 
@@ -465,14 +462,13 @@ def solve_linear_l1(prob, grid):
 
     if prob.term is not None:
         raise TypeError("solve_linear_l1 cannot step a reaction term; use solve_linear")
-    basis = prob.basis
-    x = basis.grid
-    n = len(grid)
+    basis, x, n = prob.basis, prob.basis.grid, len(grid)
     D = l1_weights(prob.alpha, grid)
-    # spectrally truncated A0 as a dense matrix on the spatial grid
-    P = basis.weights[None, :] * basis.modes.T  # project
-    A0 = basis.modes @ (basis.lambdas[:, None] * P)
-    span = basis.modes @ P  # projector onto span{phi_n}
+    # dense matrices on the spatial grid: the operators applied to the identity
+    eye = np.eye(x.size)
+    A0 = apply_a0(basis, eye).T  # spectrally truncated
+    span = synthesize(basis, project(basis, eye)).T  # projector onto span{phi_n}
+    Dx = derivative(x, eye).T
     fields = np.zeros((n, x.size))
     fields[0] = span @ prob.a
     a = fields[0]
@@ -482,28 +478,21 @@ def solve_linear_l1(prob, grid):
     lu = None
     for i in range(1, n):
         r = D[i, i]
-        Q = np.zeros((x.size, x.size))
+        Q = np.zeros_like(eye)
         q, b, F = (None if c is None else c[i] for c in coeffs)
         if q is not None:
             Q += np.diag(q)
         if b is not None:
-            Dx = np.zeros((x.size, x.size))
-            h = x[1] - x[0]
-            Dx[np.arange(1, x.size - 1), np.arange(2, x.size)] = 0.5 / h
-            Dx[np.arange(1, x.size - 1), np.arange(0, x.size - 2)] = -0.5 / h
-            Dx[0, :2] = [-1.0 / h, 1.0 / h]
-            Dx[-1, -2:] = [-1.0 / h, 1.0 / h]
-            Q += np.diag(b) @ Dx
+            Q += b[:, None] * Dx
         # restrict Q to the span so both solvers share one spatial operator
         Qs = span @ Q @ span
         rhs = (span @ F) if F is not None else np.zeros(x.size)
         rhs = rhs + r * a - span @ (D[i, :i] @ (fields[:i] - a[None, :]))
-        mat = r * np.eye(x.size) + A0 - Qs
+        mat = r * eye + A0 - Qs
         if static and grid.kind == "uniform":
             if lu is None:
                 lu = lu_factor(mat)
             fields[i] = lu_solve(lu, rhs)
         else:
             fields[i] = np.linalg.solve(mat, rhs)
-    modal = project(basis, fields.T).T
-    return Trajectory(grid, basis, modal, None, {"scheme": "implicit-L1"})
+    return Trajectory(grid, basis, project(basis, fields), None, {"scheme": "implicit-L1"})

@@ -25,7 +25,7 @@ NOT-APPLICABLE.
 Also here: residual checks for upper/lower solutions, the comparison
 principle, steady states by damped Newton, decay envelopes, and the
 barrier constants of the power-law examples computed constructively by
-bisection from their defining inequalities.
+bisection from their defining inequalities; A_0 is spectral's apply_a0.
 """
 
 import math
@@ -45,7 +45,7 @@ from .linsolve import (
     working_box,
 )
 from .mlf import ml_neg_vec
-from .spectral import project, synthesize
+from .spectral import apply_a0, derivative, project
 
 __all__ = [
     "enzyme_kinetics",
@@ -111,7 +111,7 @@ class SemilinearTerm:
     def __call__(self, x, u, du=None):
         args = (x, u)
         if self.kind == "gradient":
-            args += (np.gradient(u, x, axis=-1) if du is None else du,)
+            args += (derivative(x, u) if du is None else du,)
         f = np.asarray(self.evaluator(*args), dtype=float)
         return f if f.shape == np.shape(u) else f * np.ones_like(u)  # a constant in u
 
@@ -246,8 +246,7 @@ def monotone_iterate(pair, prob, grid, k_max=200, gap_tol=1e-6):
         sweeps += 1
     u_star = None
     if converged:
-        mid = (0.5 * (modal[0, 0] + modal[0, 1]) if sweeps
-               else project(basis, (0.5 * (lo + hi)).T).T)
+        mid = 0.5 * (modal[0, 0] + modal[0, 1]) if sweeps else project(basis, 0.5 * (lo + hi))
         u_star = Trajectory(
             grid, basis, mid, None, {"sweeps": sweeps, "gap": gap_history[-1], "M": M}
         )
@@ -262,11 +261,6 @@ def monotone_iterate(pair, prob, grid, k_max=200, gap_tol=1e-6):
     }
 
 
-def _a0_apply(basis, field):
-    """A_0 applied to a field, or to each column of an (n_grid, k) array."""
-    return synthesize(basis, (basis.lambdas * project(basis, field).T).T)
-
-
 def _residual_history(candidate, prob, grid, initial=None):
     basis = prob.basis
     U = _as_field_history(candidate, basis, grid)
@@ -274,7 +268,7 @@ def _residual_history(candidate, prob, grid, initial=None):
     D = l1_weights(prob.alpha, grid)
     dcap = D @ (U - a_bar[None, :])
     _, rhs = prob.rhs(prob.coefficients(grid.nodes), 0.0)
-    r = dcap + _a0_apply(basis, U.T).T - rhs(U, slice(None))
+    r = dcap + apply_a0(basis, U) - rhs(U, slice(None))
     return U, a_bar, r
 
 
@@ -361,10 +355,8 @@ def steady_state_solve(basis, term, guess):
     f = term if isinstance(term, SemilinearTerm) else SemilinearTerm(term)
     if f.kind == "gradient":
         raise TypeError("steady_state_solve requires a pointwise reaction")
-    x = basis.grid
-    _, _, c0 = basis.operator.coefficients(x)
-    P = basis.weights[None, :] * basis.modes.T
-    A = basis.modes @ (basis.lambdas[:, None] * P) - c0 * np.eye(x.size)
+    x, eye = basis.grid, np.eye(basis.grid.size)
+    A = apply_a0(basis, eye).T - basis.c0 * eye
 
     def residual(u):
         return A @ u - f(x, u)
@@ -404,8 +396,9 @@ def decay_envelope_check(traj, u_inf, basis, alpha, tol=1e-8):
     u_inf = np.asarray(u_inf, dtype=float)
     lam1 = float(basis.lambdas[0])
     phi1 = np.abs(basis.modes[:, 0])
-    err = np.abs(traj.fields() - u_inf[None, :])
-    M1 = steady_bracket_constant(basis, traj.field_at(0), u_inf)
+    fields = traj.fields()
+    err = np.abs(fields - u_inf[None, :])
+    M1 = steady_bracket_constant(basis, fields[0], u_inf)
     t = traj.grid.nodes
     env = M1 * np.outer(ml_neg_vec(alpha, lam1 * t**alpha), phi1) + tol
     violations = int(np.sum(err > env))
@@ -435,9 +428,7 @@ def steady_bracket_constant(basis, a, u_inf):
 
 def _laplacian_of_a(prob):
     """-(A_0 - c0) a, the second-order part of the operator applied to a."""
-    basis = prob.basis
-    _, _, c0 = basis.operator.coefficients(basis.grid)
-    return -(_a0_apply(basis, prob.a) - c0 * prob.a)
+    return -(apply_a0(prob.basis, prob.a) - prob.basis.c0 * prob.a)
 
 
 def _bisect_smallest(feasible, lo, hi, iters=60):

@@ -1,4 +1,5 @@
-"""Shifted 1-D elliptic operator, its eigenbasis, and modal transforms.
+"""Shifted 1-D elliptic operator, its eigenbasis, and the one spatial
+discretization of the package.
 
 A_0 v = -(p v')' - c(x) v + c0 v on (0, L) with flux conditions
 -p(0)v'(0) + sigma_0 v(0) = 0 and p(L)v'(L) + sigma_L v(L) = 0
@@ -7,6 +8,12 @@ differences in finite-volume (half-cell) form, which yields a symmetric
 tridiagonal generalized eigenproblem K phi = lambda W phi with the
 trapezoid weight matrix W; self-adjointness of the continuous operator is
 therefore preserved exactly on the grid.
+
+This module alone knows the modal format.  Fields keep the grid on their
+last axis and modal arrays the modes, with any leading axes: project is
+fields @ P (P = W phi, made once per basis), synthesize its inverse on the
+span, apply_a0 the span-truncated A_0 on fields (A_0 of the identity is
+its dense matrix), and derivative the one x-derivative stencil.
 """
 
 import numpy as np
@@ -19,6 +26,8 @@ __all__ = [
     "project",
     "synthesize",
     "apply_fractional_power",
+    "apply_a0",
+    "derivative",
     "basis_to_csv",
 ]
 
@@ -75,14 +84,17 @@ class EllipticOperator:
 
 
 class EigenBasis:
-    """First M eigenpairs of A_0 with trapezoid quadrature weights."""
+    """First M eigenpairs of A_0 with trapezoid quadrature weights, the
+    projection P = W phi (n_grid, M) and the shift c0 of the operator."""
 
-    def __init__(self, lambdas, modes, grid, weights, operator):
+    def __init__(self, lambdas, modes, grid, weights, operator, c0):
         self.lambdas = lambdas
         self.modes = modes  # (n_grid, M)
         self.grid = grid
         self.weights = weights
         self.operator = operator
+        self.c0 = c0
+        self.P = weights[:, None] * modes
 
     @property
     def n_modes(self):
@@ -147,25 +159,27 @@ def eigendecompose(op, n_modes, n_grid):
     idx = np.argmax(np.abs(modes), axis=0)
     signs = np.sign(modes[idx, np.arange(n_modes)])
     modes *= signs[None, :]
-    return EigenBasis(lam, modes, x, w, op)
+    return EigenBasis(lam, modes, x, w, op, c0)
 
 
-def project(basis, field):
-    field = np.asarray(field, dtype=float)
-    if field.shape[0] != basis.grid.size:
+def project(basis, fields):
+    """Modal coefficients (..., M) of fields (..., n_grid): fields @ P."""
+    fields = np.asarray(fields, dtype=float)
+    if fields.shape[-1] != basis.grid.size:
         raise ValueError(
-            f"field has {field.shape[0]} samples, grid has {basis.grid.size}"
+            f"field has {fields.shape[-1]} samples, grid has {basis.grid.size}"
         )
-    return basis.modes.T @ (basis.weights * field.T).T
+    return fields @ basis.P
 
 
 def synthesize(basis, coeffs):
+    """Fields (..., n_grid) of modal coefficients (..., M)."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[0] != basis.n_modes:
+    if coeffs.shape[-1] != basis.n_modes:
         raise ValueError(
-            f"got {coeffs.shape[0]} coefficients for {basis.n_modes} modes"
+            f"got {coeffs.shape[-1]} coefficients for {basis.n_modes} modes"
         )
-    return basis.modes @ coeffs
+    return coeffs @ basis.modes.T
 
 
 def apply_fractional_power(basis, gamma, coeffs):
@@ -173,11 +187,19 @@ def apply_fractional_power(basis, gamma, coeffs):
     gamma = float(gamma)
     if gamma < 0.0:
         raise ValueError(f"fractional power needs gamma >= 0, got {gamma}")
-    if gamma == 0.0:
-        return np.array(coeffs, dtype=float, copy=True)
-    coeffs = np.asarray(coeffs, dtype=float)
-    lam = basis.lambdas**gamma
-    return (lam * coeffs.T).T
+    return basis.lambdas**gamma * np.asarray(coeffs, dtype=float)
+
+
+def apply_a0(basis, fields):
+    """A_0 on fields (..., n_grid), truncated to the span of the basis:
+    A_0 of the identity is its dense matrix, transposed."""
+    return synthesize(basis, apply_fractional_power(basis, 1.0, project(basis, fields)))
+
+
+def derivative(x, fields):
+    """d/dx of fields (..., x.size) sampled on the grid x: central
+    differences inside, first-order one-sided differences at the two ends."""
+    return np.gradient(fields, x, axis=-1)
 
 
 def basis_to_csv(basis, path):

@@ -4,10 +4,10 @@ coupled through a reaction R:
 
     d_t^{alpha_c} (u_c - a_c) + A_0 u_c = R_c(u),   c = 1, ..., C.
 
-ReactionSystem validates the orders, the initial fields and the working
-box.  Its two constructors, MultiOrderSystem (linear couplings and
-forcings) and SemilinearPair (two components of equal order, bivariate
-reactions f and g, nothing to sample), complete the problem protocol of
+ReactionSystem validates the orders and the initial fields.  Its two
+constructors, MultiOrderSystem (linear couplings and forcings, no box)
+and SemilinearPair (two components of equal order, bivariate reactions f
+and g, nothing to sample, a working box), complete the problem protocol of
 linsolve: coefficients, rhs, whose shift is the M_1 of the paper with its
 default and check, and the cooperativity hypotheses; cooperative_classify
 decides which of the four cooperative cases of a pair (or none) applies.
@@ -64,7 +64,7 @@ class ReactionSystem:
     cooperativity, the rest of the problem protocol of linsolve.
     """
 
-    def __init__(self, basis, alphas, initials, m=None):
+    def __init__(self, basis, alphas, initials):
         alphas = [float(a) for a in alphas]
         if len(alphas) < 2:
             raise ValueError("a reaction system needs at least 2 components")
@@ -82,7 +82,7 @@ class ReactionSystem:
         self.alphas = alphas
         self.N = n
         self.initials = initials
-        self.m = None if m is None else working_box(initials, m)
+        self.m = None  # SemilinearPair sets its box
 
 
 class MultiOrderSystem(ReactionSystem):
@@ -162,7 +162,7 @@ class SemilinearPair(ReactionSystem):
     m, or 2 (1 + max(sup|a|, sup|b|)) by default."""
 
     def __init__(self, basis, alpha, f, g, a, b, m=None):
-        super().__init__(basis, [alpha, alpha], [a, b], m)
+        super().__init__(basis, [alpha, alpha], [a, b])
         self.m = working_box(self.initials, m)
         self.f = f
         self.g = g

@@ -77,6 +77,20 @@ def test_bundle_default_directory(tmp_path, capsys):
     assert "enzyme_barrier" in out and "decay_envelope" in out
 
 
+def test_bundle_exits_1_when_one_scenario_fails(tmp_path, capsys):
+    """bundle runs every file and exits 1 when one of them has a FAIL."""
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    write(scenarios, SEMI, name="a.ini")
+    write(scenarios, SEMI.replace("clidemo", "failing")
+          + "\n[property:impossible]\ntype = bracket\nlower = 0\nupper = 0.5\n",
+          name="b.ini")
+    assert main(["bundle", str(scenarios), "--outdir", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "scenario: clidemo" in out and "summary: 1 PASS, 0 FAIL" in out
+    assert "property impossible [bracket]: FAIL" in out
+
+
 def test_converge_table(tmp_path, capsys):
     path = write(tmp_path, SEMI)
     assert main(["converge", path, "--levels", "3"]) == 0
@@ -136,6 +150,26 @@ def test_monotone_bracket_not_closed_exits_1(tmp_path, capsys):
     assert main(["monotone", path, "--outdir", str(tmp_path)]) == 1
     assert "monotone: converged=False sweeps=1 " in capsys.readouterr().out
     assert not (tmp_path / "clidemo.traj.csv").exists()
+
+
+def test_monotone_solver_stop_names_the_file(tmp_path, capsys):
+    """A monotone sweep that stops (3 u^2 grows faster than the bracket
+    allows) exits 2 with one stderr line naming the file, as run does."""
+    path = write(tmp_path, SEMI.replace("term = enzyme(u)", "term = 3*u^2"))
+    assert main(["monotone", path, "--outdir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        f"error: {path}: monotonicity violation (upper sequence increased) of ")
+
+
+def test_monotone_needs_the_section(tmp_path, capsys):
+    text = SEMI.replace("[monotone]\n    lower = 0\n    upper = 1.2\n", "")
+    path = write(tmp_path, text)
+    assert main(["monotone", path, "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: missing [monotone] section\n"
 
 
 def test_monotone_term_not_finite_on_the_box_exits_2(tmp_path, capsys):

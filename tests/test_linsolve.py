@@ -18,6 +18,7 @@ from fracdiff.linsolve import (
     _check_box,
     _convolution,
     convolve_K,
+    solve,
     solve_linear,
     solve_linear_l1,
 )
@@ -556,3 +557,19 @@ def test_full_basis_physical_matrices_are_nonnegative(sigma):
 
     assert worst(33) >= -1e-13
     assert worst(17) < -1e-3
+
+
+def test_shift_none_is_zero_for_scalar_problems():
+    """solve with shift None takes the default of a scalar problem, 0: the
+    same trajectory, bitwise, as shift 0."""
+    b = neumann_basis(8, 33)
+    x = b.grid
+    grid = TimeGrid.uniform(1.0, 16)
+    linear = dict(drift=lambda x, t: 0.3 * np.sin(x), reaction=-0.5,
+                  forcing=lambda x, t: t * np.cos(x))
+    for prob in (LinearProblem(b, 0.6, 1.0 + 0.2 * np.cos(x), **linear),
+                 SemilinearProblem(b, 0.6, 1.0 + 0.2 * np.cos(x),
+                                   SemilinearTerm.enzyme(), **linear)):
+        got, want = solve(prob, grid, None)[0], solve(prob, grid, 0.0)[0]
+        assert np.array_equal(got.modal, want.modal)
+        assert got.diagnostics["shift"] == 0.0

@@ -5,8 +5,10 @@ import pytest
 
 from fracdiff.spectral import (
     EllipticOperator,
+    apply_a0,
     apply_fractional_power,
     basis_to_csv,
+    derivative,
     eigendecompose,
     project,
     synthesize,
@@ -191,3 +193,48 @@ def test_tail_energy():
     in_span = synthesize(b, np.array([1.0, -2.0, 0.5, 0.0]))
     assert b.tail_energy(in_span) < 1e-10
     assert b.tail_energy(np.cos(7 * b.grid)) > 0.9
+
+
+def test_transforms_act_on_the_last_axis():
+    """project, synthesize and apply_a0 act on the last axis of any stack:
+    each row of a (2, 3, n_grid) stack gets what it gets alone."""
+    b = eigendecompose(
+        EllipticOperator(2.0, p=lambda x: 1.0 + x, c=-0.5, sigma=(0.7, 0.2)), 9, 17
+    )
+    rng = np.random.default_rng(3)
+    U = rng.normal(size=(2, 3, 17))
+    C = project(b, U)
+    assert C.shape == (2, 3, 9) and synthesize(b, C).shape == U.shape
+    np.testing.assert_allclose(C[1, 2], project(b, U[1, 2]), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(synthesize(b, C)[1, 2], synthesize(b, C[1, 2]), atol=1e-14)
+    np.testing.assert_allclose(apply_a0(b, U)[1, 2], apply_a0(b, U[1, 2]), atol=1e-13)
+    with pytest.raises(ValueError, match="field has 16 samples, grid has 17"):
+        project(b, U[..., :16])
+    with pytest.raises(ValueError, match="got 8 coefficients for 9 modes"):
+        synthesize(b, C[..., :8])
+
+
+def test_apply_a0_is_the_operator_and_c0_its_shift():
+    """A_0 of the identity is its dense matrix (transposed): it maps each
+    mode to lambda times the mode, and the basis carries the shift c0 that
+    the operator's sampler gives."""
+    op = EllipticOperator(1.0, p=lambda x: 1.0 + x * x, c=lambda x: -np.sin(x),
+                          sigma=(1.0, 0.0))
+    b = eigendecompose(op, 12, 40)
+    A0 = apply_a0(b, np.eye(40)).T
+    np.testing.assert_allclose(A0 @ b.modes, b.modes * b.lambdas, atol=1e-9 * b.lambdas[-1])
+    assert b.c0 == op.coefficients(b.grid)[2]
+    assert eigendecompose(EllipticOperator(1.0, c0=0.25), 4, 9).c0 == 0.25
+
+
+def test_derivative_stencil():
+    """Central differences inside, first-order one-sided differences at the
+    two ends, on every row of a stack; exact on a linear function."""
+    x = np.linspace(0.0, 2.0, 9)
+    h = x[1] - x[0]
+    u = np.stack([x**2, 3.0 * x - 1.0])
+    du = derivative(x, u)
+    np.testing.assert_allclose(du[0, 1:-1], (u[0, 2:] - u[0, :-2]) / (2 * h), rtol=1e-14)
+    np.testing.assert_allclose(du[0, [0, -1]], [(u[0, 1] - u[0, 0]) / h,
+                                                (u[0, -1] - u[0, -2]) / h], rtol=1e-14)
+    np.testing.assert_allclose(du[1], 3.0, rtol=1e-14)

@@ -15,8 +15,8 @@ import glob
 import os
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "fracdiff")
-UNCALLED_EXPORTS = 16
-DEFAULTED_PARAMETERS = 38
+UNCALLED_EXPORTS = 15
+DEFAULTED_PARAMETERS = 37
 
 
 def _trees():

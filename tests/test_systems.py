@@ -74,6 +74,36 @@ def test_max_sweeps_below_one_refused(solver, max_sweeps):
         picard_system_solve(sys, grid, max_sweeps=max_sweeps)
 
 
+def test_system_picard_stop_rules():
+    """Without a box, strong couplings make the increments grow: the
+    iteration stops after 5 consecutive growing sweeps, and with a sweep
+    limit below that it stops at the limit, each naming the last increment."""
+    b = full_neumann_basis(9)
+    a = [np.ones_like(b.grid)] * 2
+    grid = TimeGrid.uniform(1.0, 8)
+    sys = MultiOrderSystem(b, [0.5, 0.5], a, couplings=[[None, 20.0], [20.0, None]])
+    with pytest.raises(ArithmeticError,
+                       match=r"^divergence: increments grew over 5 consecutive sweeps \(last "):
+        picard_system_solve(sys, grid)
+    with pytest.raises(ArithmeticError, match=r"^fixed-point iteration did not converge in 2 "
+                                              r"sweeps \(last increment "):
+        picard_system_solve(sys, grid, max_sweeps=2)
+
+
+def test_system_shift_refusals():
+    """M_1 must exceed the diagonal coupling bound of a coupled system and
+    be nonnegative for a decoupled one."""
+    b = full_neumann_basis(9)
+    a = [np.ones_like(b.grid)] * 2
+    grid = TimeGrid.uniform(1.0, 4)
+    coupled = MultiOrderSystem(b, [0.3, 0.5], a, couplings=[[-0.1, 0.2], [0.2, -0.1]])
+    with pytest.raises(ValueError,
+                       match=r"^M1 = 0\.1 must exceed the diagonal coupling bound 0\.1$"):
+        solve(coupled, grid, 0.1)
+    with pytest.raises(ValueError, match=r"^M1 must be nonnegative, got -1\.0$"):
+        solve(MultiOrderSystem(b, [0.3, 0.5], a), grid, -1.0)
+
+
 def test_march_equals_whole_window_iteration():
     """The march of solve is the fixed point that the whole-window
     Picard iteration converges to: the two engines agree to 10 tol on a
