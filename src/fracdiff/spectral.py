@@ -155,10 +155,12 @@ def eigendecompose(op, n_modes, n_grid):
         )
     lam = np.maximum(lam, 0.0)
     modes = v * isw[:, None]
-    # deterministic sign: make each mode positive at its largest entry
-    idx = np.argmax(np.abs(modes), axis=0)
-    signs = np.sign(modes[idx, np.arange(n_modes)])
-    modes *= signs[None, :]
+    # deterministic sign: each mode is positive at its first entry above
+    # 1e-3 of its largest, phi_n(0) unless the mode is localized away from
+    # x = 0.  The sign at the largest entry would tie to rounding on
+    # symmetric grids, that at phi_n(0) where phi_n(0) is itself rounding
+    big = np.abs(modes) > 1e-3 * np.max(np.abs(modes), axis=0)
+    modes *= np.sign(modes[np.argmax(big, axis=0), np.arange(n_modes)])
     return EigenBasis(lam, modes, x, w, op, c0)
 
 
