@@ -114,7 +114,7 @@ def _cmd_monotone(args) -> int:
     try:
         out = monotone_iterate(BracketPair(mono.lower, mono.upper), scn.problem,
                                scn.grid, k_max=mono.k_max, gap_tol=mono.gap_tol)
-    except ArithmeticError as exc:  # a solver stop, named like harness._solve's
+    except (ArithmeticError, ValueError) as exc:  # a solver stop or a bad bracket
         raise ScenarioError(f"{scn.path}: {exc}") from exc
     if out["converged"]:
         out["u_star"].to_csv(os.path.join(_output_dir(args.outdir), f"{scn.name}.traj.csv"))

@@ -55,7 +55,6 @@ and d/dx here is spectral's.
 import itertools
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .mlf import kernel_weights_from_e, ml_neg_vec
 from .spectral import apply_a0, derivative, project, synthesize
@@ -169,6 +168,20 @@ class ModalPropagator:
         return float(np.max(np.abs(sums - want)))
 
 
+def _fast_len(n):
+    """The smallest 5-smooth integer >= n: a fast real FFT length."""
+    best, p5 = 1 << max(n - 1, 0).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = p35
+            while q < n:
+                q *= 2
+            best, p35 = min(best, q), p35 * 3
+        p5 *= 5
+    return best
+
+
 def _convolution(props):
     """The function G -> K_c * G[c, s] of propagators props of one grid for
     stacked modal forcing histories G (C, S, N+1, M): one real FFT pair
@@ -176,16 +189,16 @@ def _convolution(props):
     uniform grid, else row(i)."""
     grid, n = props[0].grid, len(props[0].grid)
     if grid.kind == "uniform":
-        L = next_fast_len(2 * grid.N - 1, True)
-        Wf = rfft(np.stack([prop._W for prop in props]), n=L, axis=-2)[:, None]
+        L = _fast_len(2 * grid.N - 1)
+        Wf = np.fft.rfft(np.stack([prop._W for prop in props]), n=L, axis=-2)[:, None]
 
     def convolve(G):
         if G.shape[-2] != n:
             raise ValueError(f"forcing history has {G.shape[-2]} rows, grid {n} nodes")
         out = np.zeros(G.shape)
         if grid.kind == "uniform":
-            spectrum = rfft(G[..., :-1, :], n=L, axis=-2) * Wf
-            out[..., 1:, :] = irfft(spectrum, n=L, axis=-2)[..., : n - 1, :]
+            spectrum = np.fft.rfft(G[..., :-1, :], n=L, axis=-2) * Wf
+            out[..., 1:, :] = np.fft.irfft(spectrum, n=L, axis=-2)[..., : n - 1, :]
         else:
             for c, prop in enumerate(props):
                 for i in range(1, n):
@@ -456,8 +469,6 @@ def solve_linear_l1(prob, grid):
     the span (so both solvers discretize the identical spatial dynamics).
     Unconditionally stable; used for cross-validation only.
     """
-    from scipy.linalg import lu_factor, lu_solve
-
     from .fracops import l1_weights
 
     if prob.term is not None:
@@ -473,9 +484,7 @@ def solve_linear_l1(prob, grid):
     fields[0] = span @ prob.a
     a = fields[0]
 
-    static = not (callable(prob.drift) or callable(prob.reaction))
     coeffs = prob.coefficients(grid.nodes)
-    lu = None
     for i in range(1, n):
         r = D[i, i]
         Q = np.zeros_like(eye)
@@ -488,11 +497,5 @@ def solve_linear_l1(prob, grid):
         Qs = span @ Q @ span
         rhs = (span @ F) if F is not None else np.zeros(x.size)
         rhs = rhs + r * a - span @ (D[i, :i] @ (fields[:i] - a[None, :]))
-        mat = r * eye + A0 - Qs
-        if static and grid.kind == "uniform":
-            if lu is None:
-                lu = lu_factor(mat)
-            fields[i] = lu_solve(lu, rhs)
-        else:
-            fields[i] = np.linalg.solve(mat, rhs)
+        fields[i] = np.linalg.solve(r * eye + A0 - Qs, rhs)
     return Trajectory(grid, basis, project(basis, fields), None, {"scheme": "implicit-L1"})

@@ -42,11 +42,11 @@ comes from one formula, kernel_weights_from_e, applied to a table of
 E_{a,1} values.
 """
 
+import functools
 import math
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.special import gammaln, rgamma
 
 __all__ = [
     "MLParams",
@@ -64,6 +64,23 @@ _MAX_TERMS = 20000
 
 # points per block of _contour, whose (nodes, block) temporaries stay in cache
 _CONTOUR_BLOCK = 1024
+
+
+def _lgamma(x):
+    """log|Gamma| of each entry of the 1-d array x > 0."""
+    return np.array([math.lgamma(v) for v in x.tolist()])
+
+
+def _rgamma(x):
+    """1/Gamma of each entry of the 1-d array x > -170: 0 at the poles
+    (0, -1, -2, ...) and where Gamma overflows."""
+    out = np.zeros(x.size)
+    for i, v in enumerate(x.tolist()):
+        try:
+            out[i] = 1.0 / math.gamma(v)
+        except (ValueError, OverflowError):
+            pass
+    return out
 
 
 def deep_cut(alpha):
@@ -136,7 +153,7 @@ def _taylor_pos(alpha, beta, z):
     n = 1.5 * k_star + 100.0
     while True:
         k = np.arange(0.0, n)
-        logterm = k * math.log(z) - gammaln(alpha * k + beta)
+        logterm = k * math.log(z) - _lgamma(alpha * k + beta)
         m = float(np.max(logterm))
         if logterm[-1] < m - 40.0:
             break
@@ -167,6 +184,37 @@ def ml(params, z):
     return float(ml_neg_vec(alpha, np.array([-z]), b)[0])
 
 
+@functools.lru_cache(maxsize=256)
+def _taylor_coefficients(alpha, beta):
+    """Powers k and Taylor coefficients 1/Gamma(alpha k + beta) of
+    E_{alpha,beta}, up to the first k with alpha k + beta >= 19, where
+    1/Gamma(alpha k + beta) <= 1/Gamma(19) < _EPS (read-only, shared)."""
+    k = np.arange(min(_MAX_TERMS, 4 + max(0, int((19.0 - beta) / alpha))))
+    c = _rgamma(alpha * k + beta)
+    k.flags.writeable = c.flags.writeable = False
+    return k, c
+
+
+@functools.lru_cache(maxsize=256)
+def _asymptotic_coefficients(alpha, beta):
+    """Coefficients c_k = (-1)^(k+1)/Gamma(beta - alpha k), k = 1..n, of the
+    asymptotic series in y = 1/x, truncated where the remainder bound B_n at
+    x0 = deep_cut(alpha) reaches _EPS (read-only, shared)."""
+    x0, n = deep_cut(alpha), np.arange(128)  # x0 >= 4: n stays below 40
+    c = (-1.0) ** n * _rgamma(beta - alpha * (n + 1))
+    log_b = -n * math.log(x0) + np.logaddexp(
+        1.0 - math.log(x0 - 1.0),
+        _lgamma(np.maximum(1.0 + alpha * (n + 1) - beta, 1.0))
+        - math.log(math.pi * math.sin(math.pi * max(alpha, 0.5)) * x0),
+    )
+    n_opt = int(np.argmin(log_b))
+    scale = np.max(np.abs(c[:n_opt]) * x0 ** -(n[:n_opt] + 1.0))
+    n_eps = np.flatnonzero(log_b[:n_opt] <= math.log(_EPS * scale))
+    c = c[: n_eps[0] if n_eps.size else n_opt]
+    c.flags.writeable = False
+    return c
+
+
 def ml_neg_vec(alpha, x, beta=1.0):
     """Vectorized E_{alpha,beta}(-x) for an array of x >= 0, evaluated
     regime by regime in batched numpy arithmetic."""
@@ -192,9 +240,7 @@ def ml_neg_vec(alpha, x, beta=1.0):
     if tay.any():
         xs = flat[tay]
         x_max = xs.max()
-        # 1/Gamma(a k + b) <= 1/Gamma(19) < _EPS once a k + b >= 19
-        k = np.arange(min(_MAX_TERMS, 4 + max(0, int((19.0 - beta) / alpha))))
-        c = rgamma(alpha * k + beta)
+        k, c = _taylor_coefficients(alpha, beta)
         done = np.flatnonzero((x_max**k * c <= _EPS) & (k > 2))
         if not done.size:
             raise ValueError(f"Taylor sum of E_({alpha},{beta})(-x) at x_max={x_max} "
@@ -202,18 +248,8 @@ def ml_neg_vec(alpha, x, beta=1.0):
         res[tay] = polyval(-xs, c[: done[0] + 1])
 
     if asym.any():
-        x0, n = deep_cut(alpha), np.arange(128)  # x0 >= 4: n stays below 40
-        c = (-1.0) ** n * rgamma(beta - alpha * (n + 1))
-        log_b = -n * math.log(x0) + np.logaddexp(
-            1.0 - math.log(x0 - 1.0),
-            gammaln(np.maximum(1.0 + alpha * (n + 1) - beta, 1.0))
-            - math.log(math.pi * math.sin(math.pi * max(alpha, 0.5)) * x0),
-        )
-        n_opt = int(np.argmin(log_b))
-        scale = np.max(np.abs(c[:n_opt]) * x0 ** -(n[:n_opt] + 1.0))
-        n_eps = np.flatnonzero(log_b[:n_opt] <= math.log(_EPS * scale))
         y = 1.0 / flat[asym]
-        res[asym] = y * polyval(y, c[: n_eps[0] if n_eps.size else n_opt])
+        res[asym] = y * polyval(y, _asymptotic_coefficients(alpha, beta))
 
     if mid.any():
         res[mid] = _contour(alpha, beta, flat[mid])

@@ -165,6 +165,17 @@ def test_monotone_solver_stop_names_the_file(tmp_path, capsys):
         f"error: {path}: monotonicity violation (upper sequence increased) of ")
 
 
+def test_monotone_unordered_bracket_names_the_file(tmp_path, capsys):
+    """A [monotone] lower above its upper exits 2 with one stderr line
+    naming the file."""
+    text = SEMI.replace("lower = 0\n    upper = 1.2", "lower = 2\n    upper = 1")
+    path = write(tmp_path, text)
+    assert main(["monotone", path, "--outdir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: bracket is not ordered: lower > upper somewhere\n"
+
+
 def test_monotone_needs_the_section(tmp_path, capsys):
     text = SEMI.replace("[monotone]\n    lower = 0\n    upper = 1.2\n", "")
     path = write(tmp_path, text)
@@ -240,7 +251,7 @@ TRUNCATION = "reason=truncated basis: the discrete map need not preserve order"
 
 @pytest.mark.parametrize("n_modes, line", [
     (17, f"property pos [nonneg]: NOT-APPLICABLE {TRUNCATION}"),
-    (33, "property pos [nonneg]: PASS min_value=2.061151e-09"),
+    (33, "property pos [nonneg]: PASS min_value=2.061153e-09"),
 ], ids=["truncated", "full"])
 def test_order_verdict_needs_the_full_basis(tmp_path, capsys, n_modes, line):
     """On 17 of 33 modes the discrete map need not preserve order (its

@@ -172,11 +172,14 @@ def test_uniform_convolution_matches_fftconvolve_and_direct_sum(N, M):
     assert np.max(np.abs(out[1:] - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
-def test_package_does_not_import_scipy_signal():
-    """A uniform Picard solve and the CLI parser leave scipy.signal unloaded:
-    its import would cost a fresh process about 0.8 s of CPU and 40 MB."""
+def test_package_does_not_import_scipy():
+    """The warm-up solve and `fracdiff run` on a bundled scenario load no
+    scipy module in a fresh process: the package needs numpy alone, and
+    any scipy import costs a fresh process about 0.3 s of CPU."""
     code = textwrap.dedent("""
+        import os
         import sys
+        import tempfile
         import numpy as np
         import fracdiff
         from fracdiff import cli
@@ -187,8 +190,12 @@ def test_package_does_not_import_scipy_signal():
         basis = eigendecompose(EllipticOperator(3.0), 5, 5)
         prob = SemilinearProblem(basis, 0.5, np.ones(5), SemilinearTerm.enzyme())
         picard_solve(prob, TimeGrid.uniform(1.0, 4), shift=2.0)
-        cli.build_parser()
-        assert "scipy.signal" not in sys.modules, "scipy.signal was imported"
+        scenario = os.path.join(os.path.dirname(fracdiff.__file__), "scenarios",
+                                "enzyme_barrier.ini")
+        with tempfile.TemporaryDirectory() as out:
+            assert cli.main(["run", scenario, "--outdir", out]) == 0
+        loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+        assert not loaded, loaded
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(fracdiff.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

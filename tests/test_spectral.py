@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracdiff import spectral
 from fracdiff.spectral import (
     EllipticOperator,
     apply_a0,
@@ -78,6 +79,53 @@ def test_robin_eigenvalues_vs_bisection_oracle():
     richardson = (4.0 * lam_h2 - lam_h) / 3.0
     want = robin_eigenvalues_oracle(4)
     assert np.max(np.abs(richardson - want)) < 1e-6
+
+
+OPERATORS = {
+    "robin": EllipticOperator(math.pi, p=lambda x: 1.0 + 0.5 * np.sin(x), c=lambda x: -x,
+                              sigma=(0.5, 0.0)),
+    "neumann": EllipticOperator(math.pi, c0=0.0),  # lambda_1 = 0
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+@pytest.mark.parametrize("n_grid, n_modes", [
+    (17, 17), (33, 33), (129, 129), (513, 513),
+    (301, 8), (501, 16), (801, 8), (1001, 16), (2001, 4), (4001, 4),
+])
+def test_eigensolver_matches_eigh_tridiagonal(monkeypatch, name, n_grid, n_modes):
+    """The numpy eigensolver (one dense eigh up to 16 (2M + 8) nodes, the
+    block iteration above) against scipy's eigh_tridiagonal on the same
+    tridiagonal B: eigenvalues within 1e-12 |B|, modes within 1e-10 in the
+    W-norm they are orthonormal in, each made positive at its first entry
+    above 1e-3 of its largest, and W-orthonormal to 1e-13."""
+    from scipy.linalg import eigh_tridiagonal
+
+    op = OPERATORS[name]
+    basis = eigendecompose(op, n_modes, n_grid)
+    norms = []
+
+    def reference(d, e, m, floor):
+        norms.append(float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e))))
+        return eigh_tridiagonal(d, e, select="i", select_range=(0, m - 1))
+
+    monkeypatch.setattr(spectral, "_lowest_eigenpairs", reference)
+    ref = eigendecompose(op, n_modes, n_grid)
+    w = basis.weights[:, None]
+    assert np.max(np.abs(basis.lambdas - ref.lambdas)) <= 1e-12 * norms[0]
+    big = np.abs(basis.modes) > 1e-3 * np.max(np.abs(basis.modes), axis=0)
+    assert (basis.modes[np.argmax(big, axis=0), np.arange(n_modes)] > 0.0).all()
+    assert np.max(np.sqrt(np.sum(w * (basis.modes - ref.modes) ** 2, axis=0))) <= 1e-10
+    gram = basis.modes.T @ (w * basis.modes)
+    assert np.max(np.abs(gram - np.eye(n_modes))) <= 1e-13
+
+
+def test_eigensolver_that_does_not_converge_raises(monkeypatch):
+    """The block iteration names the grid and the mode count when its
+    residuals do not reach the rounding floor in _MAX_SWEEPS sweeps."""
+    monkeypatch.setattr(spectral, "_MAX_SWEEPS", 1)
+    with pytest.raises(ArithmeticError, match="n_grid=2001, M=4"):
+        eigendecompose(OPERATORS["robin"], 4, 2001)
 
 
 def test_eigenvalue_h2_convergence():
