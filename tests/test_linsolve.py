@@ -17,6 +17,7 @@ from fracdiff.linsolve import (
     ModalPropagator,
     _check_box,
     _convolution,
+    _fast_len,
     convolve_K,
     solve,
     solve_linear,
@@ -153,6 +154,15 @@ def test_duhamel_consistency(grid):
     a_modal = project(b, a)
     duhamel = prop.E * a_modal + conv
     assert np.max(np.abs(traj.modal - duhamel)) < 1e-10
+
+
+def test_fast_len_is_the_next_5_smooth_length():
+    """_fast_len(n) is scipy's next_fast_len(n, real=True) for every n up
+    to 5000: the smallest 2^a 3^b 5^c >= n."""
+    from scipy.fft import next_fast_len
+
+    assert [_fast_len(n) for n in range(1, 5001)] == [
+        next_fast_len(n, True) for n in range(1, 5001)]
 
 
 @pytest.mark.parametrize("M", [1, 17])

@@ -223,3 +223,18 @@ def test_kernel_weight_vec_consistency():
     for i in range(4):
         assert w[i] == pytest.approx(moments(0.6, 3.0, taus[i:i + 2])[0])
     assert (w >= 0.0).all()
+
+
+def test_gamma_helpers_match_scipy():
+    """mlf's 1/Gamma and log Gamma from the math module agree with
+    scipy.special to rounding, with 1/Gamma = 0 at the poles and where
+    Gamma overflows, and the cached coefficient vectors are read-only."""
+    from scipy.special import gammaln, rgamma
+
+    x = np.concatenate([np.linspace(-127.75, 19.25, 1001), [0.0, -1.0, -50.0, 171.5, 200.0]])
+    np.testing.assert_allclose(mlf._rgamma(x), rgamma(x), rtol=1e-13, atol=0.0)
+    y = np.linspace(0.01, 150.0, 1000)
+    np.testing.assert_allclose(mlf._lgamma(y), gammaln(y), rtol=1e-13, atol=1e-15)
+    k, c = mlf._taylor_coefficients(0.5, 1.0)
+    assert not (k.flags.writeable or c.flags.writeable)
+    assert not mlf._asymptotic_coefficients(0.5, 1.0).flags.writeable
