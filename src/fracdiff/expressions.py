@@ -23,12 +23,20 @@ import numpy as np
 
 __all__ = ["ExpressionError", "Expression", "expression_parse"]
 
+
+def _enzyme(z):
+    """The built-in enzyme reaction -z / (1 + |z|): the expression function
+    ``enzyme`` and ``semilinear.enzyme_kinetics``."""
+    z = np.asarray(z, dtype=float)
+    return -z / (1.0 + np.abs(z))
+
+
 _FUNCTIONS: dict[str, Callable] = {
     "sin": np.sin,
     "cos": np.cos,
     "exp": np.exp,
     "abs": np.abs,
-    "enzyme": lambda z: -z / (1.0 + np.abs(z)),
+    "enzyme": _enzyme,
 }
 _VARIABLES = ("x", "t", "u", "v")
 

@@ -77,7 +77,7 @@ from .semilinear import (
     power_barrier_rho,
     steady_state_solve,
 )
-from .spectral import EllipticOperator, eigendecompose
+from .spectral import EllipticOperator, _broadcast, eigendecompose
 from .systems import MultiOrderSystem, SemilinearPair, nonneg_verify
 
 __all__ = [
@@ -376,7 +376,7 @@ class Scenario:
         """The field fn(x) of a key, sampled on the basis grid x; a
         ScenarioError names the key and the first x where it is not finite."""
         x = self.basis.grid
-        values = np.asarray(fn(x), dtype=float) * np.ones_like(x)
+        values = _broadcast(fn(x), x.shape, f"[{section}] {key}")
         bad = ~np.isfinite(values)
         if bad.any():
             raise ScenarioError(

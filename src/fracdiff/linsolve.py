@@ -20,6 +20,13 @@ protocol:
   non-negativity theorem hold on those samples for solutions in
   [low, high], else a dict whose "reason" names the first that fails.
 
+One calling rule holds for every user function of the package: it is
+called once per grid, on arrays, and what it returns broadcasts to the
+samples it stands for.  sample_history calls a function of (x, t) once as
+f(x, tnodes[:, None]), with the 1-D grid x; EllipticOperator calls p and c
+once on the 1-D array of their points; reaction terms see whole fields.  A
+callable that takes scalars only fails; there is no per-node path.
+
 The shift s belongs to the discrete scheme: it rewrites the equation as
 d_t^alpha (u - a) + (A_0 + s) u = s u + R(u).  The shifted kernel weights
 are nonnegative, and with the full eigenbasis (n_modes = n_grid) so are
@@ -57,7 +64,7 @@ import itertools
 import numpy as np
 
 from .mlf import kernel_weights_from_e, ml_neg_vec
-from .spectral import apply_a0, derivative, project, synthesize
+from .spectral import _broadcast, apply_a0, derivative, project, synthesize
 
 __all__ = [
     "ModalPropagator",
@@ -232,19 +239,16 @@ def sample_history(f, x, tnodes, name):
     """Samples of the coefficient called name on the spatial grid x at every
     time node, shape (len(tnodes), x.size), or None for None.
 
-    f is None, a constant, or a callable f(x, t), called once per node with
-    the 1-D grid x and a scalar t.  A non-finite sample is a
+    f is None, a constant, samples that broadcast to that shape, or a
+    callable f(x, t), called once as f(x, tnodes[:, None]) (the calling
+    rule of the module docstring).  A non-finite sample is a
     NonFiniteCoefficient naming the coefficient and the first node time
     where it occurs: the left-endpoint rule never reads the last node's
     right-hand side, so a solve would not see it there."""
     if f is None:
         return None
-    if callable(f):
-        out = np.array([
-            np.asarray(f(x, t), dtype=float) * np.ones_like(x) for t in tnodes
-        ])
-    else:
-        out = np.full((len(tnodes), x.size), float(f))
+    t = np.asarray(tnodes, dtype=float)[:, None]
+    out = _broadcast(f(x, t) if callable(f) else f, (t.size, x.size), name)
     bad = ~np.isfinite(out).all(axis=1)
     if bad.any():
         raise NonFiniteCoefficient(name, tnodes[np.argmax(bad)])

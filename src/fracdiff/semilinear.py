@@ -32,10 +32,10 @@ import math
 
 import numpy as np
 
+from .expressions import _enzyme as enzyme_kinetics
 from .fracops import TimeGrid, l1_weights
 from .linsolve import (
     LinearProblem,
-    NonFiniteCoefficient,
     Trajectory,
     _lattice,
     _order_hypothesis,
@@ -45,7 +45,7 @@ from .linsolve import (
     working_box,
 )
 from .mlf import ml_neg_vec
-from .spectral import apply_a0, derivative, project
+from .spectral import _broadcast, apply_a0, derivative, project
 
 __all__ = [
     "enzyme_kinetics",
@@ -78,12 +78,6 @@ NEWTON_TOL = 1e-10
 BARRIER_T_MAX = 1.0
 
 
-def enzyme_kinetics(eta):
-    """The built-in enzyme reaction f(eta) = -eta / (1 + |eta|)."""
-    eta = np.asarray(eta, dtype=float)
-    return -eta / (1.0 + np.abs(eta))
-
-
 class SemilinearTerm:
     """Reaction term: pointwise f(x, u) or gradient-dependent f(x, u, u_x).
 
@@ -112,8 +106,7 @@ class SemilinearTerm:
         args = (x, u)
         if self.kind == "gradient":
             args += (derivative(x, u) if du is None else du,)
-        f = np.asarray(self.evaluator(*args), dtype=float)
-        return f if f.shape == np.shape(u) else f * np.ones_like(u)  # a constant in u
+        return _broadcast(self.evaluator(*args), np.shape(u), "reaction term")
 
     def lipschitz(self, x, m):
         """max sampled |df/du| on grid x times [-m, m], inflated by 10%."""
@@ -158,18 +151,7 @@ def picard_solve(prob, grid, shift=0.0):
 def _as_field_history(state, basis, grid):
     if isinstance(state, Trajectory):
         return state.fields()
-    if callable(state):
-        return sample_history(state, basis.grid, grid.nodes, "field history")
-    arr = np.asarray(state, dtype=float)
-    if arr.shape != (len(grid), basis.grid.size):
-        raise ValueError(
-            f"field history has shape {arr.shape}, expected "
-            f"{(len(grid), basis.grid.size)}"
-        )
-    bad = ~np.isfinite(arr).all(axis=1)
-    if bad.any():
-        raise NonFiniteCoefficient("field history", grid.nodes[np.argmax(bad)])
-    return arr
+    return sample_history(state, basis.grid, grid.nodes, "field history")
 
 
 def monotone_step(state, prob, grid):

@@ -31,22 +31,30 @@ __all__ = [
 ]
 
 
+def _broadcast(values, shape, name):
+    """values (a user function's result, a constant or samples) as a float
+    array of shape: itself if it has that shape, else a read-only broadcast
+    view; a ValueError names the function called name if it does not fit."""
+    values = np.asarray(values, dtype=float)
+    if values.shape == shape:
+        return values
+    try:
+        return np.broadcast_to(values, shape)
+    except ValueError:
+        raise ValueError(f"{name} has shape {values.shape}, expected {shape}") from None
+
+
 def _as_samples(f, x, name):
-    if callable(f):
-        return np.asarray([float(f(xi)) for xi in x])
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim == 0:
-        return np.full_like(x, float(arr))
-    if arr.shape != x.shape:
-        raise ValueError(f"{name} samples have shape {arr.shape}, grid {x.shape}")
-    return arr
+    """f on the points x: one call f(x) of a callable, broadcast to x."""
+    return _broadcast(f(x) if callable(f) else f, x.shape, name)
 
 
 class EllipticOperator:
     """Coefficients of A_0 = -(p v')' - c v + c0 v with Robin data sigma.
 
-    p and c may be scalars, callables of x, or sample arrays (resampled per
-    grid at decomposition time).  c must be <= 0; sigma >= 0 at both ends.
+    p and c may be scalars, samples on their points (the cell midpoints for
+    p, the nodes for c) or callables of x, called once on those points.
+    p must be finite and > 0, c finite and <= 0; sigma >= 0 at both ends.
     c0=None applies the default shift 1 + max(0, -min c) + max(sigma),
     which guarantees a positive smallest eigenvalue without tuning.
     """
@@ -72,6 +80,8 @@ class EllipticOperator:
         c = _as_samples(self.c, x, "c")
         if (p <= 0.0).any():
             raise ValueError("diffusion coefficient p must be positive")
+        if not np.isfinite(p).all():
+            raise ValueError("diffusion coefficient p must be finite")
         if (c > 1e-12).any():
             raise ValueError("reaction coefficient c must satisfy c <= 0")
         if not np.isfinite(c).all():
@@ -183,9 +193,7 @@ def _lowest_eigenpairs(d, e, m, floor):
 def eigendecompose(op, n_modes, n_grid):
     """First n_modes eigenpairs of the discretized A_0 on n_grid nodes.
 
-    Raises ArithmeticError if the smallest eigenvalue is negative beyond
-    rounding: the shift c0 is too small and the caller must increase it;
-    OverflowError if the grid spacing is too small for the stiffness.
+    Raises OverflowError if the grid spacing is too small for the stiffness.
     (lambda_1 = 0 itself, e.g. pure Neumann with c = c0 = 0, is legal; the
     downstream kernel weights take their analytic lambda -> 0 limit.)
     """
@@ -213,14 +221,9 @@ def eigendecompose(op, n_modes, n_grid):
     e = off * isw[:-1] * isw[1:]
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise OverflowError(f"stiffness overflows at grid spacing h = {h:.3e}")
-    # -(p v')' with sigma >= 0 is positive semidefinite: lambda >= c0 - max c
+    # -(p v')' with sigma >= 0 is positive semidefinite: lambda >= c0 - max c,
+    # which coefficients keeps >= -1e-12, so a negative lambda is rounding
     lam, v = _lowest_eigenpairs(d, e, n_modes, c0 - float(np.max(c)))
-
-    scale = float(np.max(np.abs(diag)))
-    if lam[0] < -1e-10 * scale:
-        raise ArithmeticError(
-            f"smallest eigenvalue {lam[0]} is negative: increase the shift c0"
-        )
     lam = np.maximum(lam, 0.0)
     modes = v * isw[:, None]
     # deterministic sign: each mode is positive at its first entry above

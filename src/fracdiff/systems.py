@@ -34,6 +34,7 @@ from .linsolve import (
     solve,
     working_box,
 )
+from .spectral import _broadcast
 
 __all__ = [
     "ReactionSystem",
@@ -181,8 +182,8 @@ class SemilinearPair(ReactionSystem):
         def rhs(U, i):
             u, v = U
             R = M1 * U
-            R[0] = R[0] + np.asarray(self.f(u, v), float) * np.ones_like(u)
-            R[1] = R[1] + np.asarray(self.g(u, v), float) * np.ones_like(v)
+            R[0] = R[0] + _broadcast(self.f(u, v), u.shape, "f")
+            R[1] = R[1] + _broadcast(self.g(u, v), v.shape, "g")
             return R
 
         return M1, rhs
@@ -337,15 +338,15 @@ def cooperative_classify(pair, box):
 
     def disjuncts(fn, label, axis):
         # f: the edge u = 0 and d_2 f (axis 1); g: the edge v = 0 and d_1 g
-        Z = np.asarray(fn(U, V), dtype=float) * np.ones_like(U)
+        Z = _broadcast(fn(U, V), U.shape, label)
         on_edge = (np.zeros_like(xi), xi) if axis == 1 else (xi, np.zeros_like(xi))
-        edge = np.asarray(fn(*on_edge), dtype=float) * np.ones_like(xi)
+        edge = _broadcast(fn(*on_edge), xi.shape, label)
         dpart = np.diff(Z, axis=axis) / h
         A = bool(np.min(edge) >= -CLASSIFY_TOL)
         if not A:
             k = int(np.argmin(edge))
             witnesses[f"{label}_edge"] = (float(xi[k]), float(np.min(edge)))
-        origin = float(np.asarray(fn(np.zeros(1), np.zeros(1)), dtype=float).ravel()[0])
+        origin = float(_broadcast(fn(np.zeros(1), np.zeros(1)), (1,), label)[0])
         B = bool(np.min(dpart) >= -CLASSIFY_TOL
                  and abs(origin) <= max(CLASSIFY_TOL, 1e-9 * np.max(np.abs(Z) + 1)))
         if not B:

@@ -133,7 +133,7 @@ def test_criterion_04_cross_oracle_agreement():
         return bc * np.sin(xx) * np.ones_like(xx)
 
     def forcing(xx, t):
-        return amp * t * math.exp(-t) * (
+        return amp * t * np.exp(-t) * (
             c[0] + c[1] * np.cos(xx) + c[2] * np.cos(2 * xx)
             + c[3] * np.cos(3 * xx)
         )

@@ -590,3 +590,23 @@ def test_shift_none_is_zero_for_scalar_problems():
         got, want = solve(prob, grid, None)[0], solve(prob, grid, 0.0)[0]
         assert np.array_equal(got.modal, want.modal)
         assert got.diagnostics["shift"] == 0.0
+
+
+def test_a_forcing_is_called_once_per_sampling():
+    """The calling rule: a function of (x, t) is called once per sampling,
+    with the 1-D grid x and the column t = tnodes[:, None], and a solve
+    samples once."""
+    b = neumann_basis(4, 21)
+    grid = TimeGrid.uniform(1.0, 8)
+    calls = []
+
+    def forcing(x, t):
+        calls.append((np.shape(x), np.shape(t)))
+        return np.cos(x) * t
+
+    prob = LinearProblem(b, 0.5, np.zeros(21), forcing=forcing)
+    _, _, F = prob.coefficients(grid.nodes)
+    assert calls == [((21,), (9, 1))]
+    np.testing.assert_array_equal(F, [np.cos(b.grid) * t for t in grid.nodes])
+    solve_linear(prob, grid)
+    assert len(calls) == 2

@@ -260,6 +260,34 @@ def test_bracket_with_a_non_finite_entry_is_refused():
         monotone_iterate(BracketPair(np.zeros((9, 21)), upper), prob, grid)
 
 
+def test_a_bracket_bound_is_called_once_per_sampling():
+    """The calling rule: each callable bound is called once, with the 1-D
+    grid x and the column t = tnodes[:, None]."""
+    prob = enzyme_problem(n_grid=21)
+    grid = TimeGrid.uniform(0.5, 8)
+    calls = []
+
+    def upper(x, t):
+        calls.append((np.shape(x), np.shape(t)))
+        return 1.2 + 0.1 * t + 0.0 * x
+
+    lo, hi = BracketPair(0.0, upper).histories(prob.basis, grid)
+    assert calls == [((21,), (9, 1))]
+    assert lo.shape == hi.shape == (9, 21)
+    np.testing.assert_array_equal(hi, [1.2 + 0.1 * t + 0.0 * prob.basis.grid for t in grid.nodes])
+
+
+@pytest.mark.parametrize("bound", [np.zeros((10, 21)), lambda x, t: np.zeros(x.size + 1)],
+                         ids=["array", "callable"])
+def test_a_field_history_of_the_wrong_shape_is_named(bound):
+    """An array or a callable's result that does not broadcast to
+    (len(grid), n_grid) is a ValueError naming the field history."""
+    prob = enzyme_problem(n_grid=21)
+    grid = TimeGrid.uniform(0.5, 8)
+    with pytest.raises(ValueError, match=r"field history has shape \((10, 21|22,)\)"):
+        monotone_step(bound, prob, grid)
+
+
 def test_sandwich_leaving_the_box_stops():
     """M is sampled on the box m, so an iterate outside it stops the
     sandwich with the march's amplitude-escape error."""

@@ -222,6 +222,37 @@ def test_negative_lambda_raises():
         eigendecompose(EllipticOperator(1.0, c=0.5, c0=0.0), 4, 64)
 
 
+@pytest.mark.parametrize("p", [float("nan"), lambda x: np.nan * x, lambda x: np.inf + 0 * x],
+                         ids=["nan", "nan-callable", "inf-callable"])
+def test_non_finite_p_is_refused_by_name(p):
+    """A NaN or infinite p passes the positivity check (p <= 0 is False for
+    NaN): it is refused as a ValueError that names p, not an overflow of
+    the stiffness."""
+    with pytest.raises(ValueError, match="diffusion coefficient p must be finite"):
+        eigendecompose(EllipticOperator(1.0, p=p), 4, 9)
+
+
+def test_p_and_c_are_called_once_on_their_points():
+    """The calling rule: one call of p on the midpoints and one of c on the
+    nodes, each with a 1-D array, per decomposition."""
+    calls = {"p": [], "c": []}
+
+    def p(x):
+        calls["p"].append(np.shape(x))
+        return 1.0 + 0.5 * np.sin(x)
+
+    def c(x):
+        calls["c"].append(np.shape(x))
+        return -x
+
+    b = eigendecompose(EllipticOperator(math.pi, p=p, c=c), 4, 9)
+    assert calls == {"p": [(8,)], "c": [(9,)]}
+    want = eigendecompose(
+        EllipticOperator(math.pi, p=p(0.5 * (b.grid[:-1] + b.grid[1:])), c=c(b.grid)), 4, 9
+    )
+    np.testing.assert_array_equal(b.lambdas, want.lambdas)
+
+
 def test_dimension_mismatch_and_csv(tmp_path):
     b = neumann_basis(4, 101)
     with pytest.raises(ValueError):
