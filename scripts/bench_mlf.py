@@ -24,6 +24,15 @@ Measures, in CPU time with BLAS threads capped at 1:
   N = 64/88/112 on ``TimeGrid.graded(1, N, (2 - a)/a)`` with a = 0.4/0.6/0.8,
   17 nodes and the full basis, each solve on a fresh problem (every solve
   builds its propagator's tables);
+* the term budget, for a checkout that has ``mlf._TERM_BUDGET``: for each
+  budget in TERM_BUDGETS, the ns per point at alpha in ALPHAS on BATCH
+  points log-uniform over the band of x whose regime the budgets move (from
+  ``deep_cut`` at the largest budget to ``deep_cut`` at the smallest), and
+  the graded triple above, which chose ``_TERM_BUDGET``;
+* the median CPU seconds (of REPEATS) of a u-free graded solve: forcing
+  only, shift 0, alpha = 0.5, 33 modes, ``TimeGrid.graded(1, FREE_N, 3)``,
+  ``solve_linear`` per solve (tables included) and ``linsolve.march`` alone
+  on its propagator, what a solve that marches spends beyond its tables;
 * the median CPU seconds of a graded ``picard_solve`` (L3): enzyme term,
   alpha = 0.5, shift 2, 65 modes, ``TimeGrid.graded(1, N, 3)`` for N = 64 and
   128, each solve building its own tables (every solver makes its shifted
@@ -123,6 +132,8 @@ SWEEP_H = tuple(round(0.15 + 0.002 * k, 3) for k in range(26))
 # alpha of the accuracy test's points, each at beta = alpha, 1 and 2
 SWEEP_ALPHAS = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
 REPEATS = 7
+TERM_BUDGETS = (20, 25, 30, 36, 44, 52)
+FREE_N = 256
 PICARD_N = (64, 128)
 CROSSOVER_N = (1024, 2048, 4096)
 # (kind, N) of the L1 propagator builds
@@ -179,6 +190,12 @@ def ns_per_point(src, alpha, regime, n=BATCH):
         "contour": lambda: rng.uniform(np.nextafter(mlf.TAYLOR_CUT, 2.0), cut, n),
         "asymptotic": lambda: cut * np.exp(rng.uniform(0.0, np.log(1e4), n)),
     }[regime]()
+    return _ns(mlf, alpha, x)
+
+
+def _ns(mlf, alpha, x):
+    """CPU ns per point of mlf.ml_neg_vec(alpha, x): the median of REPEATS
+    batches of the calls that take 0.02 s."""
     mlf.ml_neg_vec(alpha, x)  # warm-up
     t0 = time.process_time()
     calls = 0
@@ -190,7 +207,7 @@ def ns_per_point(src, alpha, regime, n=BATCH):
         for _ in range(calls):
             mlf.ml_neg_vec(alpha, x)
 
-    return 1e9 * _median_cpu(batch, REPEATS) / (calls * n)
+    return 1e9 * _median_cpu(batch, REPEATS) / (calls * x.size)
 
 
 def _max_rss_mb():
@@ -323,6 +340,50 @@ def graded_triple_s(src):
 
     triple()  # warm-up
     return _median_cpu(triple, REPEATS)
+
+
+def term_budget_cell(src, budget):
+    """({alpha: ns per point over the band that the budgets move}, graded
+    triple CPU s) with mlf._TERM_BUDGET = budget, or None for a checkout
+    without it."""
+    sys.path.insert(0, src)
+    from fracdiff import mlf
+
+    if not hasattr(mlf, "_TERM_BUDGET"):
+        return None
+
+    def cut(alpha, budget):
+        mlf._TERM_BUDGET = budget
+        mlf._asymptotic_coefficients.cache_clear()
+        return mlf.deep_cut(alpha)
+
+    bands = {a: (cut(a, max(TERM_BUDGETS)), cut(a, min(TERM_BUDGETS))) for a in ALPHAS}
+    cut(ALPHAS[0], budget)  # the budget measured below
+    ns = {}
+    for alpha, (lo, hi) in bands.items():
+        rng = np.random.default_rng([ALPHAS.index(alpha), budget])
+        ns[alpha] = _ns(mlf, alpha, np.exp(rng.uniform(np.log(lo), np.log(hi), BATCH)))
+    return ns, graded_triple_s(src)
+
+
+def free_graded_s(src):
+    """(CPU s per solve_linear, CPU s per march on its propagator) of the
+    u-free graded problem at N = FREE_N."""
+    sys.path.insert(0, src)
+    from fracdiff import linsolve
+    from fracdiff.fracops import TimeGrid
+    from fracdiff.spectral import EllipticOperator, eigendecompose
+
+    basis = eigendecompose(EllipticOperator(np.pi), 33, 33)
+    prob = linsolve.LinearProblem(basis, 0.5, 0.75 + 0.2 * np.cos(basis.grid),
+                                  forcing=lambda x, t: 0.5 + 0.25 * np.cos(x))
+    grid = TimeGrid.graded(1.0, FREE_N, 3.0)
+    linsolve.solve_linear(prob, TimeGrid.graded(1.0, 8, 3.0))  # warm-up
+    solve = _median_cpu(lambda: linsolve.solve_linear(prob, grid), REPEATS)
+    shift, rhs = prob.rhs(prob.coefficients(grid.nodes), 0.0)
+    props = [linsolve.ModalPropagator(basis, prob.alpha, grid, shift)]
+    march = _median_cpu(lambda: linsolve.march(props, prob.initials, rhs, prob.m), REPEATS)
+    return solve, march
 
 
 def graded_picard_s(src, N):
@@ -563,6 +624,8 @@ def _cells(src):
                   (ns_per_point, (src, alpha, "contour", CONTOUR_POINTS)) for alpha in ALPHAS})
     cells.update({("build", k, N): (propagator_build, (src, k, N)) for k, N in BUILD_GRIDS})
     cells["triple"] = (graded_triple_s, (src,))
+    cells.update({("budget", b): (term_budget_cell, (src, b)) for b in TERM_BUDGETS})
+    cells["free_graded"] = (free_graded_s, (src,))
     cells.update({("graded_picard", N): (graded_picard_s, (src, N)) for N in PICARD_N})
     cells["uniform"] = (uniform_picard_s, (src,))
     cells["march"] = (march_node_us, (src,))
@@ -591,6 +654,14 @@ def _result(got, nodes, nodes_ns):
         print(f"alpha={alpha}: " + ", ".join(f"{r} {v:.0f} ns/pt" for r, v in row.items()))
     builds = {f"{k} N={N}": got["build", k, N] for k, N in BUILD_GRIDS}
     result["graded_solve_linear_triple_cpu_s"] = round(got["triple"], 4)
+    if got["budget", TERM_BUDGETS[0]] is not None:
+        result["term_budget_sweep"] = {
+            str(b): {**{f"alpha={a}_band_ns_per_point": round(ns[a], 1) for a in ALPHAS},
+                     "triple_cpu_s": round(triple, 4)}
+            for b, (ns, triple) in ((b, got["budget", b]) for b in TERM_BUDGETS)
+        }
+    free_solve, free_march = got["free_graded"]
+    result["free_graded_cpu_s"] = {"solve": round(free_solve, 4), "march": round(free_march, 4)}
     result["graded_picard_cpu_s"] = {f"N={N}": round(got["graded_picard", N], 4) for N in PICARD_N}
     solve, sweep = got["uniform"]
     crossover = {N: got["crossover", N] for N in CROSSOVER_N}
@@ -637,6 +708,12 @@ def _result(got, nodes, nodes_ns):
               f"ru_maxrss {v['ru_maxrss_mb']:.1f} MB")
     print(f"graded solve_linear triple: {result['graded_solve_linear_triple_cpu_s']:.3f} s CPU "
           f"(median of {REPEATS})")
+    for b, v in result.get("term_budget_sweep", {}).items():
+        print(f"term budget {b}: " + ", ".join(f"{k} {x:.0f}" for k, x in v.items()
+                                             if k != "triple_cpu_s")
+              + f", graded triple {v['triple_cpu_s']:.4f} s CPU")
+    print(f"u-free graded solve (N = {FREE_N}): {free_solve:.4f} s CPU per solve_linear, "
+          f"{free_march:.4f} s per march on its propagator (median of {REPEATS})")
     print("graded picard_solve: " + ", ".join(
         f"{k} {v:.3f} s CPU" for k, v in result["graded_picard_cpu_s"].items()
     ) + f" (median of {PICARD_REPEATS})")

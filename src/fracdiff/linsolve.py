@@ -18,7 +18,10 @@ protocol:
   (C, len(tnodes), n_grid), or stacks (C, S, ...) of them, for i = slice(None);
 * cooperativity(coeffs, low, high): {} when the sign hypotheses of the
   non-negativity theorem hold on those samples for solutions in
-  [low, high], else a dict whose "reason" names the first that fails.
+  [low, high], else a dict whose "reason" names the first that fails;
+* _reads_u(coeffs, shift): whether s u + R(u) over those samples reads u
+  (false for a linear problem with forcing alone at shift 0 and for a
+  decoupled system at M_1 = 0, neither of which has a box).
 
 One calling rule holds for every user function of the package: it is
 called once per grid, on arrays, and what it returns broadcasts to the
@@ -53,6 +56,9 @@ triangular: march computes its fixed point node by node.  solve samples
 the coefficients once, builds one shifted propagator per distinct order and
 marches, behind every solve, so no table outlives its solve; each
 trajectory it returns carries the samples, for the gates that read them.
+A right-hand side that does not read u is not marched: its solution
+S(t) a + K * P R is one _convolution of its samples, the first sweep of
+the map from any start.
 _sweeps iterates the same map over the whole window, for the iterations
 that are checked themselves (the monotone sandwich, picard_system_solve).
 Fields keep the grid on their last axis; every projection, synthesis, A_0
@@ -122,6 +128,8 @@ class ModalPropagator:
     def __init__(self, basis, alpha, grid, shift=0.0):
         if not (0.0 < alpha < 1.0):
             raise ValueError(f"propagator needs alpha in (0, 1), got {alpha}")
+        if not np.isfinite(shift):
+            raise ValueError(f"shift must be finite, got {shift}")
         lam = basis.lambdas + float(shift)
         if (lam < -1e-12).any():
             raise ValueError(
@@ -267,6 +275,17 @@ def _check_box(U, m, where):
                               f"sup|u| = {float(sup)} > m = {m}")
 
 
+def _node(nodes, i):
+    """Where a check fails: node i and its time."""
+    return f"node {i} (t={nodes[i]})"
+
+
+def _free(props, a):
+    """S_c(t) a_c at every node for the initial fields a (C, n_grid): the
+    modal histories (C, N+1, M) of the propagators props."""
+    return np.array([prop.E * ac for prop, ac in zip(props, project(props[0].basis, a))])
+
+
 def march(props, a, rhs_at, m):
     """Forward march of u_c(t_i) = S_c(t_i) a_c + sum_{j<i} w^c_ij P R_c(t_j)
     for C components, one propagator each, all on one grid: w^c_ij are the
@@ -278,14 +297,14 @@ def march(props, a, rhs_at, m):
     histories (C, N+1, M)."""
     basis, nodes = props[0].basis, props[0].grid.nodes
     U = np.asarray(a, dtype=float)
-    modal = np.array([prop.E * ac for prop, ac in zip(props, project(basis, U))])
+    modal = _free(props, U)
     G = np.zeros_like(modal)  # modal right-hand sides at the nodes
     for i in range(len(nodes)):
         if i:
             for c, prop in enumerate(props):
                 modal[c, i] += np.einsum("jm,jm->m", prop.row(i), G[c, :i])
             U = synthesize(basis, modal[:, i])
-        _check_box(U, m, lambda: f"node {i} (t={nodes[i]})")
+        _check_box(U, m, lambda: _node(nodes, i))
         if i < len(nodes) - 1:
             G[:, i] = project(basis, rhs_at(U, i))
     return modal
@@ -378,6 +397,12 @@ class LinearProblem:
 
         return shift, rhs
 
+    def _reads_u(self, coeffs, shift):
+        """Whether s u + R(u) over the samples (q, b, F) reads u: with a
+        reaction, a drift, a term or a shift."""
+        q, b, _ = coeffs
+        return not (q is None and b is None and self.term is None and shift == 0.0)
+
     def cooperativity(self, coeffs, low, high):
         """a >= 0, then the sampled F >= 0, then f(x, 0) >= 0 for a
         reaction term f; the reason names the first that fails."""
@@ -432,9 +457,19 @@ def solve(prob, grid, shift):
     """The trajectories of any problem, one per component: the march of
     u_c(t_i) = S_c(t_i) a_c + sum_{j<i} w^c_ij P[s u + R(u)]_c(t_j) in its
     box, every propagator shifted by s = shift (None: the problem's
-    default), each carrying the samples of the coefficients."""
+    default), each carrying the samples of the coefficients.  A right-hand
+    side that does not read u (prob._reads_u) is R = R(0), and its map is
+    one whole-window sweep, u = S(t) a + K * P R, with no march: one
+    convolution, checked once for the first node with a non-finite value."""
     coeffs, shift, rhs, props = _propagators(prob, grid, shift)
-    modal = march(props, prob.initials, rhs, prob.m)
+    if prob._reads_u(coeffs, shift):
+        modal = march(props, prob.initials, rhs, prob.m)
+    else:
+        R = rhs(np.zeros((len(props), len(grid), prob.basis.grid.size)), slice(None))
+        modal = _free(props, prob.initials)
+        modal += _convolution(props)(project(prob.basis, R)[:, None])[:, 0]
+        _check_box(modal, None, lambda: _node(
+            grid.nodes, int(np.argmin(np.isfinite(modal).all(axis=(0, 2))))))
     return [Trajectory(grid, prob.basis, mc, coeffs, {"shift": shift}) for mc in modal]
 
 
@@ -447,7 +482,7 @@ def _sweeps(prob, grid, shift, U):
     in the box m.  Samples, propagators and S_c(t) a_c are made once."""
     coeffs, shift, rhs, props = _propagators(prob, grid, shift)
     basis, convolve = prob.basis, _convolution(props)
-    free = np.array([prop.E * a for prop, a in zip(props, project(basis, prob.initials))])
+    free = _free(props, prob.initials)
 
     def sweeps(U):
         for k in itertools.count(1):

@@ -12,14 +12,16 @@ x = -z >= 0 into three regimes and evaluates each in batched numpy:
 * x <= 1: Horner sum of sum_{k<=K} (-x)^k/Gamma(a k + b), K the first
   k > 2 with x_max^k/Gamma(a k + b) <= _EPS at the largest x of the batch;
   needing more than _MAX_TERMS terms (a below about 1e-3) raises ValueError.
-* x >= x0 = deep_cut(alpha): Horner sum in y = 1/x of sum_{k=1}^n c_k y^k,
+* x >= x0: Horner sum in y = 1/x of sum_{k=1}^n c_k y^k,
   c_k = (-1)^(k+1)/Gamma(b - a k).  Its remainder R_n, from the geometric
   expansion of 1/(s^a + x) in the Hankel integral, bounded on the unit
   circle (|s^a + x| >= x - 1) and on the banks of the cut (|s^a + x| >=
   x sigma, sigma = sin(pi max(a, 1/2))), obeys for every n and x > 1
       |R_n(x)| <= B_n(x) = x^-n (e/(x-1) + Gamma(max(1+a(n+1)-b, 1))/(pi sigma x)),
-  and B_n(x) <= B_n(x0) (x0/x)^n.  n is the first with B_n(x0) <= _EPS
-  max_k |c_k| x0^-k, at most argmin_n B_n(x0) (at a = 1, sigma ~ 1e-16).
+  and B_n(x) <= B_n(x0) (x0/x)^n.  The cut x0 is derived from this bound,
+  per (a, b) on first use: the smallest x0 (to 1/16 octave) at which
+  B_n(x0) <= _EPS max_{k<=n} |c_k| x0^-k for some n <= _TERM_BUDGET, and n
+  is the first such n.  deep_cut(alpha) is the cut of b = 1.
 * in between: Laplace inversion of s^(a-b)/(s^a + x) at t=1 by the
   trapezoid rule on 16 nodes of the parabola s = 4.7(1+iu)^2, u = 0.172 k,
   in real arithmetic: worst 2.7e-14 against the oracle for b <= 2.  No BLAS
@@ -32,9 +34,10 @@ seams and mid-range for alpha from 0.01 to 0.99, is <= 1e-13 for
 beta <= 2 (tested), 4.7e-13 at beta = 3 (tested to 1e-12), 2.6e-11 at
 beta = 5 and 4.2e-10 at beta = 8.  The package itself uses beta <= 2.
 
-The deep cut is calibrated against extended-precision references so that
-both regimes agree to ~1e-11 relative at the seam.  On the negative axis
-alpha = beta = 1 reduces to exp(z).  Arguments whose value would exceed
+Beyond its cut the Horner sum agrees with the mpmath oracle to 7.3e-16
+relative (at the tested pairs, from the cut to 3 times it), closer than
+the contour it replaces there.  On the negative axis alpha = beta = 1
+reduces to exp(z).  Arguments whose value would exceed
 double range raise OverflowError.
 
 Every kernel moment int tau^(a-1) E_{a,a}(-lam tau^a) dtau in the package
@@ -46,7 +49,6 @@ import functools
 import math
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 __all__ = [
     "MLParams",
@@ -61,6 +63,9 @@ TAYLOR_CUT = 1.0
 
 _EPS = 2.2e-16
 _MAX_TERMS = 20000
+# most terms of the asymptotic series: its regime starts where its remainder
+# bound allows this many (the term-budget sweep of scripts/bench_mlf.py)
+_TERM_BUDGET = 30
 
 # points per block of _contour, whose (nodes, block) temporaries stay in cache
 _CONTOUR_BLOCK = 1024
@@ -83,10 +88,21 @@ def _rgamma(x):
     return out
 
 
+def _horner(y, c):
+    """sum_k c[k] y^k for the 1-d array y by Horner's rule, in place: the
+    operations of numpy's polyval, without its temporaries."""
+    out = np.full_like(y, c[-1])
+    for ck in c[-2::-1].tolist():
+        out *= y
+        out += ck
+    return out
+
+
 def deep_cut(alpha):
     """Switch point (in x = -z) from the contour method to the asymptotic
-    series, calibrated so both sides agree to ~1e-11 relative."""
-    return min(2.0 + 2.0 * 150.0**alpha, 120.0)
+    series of E_{alpha,1}(-x): the smallest x at which the series' remainder
+    bound reaches _EPS within _TERM_BUDGET terms (_asymptotic_coefficients)."""
+    return _asymptotic_coefficients(float(alpha), 1.0)[0]
 
 
 class MLParams:
@@ -197,22 +213,36 @@ def _taylor_coefficients(alpha, beta):
 
 @functools.lru_cache(maxsize=256)
 def _asymptotic_coefficients(alpha, beta):
-    """Coefficients c_k = (-1)^(k+1)/Gamma(beta - alpha k), k = 1..n, of the
-    asymptotic series in y = 1/x, truncated where the remainder bound B_n at
-    x0 = deep_cut(alpha) reaches _EPS (read-only, shared)."""
-    x0, n = deep_cut(alpha), np.arange(128)  # x0 >= 4: n stays below 40
-    c = (-1.0) ** n * _rgamma(beta - alpha * (n + 1))
-    log_b = -n * math.log(x0) + np.logaddexp(
-        1.0 - math.log(x0 - 1.0),
-        _lgamma(np.maximum(1.0 + alpha * (n + 1) - beta, 1.0))
-        - math.log(math.pi * math.sin(math.pi * max(alpha, 0.5)) * x0),
-    )
-    n_opt = int(np.argmin(log_b))
-    scale = np.max(np.abs(c[:n_opt]) * x0 ** -(n[:n_opt] + 1.0))
-    n_eps = np.flatnonzero(log_b[:n_opt] <= math.log(_EPS * scale))
-    c = c[: n_eps[0] if n_eps.size else n_opt]
+    """(x0, c): the cut x0 of the asymptotic regime of E_{alpha,beta}(-x) and
+    its coefficients c_k = (-1)^(k+1)/Gamma(beta - alpha k), k = 1..n
+    (read-only, shared).  x0 is the first point of a geometric search over
+    (1, 2^10], by octaves and then by 1/16 octave, at which B_n(x0) <= _EPS
+    max_{k<=n} |c_k| x0^-k for some n <= _TERM_BUDGET, and n the first such
+    n; (inf, no terms) where no point qualifies."""
+    k = np.arange(1.0, _TERM_BUDGET + 1.0)
+    c = _rgamma(beta - alpha * k)
+    c[1::2] = -c[1::2]
+    # B_n(x) = x^-n (e/(x-1) + g_n/x), g_n = Gamma(max(1+a(n+1)-b, 1))/(pi sigma)
+    g = np.array(list(map(math.gamma, np.maximum(1.0 + alpha * (k + 1.0) - beta, 1.0).tolist())))
+    g /= math.pi * math.sin(math.pi * max(alpha, 0.5))
+    eps_c = _EPS * np.abs(c)
+    lo, step = 0.0, math.log(2.0)  # search in L = log x
+    for points in (10, 16):
+        L = lo + step * np.arange(1.0, points + 1.0)
+        x = np.exp(L)
+        p = np.exp(np.multiply.outer(-L, k))  # x^-k, rows x, columns n (or k)
+        bound = (math.e / (x - 1.0))[:, None] + g / x[:, None]
+        bound *= p
+        p *= eps_c
+        ok = bound <= np.maximum.accumulate(p, axis=1)
+        hit = ok.any(axis=1)
+        j = int(hit.argmax())
+        if not hit[j]:  # no cut: the contour takes every x > 1
+            return math.inf, c[:0]
+        lo, step = L[j] - step, step / 16.0
+    c = c[: int(ok[j].argmax()) + 1]
     c.flags.writeable = False
-    return c
+    return float(x[j]), c
 
 
 def ml_neg_vec(alpha, x, beta=1.0):
@@ -233,7 +263,8 @@ def ml_neg_vec(alpha, x, beta=1.0):
         res[:] = np.exp(-flat)
         return out
 
-    asym = flat >= deep_cut(alpha)
+    x0, c_asym = _asymptotic_coefficients(alpha, beta)
+    asym = flat >= x0
     tay = (~asym) & (flat <= TAYLOR_CUT)
     mid = ~(asym | tay)
 
@@ -245,11 +276,11 @@ def ml_neg_vec(alpha, x, beta=1.0):
         if not done.size:
             raise ValueError(f"Taylor sum of E_({alpha},{beta})(-x) at x_max={x_max} "
                              f"needs more than {_MAX_TERMS} terms")
-        res[tay] = polyval(-xs, c[: done[0] + 1])
+        res[tay] = _horner(-xs, c[: done[0] + 1])
 
     if asym.any():
         y = 1.0 / flat[asym]
-        res[asym] = y * polyval(y, _asymptotic_coefficients(alpha, beta))
+        res[asym] = y * _horner(y, c_asym)
 
     if mid.any():
         res[mid] = _contour(alpha, beta, flat[mid])

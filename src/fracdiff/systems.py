@@ -85,6 +85,10 @@ class ReactionSystem:
         self.initials = initials
         self.m = None  # SemilinearPair sets its box
 
+    def _reads_u(self, coeffs, shift):
+        """Whether M_1 u + R(u) reads u (a constructor may say no)."""
+        return True
+
 
 class MultiOrderSystem(ReactionSystem):
     """Linear couplings R_l(u) = sum_j p_lj u_j + F_l, with no box.
@@ -134,17 +138,33 @@ class MultiOrderSystem(ReactionSystem):
         if M1 < 0.0:
             raise ValueError(f"M1 must be nonnegative, got {M1}")
 
+        terms = []  # (j, rows, samples): each column j of P, then (None, rows, F)
+        for j, entries in [*enumerate(zip(*P)), (None, F)]:
+            rows = [l for l, e in enumerate(entries) if e is not None]
+            if rows:  # rows None: every row, added in place
+                samples = np.stack([entries[l] for l in rows])
+                terms.append((j, None if len(rows) == self.N else rows, samples))
+
         def rhs(U, i):
             R = M1 * U
-            for l in range(self.N):
-                for j in range(self.N):
-                    if P[l][j] is not None:
-                        R[l] = R[l] + P[l][j][i] * U[j]
-                if F[l] is not None:
-                    R[l] = R[l] + F[l][i]
+            # row l adds p_lj u_j in order of j, then F_l: the order of a
+            # loop over l and j, one stacked product per column j
+            for j, rows, h in terms:
+                h = h[:, i]
+                h = h.reshape(h.shape[:1] + (1,) * (U.ndim - h.ndim) + h.shape[1:])
+                h = h if j is None else h * U[j]
+                if rows is None:
+                    R += h
+                else:
+                    R[rows] += h
             return R
 
         return M1, rhs
+
+    def _reads_u(self, coeffs, shift):
+        """Whether M_1 u + R(u) over the samples (P, F) reads u: with a
+        coupling or M_1 > 0."""
+        return shift != 0.0 or any(p is not None for row in coeffs[0] for p in row)
 
     def cooperativity(self, coeffs, low, high):
         """a_k >= 0, then the sampled F_k >= 0, then the sampled

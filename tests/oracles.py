@@ -55,7 +55,8 @@ def ml_talbot(alpha, beta, x, degree=120):
 
 def ml_oracle(alpha, beta, z):
     """Reference E_{alpha,beta}(z) accurate to well below 1e-12 relative."""
-    if z >= 0 or (-z) ** (1.0 / alpha) <= TAYLOR_FEASIBLE:
+    # compared in logs: (-z)^(1/alpha) overflows a double for small alpha
+    if z >= 0 or math.log(-z) / alpha <= math.log(TAYLOR_FEASIBLE):
         return ml_taylor_50(alpha, beta, z)
     return ml_talbot(alpha, beta, -z)
 

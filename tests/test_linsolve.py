@@ -10,6 +10,7 @@ import pytest
 from scipy.signal import fftconvolve
 
 import fracdiff
+from fracdiff import linsolve
 from fracdiff.fracops import TimeGrid
 from fracdiff.linsolve import (
     MAX_ROW_TABLE_BYTES,
@@ -19,6 +20,7 @@ from fracdiff.linsolve import (
     _convolution,
     _fast_len,
     convolve_K,
+    march,
     solve,
     solve_linear,
     solve_linear_l1,
@@ -26,6 +28,7 @@ from fracdiff.linsolve import (
 from fracdiff.mlf import kernel_weights_from_e, ml_neg_vec
 from fracdiff.semilinear import SemilinearProblem, SemilinearTerm
 from fracdiff.spectral import EllipticOperator, eigendecompose, project, synthesize
+from fracdiff.systems import MultiOrderSystem
 
 
 def neumann_basis(n_modes=8, n_grid=401, c0=0.0):
@@ -610,3 +613,88 @@ def test_a_forcing_is_called_once_per_sampling():
     np.testing.assert_array_equal(F, [np.cos(b.grid) * t for t in grid.nodes])
     solve_linear(prob, grid)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_shift_is_refused_by_name(shift):
+    """A non-finite shift is a ValueError naming it, raised when the
+    propagator is made: NaN passed the negative-eigenvalue check."""
+    b = neumann_basis(4, 33)
+    prob = LinearProblem(b, 0.5, np.ones(33))
+    with pytest.raises(ValueError, match=rf"^shift must be finite, got {shift}$"):
+        solve_linear(prob, TimeGrid.uniform(1.0, 8), shift=shift)
+    with pytest.raises(ValueError, match="shift must be finite"):
+        ModalPropagator(b, 0.5, TimeGrid.uniform(1.0, 8), shift)
+
+
+def _no_march(*args):
+    pytest.fail("a right-hand side that does not read u was marched")
+
+
+@pytest.mark.parametrize(
+    "grid", [TimeGrid.uniform(1.0, 40), TimeGrid.graded(1.0, 32, 2.0)],
+    ids=["uniform", "graded"],
+)
+def test_u_free_solve_is_the_march_without_marching(grid, monkeypatch):
+    """A linear problem with forcing alone, at shift 0, and a decoupled
+    system at M_1 = 0 are solved by one convolution, with no march: their
+    modal histories equal linsolve.march of the same map to 1e-15 relative,
+    and without forcing they are S(t) a = E a bitwise."""
+    b = neumann_basis(9, 33, c0=1.0)
+    x = b.grid
+    forced = lambda x, t: (1.0 + np.cos(x)) * np.exp(-t)  # noqa: E731
+    problems = [LinearProblem(b, 0.6, 1.0 + 0.5 * np.cos(x), forcing=f) for f in (None, forced)]
+    problems.append(MultiOrderSystem(b, [0.4, 0.7], [1.0 + 0.3 * np.cos(x), 0.5 + 0.0 * x],
+                                     forcings=[forced, None]))
+    for prob in problems:
+        monkeypatch.setattr(linsolve, "march", _no_march)
+        got = np.array([tr.modal for tr in solve(prob, grid, None)])
+        monkeypatch.undo()
+        coeffs = prob.coefficients(grid.nodes)
+        shift, rhs = prob.rhs(coeffs, None)
+        assert shift == 0.0 and not prob._reads_u(coeffs, shift)
+        props = [ModalPropagator(b, a, grid, shift) for a in prob.alphas]
+        want = march(props, prob.initials, rhs, prob.m)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        free = [p.E * project(b, a) for p, a in zip(props, prob.initials)]
+        if getattr(prob, "forcing", True) is None:
+            np.testing.assert_array_equal(got, free)
+
+
+def test_a_right_hand_side_that_reads_u_is_marched(monkeypatch):
+    """A reaction, a drift or a shift reads u, and so does a coupled
+    system: each of these solves marches."""
+    b = neumann_basis(4, 33)
+    a = np.ones(33)
+    grid = TimeGrid.uniform(1.0, 8)
+    cases = [(LinearProblem(b, 0.5, a, reaction=-0.5), 0.0),
+             (LinearProblem(b, 0.5, a, drift=0.1), 0.0),
+             (LinearProblem(b, 0.5, a), 1.0),
+             (MultiOrderSystem(b, [0.4, 0.6], [a, a], couplings=[[None, 0.1], [None, None]]),
+              None),
+             (MultiOrderSystem(b, [0.4, 0.6], [a, a]), 0.5)]
+    monkeypatch.setattr(linsolve, "march", _no_march)
+    for prob, shift in cases:
+        with pytest.raises(pytest.fail.Exception, match="was marched"):
+            solve(prob, grid, shift)
+
+
+def test_u_free_solve_names_the_first_non_finite_node():
+    """The one finite check of a u-free solve names the first node with a
+    non-finite value in the march's words and at the march's node: node 0
+    for an infinite initial field, the first overflowing node for a forcing
+    near the largest double (on a graded grid, whose rows sum like the
+    march; a uniform grid's FFT overflows with the sum of the history)."""
+    b = neumann_basis(4, 33)
+    cases = [(np.full(33, np.inf), None, TimeGrid.uniform(1.0, 8)),
+             (np.ones(33), 5e307, TimeGrid.graded(4.0, 8, 2.0))]
+    with np.errstate(all="ignore"):
+        for a, forcing, grid in cases:
+            prob = LinearProblem(b, 0.5, a, forcing=forcing)
+            shift, rhs = prob.rhs(prob.coefficients(grid.nodes), 0.0)
+            with pytest.raises(ArithmeticError) as marched:
+                march([ModalPropagator(b, 0.5, grid, shift)], prob.initials, rhs, None)
+            assert str(marched.value).startswith("non-finite value at node")
+            with pytest.raises(ArithmeticError) as solved:
+                solve_linear(prob, grid)
+            assert str(solved.value) == str(marched.value)

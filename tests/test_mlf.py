@@ -71,9 +71,11 @@ def test_monotone_decreasing_on_negative_axis():
 
 
 def test_seam_continuity():
-    # values just below/above each regime switch agree to 1e-10
-    for alpha, beta in ((0.35, 1.0), (0.6, 0.7), (0.9, 1.2), (0.5, 1.0), (0.25, 0.5)):
-        for cut in (TAYLOR_CUT, deep_cut(alpha)):
+    # values just below/above each regime switch, the asymptotic one at the
+    # pair's own cut, agree to 1e-10
+    for alpha, beta in ((0.35, 1.0), (0.6, 0.7), (0.9, 1.2), (0.5, 1.0), (0.25, 0.5),
+                        (0.01, 0.01), (0.999, 1.0), (0.6, 3.0)):
+        for cut in (TAYLOR_CUT, mlf._asymptotic_coefficients(alpha, beta)[0]):
             lo = ml(MLParams(alpha, beta), -(cut * (1.0 - 1e-12)))
             hi = ml(MLParams(alpha, beta), -(cut * (1.0 + 1e-12)))
             assert lo == pytest.approx(hi, rel=1e-10)
@@ -82,12 +84,16 @@ def test_seam_continuity():
 @pytest.mark.parametrize(
     "alpha,beta",
     [(0.05, 1.0), (0.3, 1.0), (0.5, 1.0), (0.9, 1.0), (0.99, 1.0),
-     (0.3, 0.3), (0.75, 0.75), (0.5, 1.5), (0.25, 0.5), (0.5, 2.0)],
+     (0.3, 0.3), (0.75, 0.75), (0.5, 1.5), (0.25, 0.5), (0.5, 2.0),
+     (0.01, 0.01), (0.999, 1.0), (0.6, 3.0)],
 )
 def test_asymptotic_regime_vs_oracle(alpha, beta):
-    # the Horner sum's length is fixed at deep_cut; 1/Gamma(beta - alpha k)
-    # vanishes at a pole for every pair but (0.3, 1), (0.9, 1) and (0.99, 1)
-    xs = np.array([deep_cut(alpha) * (1.0 + 1e-9), 1.5 * deep_cut(alpha), 1e3, 1e5])
+    # the Horner sum's length is fixed at the pair's own cut, where the
+    # remainder bound allows it; 1/Gamma(beta - alpha k) vanishes at a pole
+    # for every pair but (0.3, 1), (0.9, 1), (0.99, 1), (0.999, 1) and (0.6, 3)
+    cut = mlf._asymptotic_coefficients(alpha, beta)[0]
+    assert cut == deep_cut(alpha) or beta != 1.0
+    xs = np.array([cut * (1.0 + 1e-9), 1.5 * cut, 1e3, 1e5])
     for x, got in zip(xs, ml_neg_vec(alpha, xs, beta)):
         assert got == pytest.approx(ml_oracle(alpha, beta, -float(x)), rel=1e-13)
 
@@ -237,4 +243,4 @@ def test_gamma_helpers_match_scipy():
     np.testing.assert_allclose(mlf._lgamma(y), gammaln(y), rtol=1e-13, atol=1e-15)
     k, c = mlf._taylor_coefficients(0.5, 1.0)
     assert not (k.flags.writeable or c.flags.writeable)
-    assert not mlf._asymptotic_coefficients(0.5, 1.0).flags.writeable
+    assert not mlf._asymptotic_coefficients(0.5, 1.0)[1].flags.writeable

@@ -104,6 +104,51 @@ def test_system_shift_refusals():
         solve(MultiOrderSystem(b, [0.3, 0.5], a), grid, -1.0)
 
 
+@pytest.mark.parametrize("M1", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_m1_is_refused_by_name(M1):
+    """A non-finite M_1 is refused by the propagator, which names the
+    shift, before any sweep: NaN passed every comparison of the checks."""
+    b = full_neumann_basis(9)
+    a = [np.ones_like(b.grid)] * 2
+    system = MultiOrderSystem(b, [0.3, 0.5], a, couplings=[[-0.1, 0.2], [0.2, -0.1]])
+    with pytest.raises(ValueError, match=rf"^shift must be finite, got {M1}$"):
+        picard_system_solve(system, TimeGrid.uniform(1.0, 8), M1=M1)
+
+
+def test_stacked_rhs_equals_the_double_loop():
+    """The system's right-hand side, one stacked product per coupling
+    column, equals the double loop over components and couplings bit for
+    bit, at a march node and over stacked whole-window histories, with
+    missing couplings and forcings."""
+    b = full_neumann_basis(9)
+    x = b.grid
+    system = MultiOrderSystem(
+        b, [0.4, 0.6, 0.8], [np.ones_like(x)] * 3,
+        couplings=[[-0.05, None, lambda x, t: 0.1 + 0.2 * np.sin(x) * t],
+                   [0.2, None, 0.4], [None, 0.2, -0.02]],
+        forcings=[lambda x, t: 0.1 * np.exp(-t) + 0.0 * x, None, 0.05],
+    )
+    grid = TimeGrid.graded(1.0, 12, 2.0)
+    P, F = coeffs = system.coefficients(grid.nodes)
+    M1, rhs = system.rhs(coeffs, None)
+
+    def reference(U, i):
+        R = M1 * U
+        for l in range(3):
+            for j in range(3):
+                if P[l][j] is not None:
+                    R[l] = R[l] + P[l][j][i] * U[j]
+            if F[l] is not None:
+                R[l] = R[l] + F[l][i]
+        return R
+
+    rng = np.random.default_rng(3)
+    node = rng.standard_normal((3, x.size))
+    sweep = rng.standard_normal((3, 2, len(grid), x.size))
+    for U, i in ((node, 5), (sweep, slice(None))):
+        np.testing.assert_array_equal(rhs(U, i), reference(U, i))
+
+
 def test_march_equals_whole_window_iteration():
     """The march of solve is the fixed point that the whole-window
     Picard iteration converges to: the two engines agree to 10 tol on a
