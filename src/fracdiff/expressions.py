@@ -8,14 +8,16 @@ Grammar (classic recursive descent):
     power  := atom ('^' unary)?          # right-associative
     atom   := NUMBER | VAR | FUNC '(' expr ')' | '(' expr ')'
 
-Variables are ``x``, ``t``, ``u``, ``v``; functions are ``sin``, ``cos``,
-``exp``, ``abs`` and the builtin ``enzyme(z) = -z / (1 + |z|)``.  Evaluators
-broadcast over numpy arrays.  All parse errors carry the 0-based character
-position at which they occurred.
+The variables are the names the caller declares, passed positionally in
+that order; functions are ``sin``, ``cos``, ``exp``, ``abs`` and the builtin
+``enzyme(z) = -z / (1 + |z|)``.  Evaluators act elementwise on numpy arrays
+(a constant returns its scalar).  All parse and name errors carry the
+0-based character position at which they occurred.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Callable, NamedTuple
 
@@ -38,7 +40,13 @@ _FUNCTIONS: dict[str, Callable] = {
     "abs": np.abs,
     "enzyme": _enzyme,
 }
-_VARIABLES = ("x", "t", "u", "v")
+_OPERATORS: dict[str, Callable] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": np.power,
+}
 
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -85,12 +93,16 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _binary(op: str, lhs: Callable, rhs: Callable) -> Callable:
+    fn = _OPERATORS[op]
+    return lambda args: fn(lhs(args), rhs(args))
+
+
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, text: str, names: tuple):
         self.tokens = _tokenize(text)
         self.k = 0
-        self.names: set[str] = set()
+        self.names = names
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -117,45 +129,34 @@ class _Parser:
     def expr(self) -> Callable:
         node = self.term()
         while self.peek().kind in "+-":
-            op = self.advance().kind
-            rhs = self.term()
-            if op == "+":
-                node = (lambda a, b: lambda env: a(env) + b(env))(node, rhs)
-            else:
-                node = (lambda a, b: lambda env: a(env) - b(env))(node, rhs)
+            node = _binary(self.advance().kind, node, self.term())
         return node
 
     def term(self) -> Callable:
         node = self.unary()
         while self.peek().kind in "*/":
-            op = self.advance().kind
-            rhs = self.unary()
-            if op == "*":
-                node = (lambda a, b: lambda env: a(env) * b(env))(node, rhs)
-            else:
-                node = (lambda a, b: lambda env: a(env) / b(env))(node, rhs)
+            node = _binary(self.advance().kind, node, self.unary())
         return node
 
     def unary(self) -> Callable:
         if self.peek().kind == "-":
             self.advance()
             inner = self.unary()
-            return lambda env: -inner(env)
+            return lambda args: -inner(args)
         return self.power()
 
     def power(self) -> Callable:
         base = self.atom()
         if self.peek().kind == "^":
             self.advance()
-            exponent = self.unary()  # right-associative
-            return lambda env: np.power(base(env), exponent(env))
+            return _binary("^", base, self.unary())  # right-associative
         return base
 
     def atom(self) -> Callable:
         tok = self.advance()
         if tok.kind == "num":
             value = float(tok.value)
-            return lambda env: value
+            return lambda args: value
         if tok.kind == "(":
             node = self.expr()
             self.expect(")")
@@ -164,46 +165,42 @@ class _Parser:
             name = tok.value
             if name in _FUNCTIONS:
                 self.expect("(")
-                arg = self.expr()
+                operand = self.expr()
                 self.expect(")")
                 fn = _FUNCTIONS[name]
-                return lambda env: fn(arg(env))
-            if name in _VARIABLES:
-                self.names.add(name)
-                return lambda env: env[name]
-            raise ExpressionError(f"unknown identifier {name!r}", tok.pos)
+                return lambda args: fn(operand(args))
+            if name in self.names:
+                k = self.names.index(name)
+                return lambda args: args[k]
+            raise ExpressionError(
+                f"unknown name {name!r}: only {list(self.names)} are allowed", tok.pos
+            )
         got = repr(tok.value) if tok.kind != "end" else "end of input"
         raise ExpressionError(f"expected a value, found {got}", tok.pos)
 
 
 class Expression:
-    """Compiled expression; callable with keyword arguments x, t, u, v.
+    """Compiled expression over the variables ``names``; called with their
+    values as positional arguments, in that order."""
 
-    ``names`` is the set of variables the expression actually references,
-    which callers use to decide what kind of coefficient or semilinear
-    term the expression represents.  The result is broadcast against the
-    supplied array arguments so constants produce full-size fields.
-    """
-
-    def __init__(self, text: str):
-        parser = _Parser(text)
-        self._root = parser.parse()
+    def __init__(self, text: str, names: tuple):
         self.text = text
-        self.names = frozenset(parser.names)
+        self.names = names
+        self._root = _Parser(text, names).parse()
 
-    def __call__(self, x=0.0, t=0.0, u=0.0, v=0.0):
-        out = self._root({"x": x, "t": t, "u": u, "v": v})
-        shape = np.broadcast(x, t, u, v).shape
-        if shape and np.shape(out) != shape:
-            out = np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
-        return out
+    def __call__(self, *values):
+        if len(values) != len(self.names):
+            raise TypeError(f"{self!r} takes the values of {list(self.names)}, "
+                            f"got {len(values)}")
+        return self._root(values)
 
-    def __repr__(self):  # pragma: no cover - debugging aid
+    def __repr__(self):
         return f"Expression({self.text!r})"
 
 
-def expression_parse(text: str) -> Expression:
-    """Parse ``text`` into a deterministic evaluator (see module docstring)."""
+def expression_parse(text: str, names: tuple) -> Expression:
+    """Parse ``text`` into a deterministic evaluator of the variables
+    ``names`` (see module docstring)."""
     if not isinstance(text, str):
         raise TypeError("expression must be a string")
-    return Expression(text)
+    return Expression(text, tuple(names))

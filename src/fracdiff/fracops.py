@@ -34,8 +34,15 @@ class TimeGrid:
             raise ValueError("a time grid needs at least two nodes")
         if nodes[0] != 0.0:
             raise ValueError(f"grids start at t=0, got t_0={nodes[0]}")
-        if not (np.diff(nodes) > 0.0).all():
+        steps = np.diff(nodes)
+        if not (steps > 0.0).all():
             raise ValueError("time nodes must be strictly increasing")
+        # the lag table and FFT of a uniform grid need every step T/N, which
+        # linspace grids and their [::2] subgrids keep to within 1.5 ulps of T
+        h = nodes[-1] / steps.size
+        if kind == "uniform" and np.max(np.abs(steps - h)) > 4 * np.spacing(nodes[-1]):
+            raise ValueError(f"nodes labelled uniform have steps from {steps.min()} "
+                             f"to {steps.max()}, not T/N = {h}")
         self.nodes = nodes
         self.kind = kind
         self.grading = grading

@@ -141,20 +141,14 @@ def _choice(*allowed):
 
 
 def _expr(*names):
-    """Converter of text to a function of the given variables, which it
+    """Converter of text to an expression of the given variables, which it
     takes as positional arguments in that order."""
 
     def convert(text):
         try:
-            ev = expression_parse(text)
+            return expression_parse(text, names)
         except ExpressionError as exc:
             raise ValueError(f"cannot parse {text!r}: {exc}") from exc
-        extra = ev.names - set(names)
-        if extra:
-            raise ValueError(
-                f"{text!r} uses {sorted(extra)} but only {sorted(names)} are allowed"
-            )
-        return lambda *args: ev(**dict(zip(names, args)))
 
     return convert
 

@@ -473,6 +473,129 @@ def test_invalid_scenario_exits_2_at_load(tmp_path, capsys, command, text, secti
     assert section in lines[0]
 
 
+# one small file per kind that gives every expression key its kind reads;
+# a property section is named by its type
+_EXPR_SPACE_TIME = {
+    "space": {"length": "3.141592653589793", "n_grid": "9", "c": "-0.1"},
+    "time": {"T": "1.0", "N": "4"},
+}
+_EXPR_FILES = {
+    "linear": {
+        "problem": {"alpha": "0.5", "initial": "1", "drift": "0.1",
+                    "reaction": "-0.1", "forcing": "0.1"},
+        "property:envelope": {"type": "envelope", "u_inf": "0"},
+        "property:bracket": {"type": "bracket", "lower": "0", "upper": "2"},
+    },
+    "semilinear": {
+        "problem": {"alpha": "0.5", "initial": "0.5", "drift": "0.1",
+                    "reaction": "-0.1", "forcing": "0.1", "term": "-u"},
+        "property:comparison": {"type": "comparison", "initial2": "0.4", "term2": "-u"},
+        "monotone": {"lower": "0", "upper": "1"},
+    },
+    "system": {
+        "problem": {"alphas": "0.5, 0.7", "initials": "0.5; 0.3",
+                    "forcings": "0.1; 0"},
+    },
+    "pair": {
+        "problem": {"alpha": "0.5", "f": "-u", "g": "-v",
+                    "initial_u": "0.3", "initial_v": "0.2"},
+    },
+}
+# (kind, section, key, the variables the key declares): every expression key
+_EXPR_KEYS = [
+    ("linear", "space", "c", ("x",)),
+    ("linear", "problem", "initial", ("x",)),
+    ("linear", "problem", "drift", ("x", "t")),
+    ("linear", "problem", "reaction", ("x", "t")),
+    ("linear", "problem", "forcing", ("x", "t")),
+    ("linear", "property:envelope", "u_inf", ("x",)),
+    ("linear", "property:bracket", "lower", ("x", "t")),
+    ("linear", "property:bracket", "upper", ("x", "t")),
+    ("semilinear", "problem", "initial", ("x",)),
+    ("semilinear", "problem", "drift", ("x", "t")),
+    ("semilinear", "problem", "reaction", ("x", "t")),
+    ("semilinear", "problem", "forcing", ("x", "t")),
+    ("semilinear", "problem", "term", ("x", "u")),
+    ("semilinear", "property:comparison", "initial2", ("x",)),
+    ("semilinear", "property:comparison", "term2", ("x", "u")),
+    ("semilinear", "monotone", "lower", ("x", "t")),
+    ("semilinear", "monotone", "upper", ("x", "t")),
+    ("system", "problem", "initials", ("x",)),
+    ("system", "problem", "forcings", ("x", "t")),
+    ("pair", "problem", "f", ("u", "v")),
+    ("pair", "problem", "g", ("u", "v")),
+    ("pair", "problem", "initial_u", ("x",)),
+    ("pair", "problem", "initial_v", ("x",)),
+]
+
+
+def _expr_file(tmp_path, kind, section, key, term):
+    """The kind's file with term added to the first entry of key."""
+    sections = {"scenario": {"name": "keys", "kind": kind}}
+    for part in (_EXPR_SPACE_TIME, _EXPR_FILES[kind]):
+        sections.update({name: dict(items) for name, items in part.items()})
+    first, sep, rest = sections[section][key].partition(";")
+    sections[section][key] = f"({first}) + {term}{sep}{rest}"
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+                   for name, items in sections.items())
+    return write(tmp_path, text, name=f"{kind}-{section.replace(':', '-')}-{key}.ini")
+
+
+def _declared(convert):
+    """The variables of x, t, u, v that a key's converter accepts, or None
+    for a key that is not an expression (one that does not refuse w as a
+    name)."""
+    try:
+        convert("w")
+    except ValueError as exc:
+        if "are allowed" in str(exc):
+            return tuple(name for name in ("x", "t", "u", "v")
+                         if _converts(convert, name))
+    return None
+
+
+def _converts(convert, text):
+    try:
+        convert(text)
+    except ValueError:
+        return False
+    return True
+
+
+def test_expression_key_table_is_complete():
+    """_EXPR_KEYS lists every expression key of the harness key tables
+    (_SPACE_KEYS, _PROBLEM_KEYS with the _SCALAR_KEYS in it, _PROPERTIES
+    and _MONOTONE_KEYS) with the variables it declares."""
+    tables = [("space", harness._SPACE_KEYS), ("monotone", harness._MONOTONE_KEYS)]
+    tables += [(f"problem {kind}", table) for kind, table in harness._PROBLEM_KEYS.items()]
+    tables += [(f"property:{ptype}", table)
+               for ptype, (_, table) in harness._PROPERTIES.items()]
+    found = {(where, key): _declared(convert)
+             for where, table in tables for key, (convert, _) in table.items()}
+    listed = {(f"problem {kind}" if section == "problem" else section, key): names
+              for kind, section, key, names in _EXPR_KEYS}
+    assert listed == {k: names for k, names in found.items() if names is not None}
+
+
+@pytest.mark.parametrize(
+    "kind, section, key, names", _EXPR_KEYS,
+    ids=[f"{kind}-{section}-{key}" for kind, section, key, _ in _EXPR_KEYS])
+def test_expression_keys_take_exactly_their_names(tmp_path, capsys, kind, section,
+                                                  key, names):
+    """Every expression key loads with the variables it declares, and each
+    of x, t, u, v that it does not declare exits 2 at load, naming the
+    section and the key."""
+    harness.Scenario.load(
+        _expr_file(tmp_path, kind, section, key, f"0*({' + '.join(names)})"))
+    for name in sorted({"x", "t", "u", "v"} - set(names)):
+        path = _expr_file(tmp_path, kind, section, key, f"0*{name}")
+        assert main(["solve", path, "--outdir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: [{section}] {key}: ")
+        assert f"only {list(names)} are allowed" in captured.err
+
+
 # forcings with a pole at the last node t = 1, which no solve reads
 LINEAR_POLE = LINEAR.replace("N = 16", "N = 8").replace(
     "forcing = 0.2*(1 + cos(x))*exp(-t)", "forcing = 1/(1-t)")

@@ -27,6 +27,23 @@ def test_grid_validation():
     assert g.nodes[8] == pytest.approx(2.0 * 0.25)
 
 
+def test_uniform_label_needs_uniform_steps():
+    """A uniform grid's solve reads one lag table and one FFT, which hold
+    only when every step is T/N: graded nodes labelled uniform are refused
+    (a 9-mode solve forced by cos 6t was off by 1.08 on them, on fields of
+    size 0.43), while linspace grids and their [::2] subgrids keep the label."""
+    with pytest.raises(ValueError, match="labelled uniform"):
+        TimeGrid(TimeGrid.graded(1, 32, 3).nodes, kind="uniform")
+    with pytest.raises(ValueError, match="labelled uniform"):
+        TimeGrid([0.0, 0.5, 0.5 + 1e-9, 1.0], kind="uniform")
+    for T in (0.1, 1.0, 2.0, 7.3, 30.335722430601326, 100.0):
+        for N in (2, 3, 64, 482, 1000, 4096):
+            fine = TimeGrid.uniform(T, N)
+            assert TimeGrid(fine.nodes, kind="uniform").kind == "uniform"
+            if N % 2 == 0:
+                assert TimeGrid(fine.nodes[::2], kind="uniform").N == N // 2
+
+
 def test_signal_validation():
     g = TimeGrid.uniform(1.0, 4)
     with pytest.raises(ValueError):
